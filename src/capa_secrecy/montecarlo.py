@@ -94,6 +94,23 @@ def _block_rngs(seed: int, n_trials: int):
         yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), size
 
 
+def _secrecy_loop(draw_bob, draw_eve, r0: float, n_trials: int,
+                  seed: int) -> tuple[McEstimate, McEstimate]:
+    """Blocked rate/outage estimates; each block draws Bob's SNRs, then Eve's."""
+    if r0 <= 0.0:
+        raise DomainError("target secrecy rate must be positive")
+    g = 2.0 ** r0
+    rate_acc, sop_acc = _Welford(), _Welford()
+    for rng, size in _block_rngs(seed, n_trials):
+        rho_b = draw_bob(rng, size)
+        rho_e = draw_eve(rng, size)
+        rates = np.maximum(np.log2(1.0 + rho_b) - np.log2(1.0 + rho_e), 0.0)
+        outage = (rho_b < g * (1.0 + rho_e) - 1.0).astype(float)
+        rate_acc.add(rates)
+        sop_acc.add(outage)
+    return rate_acc.estimate(seed), sop_acc.estimate(seed)
+
+
 def mc_secrecy(lb: LinkBudget, src, r0: float, n_trials: int,
                seed: int) -> tuple[McEstimate, McEstimate]:
     """Empirical secrecy rate and outage probability.
@@ -104,18 +121,9 @@ def mc_secrecy(lb: LinkBudget, src, r0: float, n_trials: int,
     """
     if n_trials < 10_000:
         raise DomainError("need at least 1e4 trials")
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
-    g = 2.0 ** r0
-    rate_acc, sop_acc = _Welford(), _Welford()
-    for rng, size in _block_rngs(seed, n_trials):
-        rho_b = sample_bob(src, lb, rng, size=size)
-        rho_e = sample_eve(lb, rng, size=size)
-        rates = np.maximum(np.log2(1.0 + rho_b) - np.log2(1.0 + rho_e), 0.0)
-        outage = (rho_b < g * (1.0 + rho_e) - 1.0).astype(float)
-        rate_acc.add(rates)
-        sop_acc.add(outage)
-    return rate_acc.estimate(seed), sop_acc.estimate(seed)
+    return _secrecy_loop(lambda rng, n: sample_bob(src, lb, rng, size=n),
+                         lambda rng, n: sample_eve(lb, rng, size=n),
+                         r0, n_trials, seed)
 
 
 def mc_exact_eve(lb: LinkBudget, spec: SpectralDecomposition, n_trials: int,
@@ -165,19 +173,10 @@ def spda_baseline(lb: LinkBudget, geom: ApertureGeometry, r0: float,
     n_el = int(2.0 * geom.aperture_len_m / geom.wavelength_m)
     if n_el < 2:
         raise DomainError("need at least 2 array elements (aperture too short)")
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
     a_el = SPDA_ELEMENT_APERTURE_RATIO
     bob_scale = lb.gamma_bar_b * 0.5 * geom.wavelength_m * a_el
     eve_lb = LinkBudget(lb.gamma_bar_b, lb.gamma_bar_e * a_el, lb.k_eves,
                         lb.scenario)
-    g = 2.0 ** r0
-    rate_acc, sop_acc = _Welford(), _Welford()
-    for rng, size in _block_rngs(seed, n_trials):
-        rho_b = bob_scale * rng.standard_exponential((size, n_el)).sum(axis=1)
-        rho_e = sample_eve(eve_lb, rng, size=size)
-        rates = np.maximum(np.log2(1.0 + rho_b) - np.log2(1.0 + rho_e), 0.0)
-        outage = (rho_b < g * (1.0 + rho_e) - 1.0).astype(float)
-        rate_acc.add(rates)
-        sop_acc.add(outage)
-    return rate_acc.estimate(seed), sop_acc.estimate(seed)
+    return _secrecy_loop(
+        lambda rng, n: bob_scale * rng.standard_exponential((n, n_el)).sum(axis=1),
+        lambda rng, n: sample_eve(eve_lb, rng, size=n), r0, n_trials, seed)

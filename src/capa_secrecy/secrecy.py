@@ -239,9 +239,7 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights):
 def _rate_closed_dispatch(bk, lb: LinkBudget, ms: MoschopoulosSeries):
     theta = lb.gamma_bar_b * ms.sigma_min
     logw = ms.log_weights
-    if lb.scenario == Scenario.SE:
-        return _closed_rate_kernel(bk, theta, lb.gamma_bar_e, 1, ms.dof, logw)
-    if lb.scenario == Scenario.MCE:
+    if lb.scenario != Scenario.MIE:  # SE is the K = 1 collaborative case
         return _closed_rate_kernel(bk, theta, lb.gamma_bar_e, lb.k_eves, ms.dof, logw)
     K = lb.k_eves
     total = bk.zero()
@@ -436,7 +434,7 @@ def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     w = ms.weights
 
     if lb.scenario in (Scenario.SE, Scenario.MIE):
-        kk = 1 if lb.scenario == Scenario.SE else lb.k_eves
+        kk = lb.k_eves
         acc = np.zeros_like(w)
         for nprime in range(kk):
             make, total, tail_log = _geometric_b(theta, g_mu, nprime + 1.0)
@@ -471,15 +469,9 @@ def _weighted_harmonic(ms: MoschopoulosSeries) -> float:
 
 def _offset_eve_term(lb: LinkBudget) -> float:
     """The e^x E1(x) combination entering the power offset, per scenario."""
-    mu = lb.gamma_bar_e
-    if lb.scenario == Scenario.SE:
-        return scaled_e1(1.0 / mu)
-    if lb.scenario == Scenario.MCE:
-        return scaled_e1(1.0 / (lb.k_eves * mu))
-    K = lb.k_eves
-    terms = [K * math.comb(K - 1, a) * (-1.0) ** a / (1 + a)
-             * scaled_e1((1 + a) / mu) for a in range(K)]
-    return math.fsum(terms)
+    if lb.scenario == Scenario.MIE:
+        return independent_eve_offset_term(lb.k_eves, lb.gamma_bar_e)
+    return scaled_e1(1.0 / (lb.k_eves * lb.gamma_bar_e))
 
 
 def high_snr_offset(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
@@ -508,20 +500,14 @@ def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,
     lx = math.log(x) if x > 0 else -math.inf
     mm = np.arange(dof + 1, dtype=float)
     base = mm * lx - sps.gammaln(mm + 1.0)
-    if lb.scenario == Scenario.SE:
-        log_s = sps.logsumexp(base)
-    elif lb.scenario == Scenario.MIE:
-        K = lb.k_eves
-        y4 = np.array([
-            math.fsum(math.comb(K - 1, n) * (-1.0) ** n
-                      * (1.0 / (n + 1)) ** (dof - m + 1) for n in range(K))
-            for m in range(dof + 1)])
-        log_s = math.log(K) + sps.logsumexp(base + np.log(y4))
-    else:
-        K = lb.k_eves
-        lbin = np.array([log_binomial(dof - m + K - 1, K - 1)
-                         for m in range(dof + 1)])
-        log_s = sps.logsumexp(base + lbin)
+    K = lb.k_eves
+    if lb.scenario == Scenario.MIE:
+        log_y = np.log([float(independent_eve_gain_term(K, dof, m))
+                        for m in range(dof + 1)])
+    else:  # SE is the K = 1 collaborative case, all terms ln C(dof-m, 0) = 0
+        log_y = np.array([log_binomial(dof - m + K - 1, K - 1)
+                          for m in range(dof + 1)])
+    log_s = sps.logsumexp(base + log_y)
     log_prod = float(np.sum(ms.log_sigmas))
     gain = math.exp((log_prod - log_s) / dof) / (g * lb.gamma_bar_e)
     return dof, gain
@@ -534,21 +520,26 @@ def sop_asymptotic(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     return math.exp(expo) if expo < 700.0 else math.inf
 
 
+# analytic evaluator name -> (rate(lb, ms), sop(lb, ms, r0)).  The entries
+# look the evaluators up at call time, so a module attribute replaced after
+# import (e.g. by a tracer) is the one that runs.
+ANALYTIC_EVALUATORS = {
+    "closed-form": (lambda lb, ms: secrecy_rate_closed(lb, ms),
+                    lambda lb, ms, r0: sop_closed(lb, ms, r0)),
+    "quadrature": (lambda lb, ms: secrecy_rate_quadrature(lb, ms),
+                   lambda lb, ms, r0: sop_quadrature(lb, ms, r0)),
+    "asymptotic": (lambda lb, ms: asymptotic_rate(lb, ms),
+                   lambda lb, ms, r0: min(sop_asymptotic(lb, ms, r0), 1.0)),
+}
+
+
 def secrecy_report(lb: LinkBudget, ms: MoschopoulosSeries, r0: float,
-                   evaluator: str = "quadrature",
-                   prec: EvalPrecision | None = None) -> SecrecyReport:
+                   evaluator: str = "quadrature") -> SecrecyReport:
     """Evaluate every secrecy metric with one rate/SOP evaluator."""
-    if evaluator == "closed-form":
-        rate = secrecy_rate_closed(lb, ms, prec)
-        sop = sop_closed(lb, ms, r0)
-    elif evaluator == "quadrature":
-        rate = secrecy_rate_quadrature(lb, ms)
-        sop = sop_quadrature(lb, ms, r0)
-    elif evaluator == "asymptotic":
-        rate = asymptotic_rate(lb, ms)
-        sop = min(sop_asymptotic(lb, ms, r0), 1.0)
-    else:
+    if evaluator not in ANALYTIC_EVALUATORS:
         raise DomainError(f"unknown evaluator {evaluator!r}")
+    rate_fn, sop_fn = ANALYTIC_EVALUATORS[evaluator]
+    rate, sop = rate_fn(lb, ms), sop_fn(lb, ms, r0)
     dof, gain = diversity_and_gain(lb, ms, r0)
     return SecrecyReport(
         scenario=lb.scenario, rate_bits=rate, sop=sop, target_rate_r0=r0,
@@ -568,9 +559,18 @@ def binomial_unit_identity(k: int) -> Fraction:
 
 def independent_eve_offset_term(k: int, gamma_e: float) -> float:
     """y(K) = K sum_a C(K-1,a) (-1)^a/(1+a) e^((1+a)/ge) E1((1+a)/ge),
-    increasing in K."""
-    return math.fsum(k * math.comb(k - 1, a) * (-1.0) ** a / (1 + a)
-                     * scaled_e1((1 + a) / gamma_e) for a in range(k))
+    increasing in K.
+
+    y(K) = E ln(1 + max of K Eve SNRs) >= y(1), while the terms sum in
+    magnitude to at most K 2^(K-1) y(1), so the alternating sum runs in
+    mpmath with that many guard digits.
+    """
+    dps = 20 + int(math.log10(k) + (k - 1) * math.log10(2.0))
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(1 + a) / gamma_e for a in range(k)]
+        return float(mpmath.fsum(
+            k * math.comb(k - 1, a) * (-1) ** a / mpmath.mpf(1 + a)
+            * mpmath.exp(x) * mpmath.e1(x) for a, x in enumerate(xs)))
 
 def independent_eve_gain_term(k: int, dof: int, m: int) -> Fraction:
     """y(K) = K sum_n C(K-1,n)(-1)^n (n+1)^(m-dof-1); 1 at m = dof,

@@ -177,8 +177,8 @@ def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     return float(out[0]) if scalar else out
 
 
-def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """Mixture CDF sum_q w_q P(dof+q, x / (gamma_b sigma_min))."""
+def _bob_mixture(reg_gamma, x, lb: LinkBudget, ms: MoschopoulosSeries):
+    """sum_q w_q reg_gamma(dof+q, x / (gamma_b sigma_min)), chunked over x."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -190,25 +190,18 @@ def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     chunk = max(1, 2_000_000 // (ms.q_max + 1))
     for i in range(0, len(x), chunk):
         zz = z[i:i + chunk, None]
-        out[i:i + chunk] = sps.gammainc(shapes[None, :], zz) @ w
+        out[i:i + chunk] = reg_gamma(shapes[None, :], zz) @ w
     return float(out[0]) if scalar else out
+
+
+def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
+    """Mixture CDF sum_q w_q P(dof+q, x / (gamma_b sigma_min))."""
+    return _bob_mixture(sps.gammainc, x, lb, ms)
 
 
 def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta); accurate in the far tail."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    theta = lb.gamma_bar_b * ms.sigma_min
-    z = np.clip(x, 0.0, None) / theta
-    out = np.zeros_like(x)
-    w = ms.weights
-    shapes = ms.shapes.astype(float)
-    chunk = max(1, 2_000_000 // (ms.q_max + 1))
-    for i in range(0, len(x), chunk):
-        zz = z[i:i + chunk, None]
-        out[i:i + chunk] = sps.gammaincc(shapes[None, :], zz) @ w
-    return float(out[0]) if scalar else out
+    return _bob_mixture(sps.gammaincc, x, lb, ms)
 
 
 # ---------------------------------------------------------------------------

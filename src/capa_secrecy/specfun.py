@@ -1,11 +1,9 @@
 """Special functions for the secrecy analytics.
 
-Everything downstream reduces to four ingredients: the integer-order gamma
-family, the exponential integral E1, the log-moment integral
-F(n+1, x) = int_x^inf ln(u) u^n e^(-u) du, and log-domain combinatorics.
-All functions here are pure and operate on plain floats; a signed log-domain
-value type (`SignedLog`) is provided for summations whose terms overflow or
-cancel.
+The exponential integral E1 (plain, scaled and logarithmic), log-domain
+combinatorics and harmonic numbers.  All functions here are pure and operate
+on plain floats; a signed log-domain value type (`SignedLog`) is provided for
+summations whose terms overflow or cancel.
 """
 from __future__ import annotations
 
@@ -13,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 EULER_GAMMA = 0.5772156649015328606
-
-_LOG_EPS = math.log(2.0 ** -52)
 
 
 class DomainError(ValueError):
@@ -31,24 +27,14 @@ class EvalPrecision:
     """
 
     mode: str = "standard-float"
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in ("standard-float", "extended"):
             raise DomainError(f"unknown precision mode {self.mode!r}")
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise DomainError("rel_tol must lie in (0, 1e-3]")
 
 
 STANDARD = EvalPrecision()
-EXTENDED = EvalPrecision(mode="extended", rel_tol=1e-20)
-
-
-def _logsumexp(logs):
-    m = max(logs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in logs))
+EXTENDED = EvalPrecision(mode="extended")
 
 
 # ---------------------------------------------------------------------------
@@ -128,114 +114,6 @@ def scaled_e1(x: float) -> float:
 def exp_e1_log(x: float) -> float:
     """ln E1(x), finite for the whole supported range."""
     return -x + math.log(scaled_e1(x))
-
-
-# ---------------------------------------------------------------------------
-# gamma family (integer order)
-# ---------------------------------------------------------------------------
-
-def gamma_int(n: int):
-    """Gamma(n) = (n-1)! for positive integer n.
-
-    Returns (value, log_value); the linear value is inf once (n-1)! exceeds
-    float range, the log stays finite.  n = 0 is the divergent E1(0) branch
-    and is rejected.
-    """
-    if n == 0:
-        raise DomainError("Gamma(0) diverges; use the exponential-integral branch")
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    lg = math.lgamma(n)
-    try:
-        val = math.exp(lg) if n > 170 else float(math.factorial(n - 1))
-    except OverflowError:
-        val = math.inf
-    return val, lg
-
-
-def upper_gamma_log(n: int, x: float) -> float:
-    """ln Gamma(n, x) for integer n >= 0, x > 0."""
-    if x <= 0.0:
-        raise DomainError("upper incomplete gamma requires x > 0")
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    if n == 0:
-        return exp_e1_log(x)
-    lx = math.log(x)
-    logs = [k * lx - math.lgamma(k + 1) for k in range(n)]
-    return math.lgamma(n) - x + _logsumexp(logs)
-
-
-def upper_gamma(n: int, x: float) -> float:
-    """Gamma(n, x) = (n-1)! e^(-x) sum_{k<n} x^k/k!  (E1(x) for n = 0)."""
-    if n == 0:
-        if x <= 0.0:
-            raise DomainError("upper incomplete gamma requires x > 0")
-        return exp_e1(x)
-    lg = upper_gamma_log(n, x)
-    return math.exp(lg) if lg < 709.0 else math.inf
-
-
-def lower_gamma_int(n: int, x: float) -> float:
-    """int_0^x u^n e^(-u) du = n! (1 - e^(-x) sum_{k<=n} x^k/k!).
-
-    For x below the shape the complement form loses all significance, so the
-    equivalent ascending series x^(n+1) e^(-x) sum_j x^j / prod(n+1+i) is
-    used there; both are exact rearrangements of the same integral.
-    """
-    if x <= 0.0:
-        raise DomainError("lower incomplete gamma requires x > 0")
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    if x < n + 1.0:
-        term, total = 1.0, 1.0
-        for j in range(1, 10_000):
-            term *= x / (n + 1 + j)
-            total += term
-            if term < 1e-18 * total:
-                break
-        out = (n + 1) * math.log(x) - x - math.log(n + 1) + math.log(total)
-        return math.exp(out) if out < 709.0 else math.inf
-    lx = math.log(x)
-    # Poisson survival e^(-x) sum x^k/k! computed keeping everything in logs.
-    log_s = _logsumexp([k * lx - x - math.lgamma(k + 1) for k in range(n + 1)])
-    if log_s >= 0.0:
-        return 0.0
-    out = math.lgamma(n + 1) + math.log1p(-math.exp(log_s))
-    return math.exp(out) if out < 709.0 else math.inf
-
-
-def f_log_moment_scaled(n_plus_1: int, x: float) -> float:
-    """F(n+1, x) / n!  via the stable upward recurrence.
-
-    F(n+1, x) = int_x^inf ln(u) u^n e^(-u) du; the normalized value stays
-    O(ln n + |ln x|) for all n, so this is the overflow-free workhorse.
-    """
-    if n_plus_1 < 1:
-        raise DomainError("order must be >= 1")
-    if x <= 0.0:
-        raise DomainError("F requires x > 0")
-    lx = math.log(x)
-    f = lx * math.exp(-x) + exp_e1(x)  # F(1, x)
-    if n_plus_1 == 1:
-        return f
-    # increments: [ln x * x^j e^(-x) + Gamma(j, x)] / j!
-    log_pois = -x  # x^j e^(-x) / j! at j = 0
-    log_q = None   # ln of Gamma(j, x)/j!  (regularized upper over j)
-    for j in range(1, n_plus_1):
-        log_q = upper_gamma_log(j, x) - math.lgamma(j + 1)
-        log_pois = log_pois + lx - math.log(j)
-        f += lx * math.exp(log_pois) + math.exp(log_q)
-    return f
-
-
-def f_log_moment(n_plus_1: int, x: float) -> float:
-    """F(n+1, x) = int_x^inf ln(u) u^n e^(-u) du (closed form, linear domain)."""
-    scaled = f_log_moment_scaled(n_plus_1, x)
-    lg = math.lgamma(n_plus_1)
-    if lg + math.log(abs(scaled) + 1e-320) > 709.0:
-        return math.copysign(math.inf, scaled)
-    return scaled * math.exp(lg)
 
 
 def log_binomial(n: int, k: int) -> float:

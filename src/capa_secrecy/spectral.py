@@ -9,14 +9,18 @@ Landau step profile: eigenvalues near lambda/2 on a plateau of width
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import DomainError
+
+log = logging.getLogger(__name__)
 
 
 class ComputationError(RuntimeError):
@@ -181,20 +185,42 @@ def landau_prediction(spec: SpectralDecomposition, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# on-disk cache (keyed by wavelength, length, quadrature order)
+# on-disk cache (keyed by format, wavelength, length, order, eigenvalue floor)
 # ---------------------------------------------------------------------------
 
-def cache_key(wavelength_m: float, aperture_len_m: float, t: int) -> str:
-    return f"spectrum_{wavelength_m:.12e}_{aperture_len_m:.12e}_{t}"
+_CACHE_FORMAT = 2
+
+
+def cache_key(wavelength_m: float, aperture_len_m: float, t: int,
+              epsilon_floor: float) -> str:
+    return (f"spectrum_v{_CACHE_FORMAT}_{wavelength_m:.12e}_{aperture_len_m:.12e}"
+            f"_{t}_{epsilon_floor:.12e}")
 
 
 def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
+    """Write `spec` to `path` (".npz" appended if missing) atomically.
+
+    The data goes to a temporary file in the same directory that is then
+    renamed over `path`, so a concurrent reader sees either no entry or a
+    complete one.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
     meta = dict(wavelength_m=spec.wavelength_m, aperture_len_m=spec.aperture_len_m,
                 dof=spec.dof, sigma_min=spec.sigma_min, trace=spec.trace)
-    np.savez_compressed(
-        path, meta=json.dumps(meta), sigmas=spec.sigmas, epsilons=spec.epsilons,
-        eigfun_samples=spec.eigfun_samples, nodes=spec.nodes, weights=spec.weights,
-    )
+    fd, tmp = tempfile.mkstemp(suffix=".npz", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(
+                fh, meta=json.dumps(meta), sigmas=spec.sigmas,
+                epsilons=spec.epsilons, eigfun_samples=spec.eigfun_samples,
+                nodes=spec.nodes, weights=spec.weights,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_decomposition(path: str) -> SpectralDecomposition:
@@ -223,13 +249,14 @@ def cached_decompose(geom: ApertureGeometry, t: int,
     if not cache_dir:
         return decompose(geom, t, epsilon_floor)
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, cache_key(geom.wavelength_m, geom.aperture_len_m, t) + ".npz")
+    key = cache_key(geom.wavelength_m, geom.aperture_len_m, t, epsilon_floor)
+    path = os.path.join(cache_dir, key + ".npz")
     if os.path.exists(path):
         try:
             return load_decomposition(path)
-        except Exception:
-            pass  # stale/corrupt cache entry: recompute below
+        except Exception as exc:
+            log.warning("unreadable spectrum cache entry %s (%s: %s); "
+                        "recomputing", path, type(exc).__name__, exc)
     spec = decompose(geom, t, epsilon_floor)
     save_decomposition(spec, path)
     return spec

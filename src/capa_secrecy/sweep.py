@@ -26,7 +26,16 @@ CSV_HEADER = "axis,value,scenario,evaluator,metric,result,std_err,seed,wall_ms"
 
 AXES = ("gamma_b_db", "gamma_e_db", "aperture_len", "k_eves")
 SCENARIOS = ("SE", "MIE", "MCE")
-EVALUATORS = ("closed-form", "quadrature", "asymptotic", "monte-carlo", "spda-mc")
+# sampled evaluators: name -> fn(cfg, lb, ms, aperture_len_m, seed) returning
+# the (rate, sop) Monte Carlo estimates
+_SAMPLED = {
+    "monte-carlo": lambda cfg, lb, ms, aperture, seed: mc.mc_secrecy(
+        lb, ms, cfg.target_rate_r0, cfg.n_trials, seed),
+    "spda-mc": lambda cfg, lb, ms, aperture, seed: mc.spda_baseline(
+        lb, spc.ApertureGeometry(cfg.wavelength_m, aperture),
+        cfg.target_rate_r0, cfg.n_trials, seed),
+}
+EVALUATORS = (*sec.ANALYTIC_EVALUATORS, *_SAMPLED)
 OUTPUTS = ("rate", "sop", "slope", "offset", "gain")
 
 TABLE1 = {
@@ -215,39 +224,18 @@ def _eval_point(ws: _Workspace, cfg: SweepConfig, value: float, scen_name: str,
     r0 = cfg.target_rate_r0
     out = {}
     wanted = cfg.outputs
-    if evaluator == "monte-carlo":
+    if evaluator in _SAMPLED:
         if "rate" in wanted or "sop" in wanted:
-            rate_est, sop_est = mc.mc_secrecy(lb, ms, r0, cfg.n_trials, point_seed)
-            if "rate" in wanted:
-                out["rate"] = (rate_est.mean, rate_est.std_err)
-            if "sop" in wanted:
-                out["sop"] = (sop_est.mean, sop_est.std_err)
+            ests = _SAMPLED[evaluator](cfg, lb, ms, aperture, point_seed)
+            for metric, est in zip(("rate", "sop"), ests):
+                if metric in wanted:
+                    out[metric] = (est.mean, est.std_err)
         return out
-    if evaluator == "spda-mc":
-        if "rate" in wanted or "sop" in wanted:
-            geom = spc.ApertureGeometry(cfg.wavelength_m, aperture)
-            rate_est, sop_est = mc.spda_baseline(lb, geom, r0, cfg.n_trials,
-                                                 point_seed)
-            if "rate" in wanted:
-                out["rate"] = (rate_est.mean, rate_est.std_err)
-            if "sop" in wanted:
-                out["sop"] = (sop_est.mean, sop_est.std_err)
-        return out
-    # analytic evaluators
+    rate_fn, sop_fn = sec.ANALYTIC_EVALUATORS[evaluator]
     if "rate" in wanted:
-        if evaluator == "closed-form":
-            out["rate"] = (sec.secrecy_rate_closed(lb, ms), None)
-        elif evaluator == "quadrature":
-            out["rate"] = (sec.secrecy_rate_quadrature(lb, ms), None)
-        else:
-            out["rate"] = (sec.asymptotic_rate(lb, ms), None)
+        out["rate"] = (rate_fn(lb, ms), None)
     if "sop" in wanted:
-        if evaluator == "closed-form":
-            out["sop"] = (sec.sop_closed(lb, ms, r0), None)
-        elif evaluator == "quadrature":
-            out["sop"] = (sec.sop_quadrature(lb, ms, r0), None)
-        else:
-            out["sop"] = (min(sec.sop_asymptotic(lb, ms, r0), 1.0), None)
+        out["sop"] = (sop_fn(lb, ms, r0), None)
     if evaluator == "closed-form":
         # scalar high-SNR characterizations ride with the closed-form rows
         if "slope" in wanted:

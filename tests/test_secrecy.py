@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
+from capa_secrecy import sweep as sw
 from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import EXTENDED, STANDARD, DomainError
 
@@ -245,6 +247,38 @@ def test_independent_gain_term_identity_and_growth():
         assert all(b > a for a, b in zip(ys, ys[1:]))
 
 
+def _offset_term_oracle(k, mu):
+    # E ln(1 + max of K Eves) = mu int_0^inf [1 - (1 - e^-t)^K] / (1 + mu t) dt
+    def f(t):
+        return -math.expm1(k * math.log1p(-math.exp(-t))) * mu / (1.0 + mu * t)
+    t_k = math.log(k)
+    return math.fsum(quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+                     for a, b in ((0.0, t_k), (t_k, t_k + 60.0)))
+
+
+def test_independent_eve_terms_stay_exact_for_many_eves():
+    ms = snr.build_psi(0.0624 * np.linspace(1.0, 0.7, 6))
+    for mu in (0.1, 1.0, 100.0):
+        ys = []
+        for k in (20, 40, 60, 80):
+            y = sec.independent_eve_offset_term(k, mu)
+            assert y == pytest.approx(_offset_term_oracle(k, mu), rel=1e-10)
+            off_mie = sec.high_snr_offset(LinkBudget(100.0, mu, k, Scenario.MIE), ms)
+            off_se = sec.high_snr_offset(LinkBudget(100.0, mu), ms)
+            want = off_se + (y - _offset_term_oracle(1, mu)) / math.log(2.0)
+            assert off_mie == pytest.approx(want, rel=1e-10)
+            ys.append(y)
+        assert all(b > a for a, b in zip(ys, ys[1:]))
+    for k in (20, 40, 60, 80):
+        d, ag = sec.diversity_and_gain(LinkBudget(100.0, 1.0, k, Scenario.MIE), ms, 1)
+        lead = sec.sop_leading_coeff(Scenario.MIE, ms.sigmas, 1.0, 1, k)
+        # ag^(-dof) is the leading outage coefficient
+        want = math.exp(-(math.log(lead.numerator)
+                          - math.log(lead.denominator)) / d)
+        assert math.isfinite(ag)
+        assert ag == pytest.approx(want, rel=1e-12)
+
+
 def test_collaborative_offset_gap_positive():
     # consistent with the collaborative scenario having the larger offset
     for ge in (0.1, 1.0, 10.0, 100.0):
@@ -307,8 +341,26 @@ def test_secrecy_report(ms4, evaluator):
     assert rep.rate_bits >= 0.0
     assert rep.evaluator == evaluator
     assert rep.hi_snr_slope == pytest.approx(1.0, abs=1e-6)
+    # the sweep reads the same evaluator table: its rows match bit for bit
+    cfg = sw.config_from_dict({
+        "wavelength_m": 0.1249, "aperture_lambdas": 2.0, "quadrature_order": 120,
+        "gamma_e_db": 0.0, "k_eves": 5, "target_rate_r0": 1.0,
+        "axis": "gamma_b_db", "values": [20.0], "scenarios": ["SE", "MIE", "MCE"],
+        "evaluators": [evaluator], "outputs": ["rate", "sop"]})
+    out = io.StringIO()
+    assert sw.run_sweep(cfg, out, summary_stream=io.StringIO()) == 0
+    rows = {(r[2], r[4]): float(r[5])
+            for r in (ln.split(",") for ln in out.getvalue().splitlines()[1:])}
+    for scen in Scenario:
+        rep = sec.secrecy_report(lb_db(20.0, 0.0, 1 if scen == Scenario.SE else 5,
+                                       scen), ms4, 1.0, evaluator)
+        assert rows[(scen.value, "rate")] == rep.rate_bits
+        assert rows[(scen.value, "sop")] == rep.sop
 
 
 def test_secrecy_report_rejects_unknown_evaluator(ms4):
     with pytest.raises(DomainError):
         sec.secrecy_report(lb_db(10, 0), ms4, 1.0, "exact")
+    # sampled evaluators are sweep rows, not report routes
+    with pytest.raises(DomainError):
+        sec.secrecy_report(lb_db(10, 0), ms4, 1.0, "monte-carlo")

@@ -119,3 +119,31 @@ def test_cached_decompose_uses_directory(tmp_path):
         assert len(files) == 1
         again = spc.cached_decompose(geom, 100, cache_dir=str(tmp_path))
     assert np.array_equal(first.sigmas, again.sigmas)
+
+
+def test_cache_key_separates_epsilon_floor(tmp_path, geom):
+    fine = spc.cached_decompose(geom, 100, 1e-8, cache_dir=str(tmp_path))
+    coarse = spc.cached_decompose(geom, 100, 1e-2, cache_dir=str(tmp_path))
+    assert len(fine.sigmas) > len(coarse.sigmas)
+    assert len(list(tmp_path.glob("*.npz"))) == 2
+    again = spc.cached_decompose(geom, 100, 1e-2, cache_dir=str(tmp_path))
+    assert len(again.sigmas) == len(coarse.sigmas)
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path, caplog, geom):
+    first = spc.cached_decompose(geom, 100, cache_dir=str(tmp_path))
+    (entry,) = tmp_path.glob("*.npz")
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    with caplog.at_level("WARNING", logger="capa_secrecy.spectral"):
+        again = spc.cached_decompose(geom, 100, cache_dir=str(tmp_path))
+    assert any("spectrum cache entry" in r.getMessage() for r in caplog.records)
+    assert np.array_equal(first.sigmas, again.sigmas)
+    # the recomputed entry replaced the broken one
+    assert np.array_equal(spc.load_decomposition(str(entry)).sigmas, first.sigmas)
+
+
+def test_cache_write_leaves_no_temporary_file(tmp_path, spec4, geom):
+    spc.save_decomposition(spec4, str(tmp_path / "spec"))
+    spc.cached_decompose(geom, 100, cache_dir=str(tmp_path / "c"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "spec.npz"]
+    assert len(list((tmp_path / "c").iterdir())) == 1
