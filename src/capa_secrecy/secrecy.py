@@ -32,6 +32,8 @@ log = logging.getLogger(__name__)
 LN2 = math.log(2.0)
 DEFAULT_CLOSED_FORM_DOF_CAP = 16
 _PRECISION_LOSS_THRESHOLD = 1e-3
+_TAIL_REL = 2.0 ** -60            # dropped mixture tail, relative to the rate
+_TAIL_CUT_LOG = math.log(_TAIL_REL * 1e-12)
 
 
 class PrecisionLossError(ArithmeticError):
@@ -146,13 +148,14 @@ class _MPBackend:
 _FLOAT_BACKEND = _FloatBackend()
 
 
-def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights):
+def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
     """Mixture secrecy rate for Eve ~ Gamma(k_gamma, mu), Bob the gamma
     mixture with scale theta and shapes dof + q.
 
     k_gamma = 1 covers the single-Eve expression; the collaborative form is
-    the same structure with the gamma-order sums carried along.  Returns a
-    backend value (bits).
+    the same structure with the gamma-order sums carried along.  `memo`
+    holds the mu-free binomial coefficient rows, shared by the calls of one
+    dispatch.  Returns a backend value (bits).
     """
     K = k_gamma
     sth = bk.scalar(theta)
@@ -217,36 +220,62 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights):
     gamma_k_mu = bk.factorial(K - 1) * bk.pow(mu, K)
     tau_prefix = [bk.zero()] * (n_hi + 1)
     e_beta = bk.efrom(beta)
+    tau_rows = memo.setdefault("tau", {})
     for m in range(n_hi):
-        s = sum((bk.comb(K + m - 1, f) * ((-1) ** (K + m - 1 - f)) * W2[f]
-                 for f in range(K + m)), bk.zero())
+        n = K + m - 1
+        row = tau_rows.get(n)
+        if row is None:
+            row = tau_rows[n] = [bk.comb(n, f) * ((-1) ** (n - f))
+                                 for f in range(n + 1)]
+        s = sum((c * w for c, w in zip(row, W2)), bk.zero())
         tau = e_beta / gamma_k_mu / (bk.pow(theta, m) if m else bk.wrap(1)) \
             / bk.factorial(m) * s
         tau_prefix[m + 1] = tau_prefix[m] + tau
 
+    ksum_rows = memo.setdefault("ksum", {})
     total = bk.zero()
     for q, lw in enumerate(log_weights):
         n = dof + q
+        row = ksum_rows.get(n)
+        if row is None:
+            row = ksum_rows[n] = [bk.comb(n - 1, k) * ((-1) ** (n - 1 - k))
+                                  * bk.pow(theta, k + 1) for k in range(n)]
         ksum = bk.zero()
-        for k in range(n):
-            ksum = ksum + (bk.comb(n - 1, k) * ((-1) ** (n - 1 - k))
-                           * bk.pow(theta, k + 1) * bracket[k])
+        for c, b in zip(row, bracket):
+            ksum = ksum + c * b
         term1 = ksum * e_th / (bk.factorial(n - 1) * bk.pow(theta, n) * gamma_k_mu)
         total = total + bk.from_log(1, lw) * (term1 - tau_prefix[n])
     return total / bk.wrap(LN2)
 
 
-def _rate_closed_dispatch(bk, lb: LinkBudget, ms: MoschopoulosSeries):
+def _mixture_cut(lb: LinkBudget, ms: MoschopoulosSeries):
+    """(terms kept, bound in bits on each kernel's dropped mixture tail).
+
+    The per-shape term is the secrecy rate for Bob ~ Gamma(dof + q, theta),
+    which lies in [0, log2(1 + (dof + q) theta)] by Jensen; the weights are
+    positive.  Terms are kept up to the first q whose tail bound is below
+    2^-60 * 1e-12 bits.
+    """
     theta = lb.gamma_bar_b * ms.sigma_min
-    logw = ms.log_weights
+    log_terms = ms.log_weights + np.log(np.log1p(ms.shapes * theta) / LN2)
+    tails = np.append(np.logaddexp.accumulate(log_terms[::-1])[::-1][1:], -np.inf)
+    q_stop = int(np.argmax(tails <= _TAIL_CUT_LOG))
+    return q_stop + 1, math.exp(tails[q_stop])
+
+
+def _rate_closed_dispatch(bk, lb: LinkBudget, ms: MoschopoulosSeries, n_terms):
+    theta = lb.gamma_bar_b * ms.sigma_min
+    logw = ms.log_weights[:n_terms]
+    memo = {}
     if lb.scenario != Scenario.MIE:  # SE is the K = 1 collaborative case
-        return _closed_rate_kernel(bk, theta, lb.gamma_bar_e, lb.k_eves, ms.dof, logw)
+        return _closed_rate_kernel(bk, theta, lb.gamma_bar_e, lb.k_eves, ms.dof,
+                                   logw, memo)
     K = lb.k_eves
     total = bk.zero()
     for a in range(K):
         coeff = bk.wrap(K) * bk.comb(K - 1, a) * ((-1) ** a) / bk.wrap(a + 1)
         total = total + coeff * _closed_rate_kernel(
-            bk, theta, lb.gamma_bar_e / (a + 1), 1, ms.dof, logw)
+            bk, theta, lb.gamma_bar_e / (a + 1), 1, ms.dof, logw, memo)
     return total
 
 
@@ -258,23 +287,39 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
     With prec=None the standard float path is used up to `dof_cap` spatial
     DoF and the extended wide-float path beyond.  The standard path raises
     PrecisionLossError when its conditioning estimate says the alternating
-    sums left fewer than ~3 significant digits.
+    sums left fewer than ~3 significant digits, or when the value falls
+    outside [0, log2(1 + gamma_b sum(sigma))], the range of the true rate.
+
+    The mixture is cut where its tail provably adds under 2^-60 of the
+    result; should the result be too small for that, the full series runs.
     """
     if prec is None:
         prec = STANDARD if ms.dof <= dof_cap else EXTENDED
-    val = _rate_closed_dispatch(_FLOAT_BACKEND, lb, ms)
-    if prec.mode == "standard-float":
-        cond = val.log_condition()
-        est_rel = 2.3e-16 * math.exp(min(cond, 700.0))
-        if est_rel > _PRECISION_LOSS_THRESHOLD:
-            raise PrecisionLossError(est_rel)
-        return max(val.to_float(), 0.0)
-    # size the working precision from the mass bound of the float dry run
-    mag = val.mag if val.sign != 0 and math.isfinite(val.mag) else 0.0
-    digits = (val.mass - min(mag, 0.0)) / math.log(10.0) + 30.0
-    dps = int(min(max(50.0, digits), 6000.0))
-    with mpmath.workdps(dps):
-        out = float(_rate_closed_dispatch(_MPBackend(), lb, ms))
+    jensen = math.log2(1.0 + _bob_spread(lb, ms)[0])
+    n_cut, tail = _mixture_cut(lb, ms)
+    # MIE weighs its K kernels by +-K C(K-1,a)/(a+1), of total magnitude 2^K - 1
+    if lb.scenario == Scenario.MIE:
+        tail *= 2.0 ** lb.k_eves - 1.0
+    for n_terms, dropped in ((n_cut, tail), (ms.q_max + 1, 0.0)):
+        val = _rate_closed_dispatch(_FLOAT_BACKEND, lb, ms, n_terms)
+        if prec.mode == "standard-float":
+            cond = val.log_condition()
+            est_rel = 2.3e-16 * math.exp(min(cond, 700.0))
+            if est_rel > _PRECISION_LOSS_THRESHOLD:
+                raise PrecisionLossError(est_rel)
+            out = val.to_float()
+            if (out > jensen * (1.0 + 1e-6)
+                    or out < -2.3e-16 * math.exp(min(val.mass, 700.0))):
+                raise PrecisionLossError(math.inf)
+        else:
+            # size the working precision from the mass bound of the float dry run
+            mag = val.mag if val.sign != 0 and math.isfinite(val.mag) else 0.0
+            digits = (val.mass - min(mag, 0.0)) / math.log(10.0) + 30.0
+            dps = int(min(max(50.0, digits), 6000.0))
+            with mpmath.workdps(dps):
+                out = float(_rate_closed_dispatch(_MPBackend(), lb, ms, n_terms))
+        if dropped <= _TAIL_REL * abs(out):
+            break
     return max(out, 0.0)
 
 
@@ -300,12 +345,18 @@ def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, *,
 
     mean, std = _bob_spread(lb, ms)
     split = mean + 12.0 * std + 1.0
-    v1, e1_ = spi.quad(f, 0.0, split, limit=400, epsabs=epsabs, epsrel=1e-11)
-    v2, e2_ = spi.quad(f, split, np.inf, limit=200, epsabs=epsabs, epsrel=1e-11)
-    err = e1_ + e2_
+    # F_e rises from 0 to 1 over a few Eve SNR scales; a faint Eve's layer
+    # is too thin for the adaptive rule to find on its own
+    edges = [0.0, split]
+    if 50.0 * lb.gamma_bar_e * lb.k_eves < split:
+        edges.insert(1, 50.0 * lb.gamma_bar_e * lb.k_eves)
+    parts = [spi.quad(f, a, b, limit=400, epsabs=epsabs, epsrel=1e-11)
+             for a, b in zip(edges, edges[1:])]
+    parts.append(spi.quad(f, split, np.inf, limit=200, epsabs=epsabs, epsrel=1e-11))
+    err = sum(e for _, e in parts)
     if err > 1e-6:
         raise ComputationError(f"rate quadrature achieved only +-{err:.2e} bits")
-    return max(v1 + v2, 0.0)
+    return max(sum(v for v, _ in parts), 0.0)
 
 
 def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float, *,
@@ -331,98 +382,17 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float, *,
 # closed-form secrecy outage probability
 # ---------------------------------------------------------------------------
 
-def _poisson_tail_log(lam, m):
-    """Upper bound on ln sum_{k>=m} Poisson(lam) pmf."""
-    if lam <= 0.0:
-        return -math.inf
-    if m <= lam + 1.0:
-        return 0.0
-    logp = m * math.log(lam) - lam - math.lgamma(m + 1)
-    return logp - math.log1p(-lam / (m + 1.0))
-
-
-def _conv_tail_brackets(lam_p, make_b, b_total, b_tail_log, ns):
-    """bracket(n) = sum_{k>=n} (Poisson(lam_p) (*) b)_k for each n in ns.
-
-    The complementary head form b_total - head is algebraically identical
-    (both sequences have known totals) and is used whenever the head carries
-    under half the mass, so neither branch ever cancels.
-    """
-    n_hi = int(np.max(ns))
-    m_len = n_hi + 64
-    cap = 1 << 22
-    while True:
-        ks = np.arange(m_len, dtype=float)
-        if lam_p > 0.0:
-            a = np.exp(ks * math.log(lam_p) - lam_p - sps.gammaln(ks + 1.0))
-        else:
-            a = np.zeros(m_len)
-            a[0] = 1.0
-        b = make_b(m_len)
-        c = np.convolve(a, b)[:m_len]
-        cum = np.cumsum(c)
-        rev = np.cumsum(c[::-1])[::-1]
-        head = cum[ns - 1]
-        tail = rev[ns]
-        need_tail = head >= 0.5 * b_total
-        if not np.any(need_tail):
-            break
-        half = m_len // 2
-        miss_log = np.logaddexp(_poisson_tail_log(lam_p, half), b_tail_log(half))
-        floor = max(float(np.min(tail[need_tail])), 1e-280)
-        if miss_log < math.log(floor) - 21.0 or m_len >= cap:
-            if m_len >= cap:
-                log.warning("SOP tail window capped at %d terms", cap)
-            break
-        m_len = min(2 * m_len, cap)
-    return np.where(need_tail, tail, b_total - head)
-
-
-def _geometric_b(theta, g_mu, shift):
-    """b_m = prefac * r^m with prefac = theta/denom, r = g_mu/denom,
-    denom = shift*theta + g_mu; sums to 1/shift."""
-    denom = shift * theta + g_mu
-    log_pref = math.log(theta) - math.log(denom)
-    log_r = math.log1p(-shift * theta / denom)
-
-    def make(m):
-        return np.exp(log_pref + np.arange(m) * log_r)
-
-    def tail_log(m):
-        return log_pref + m * log_r - math.log1p(-math.exp(log_r))
-
-    return make, 1.0 / shift, tail_log
-
-
-def _negbin_b(theta, g_mu, k):
-    """b_m = C(k+m-1, m) (1-p)^k p^m with p = g_mu/(theta+g_mu); sums to 1."""
-    log_p = math.log(g_mu) - math.log(theta + g_mu)
-    log_q = math.log(theta) - math.log(theta + g_mu)
-
-    def make(m):
-        ms_ = np.arange(m, dtype=float)
-        lb_ = sps.gammaln(k + ms_) - sps.gammaln(ms_ + 1.0) - sps.gammaln(float(k))
-        return np.exp(lb_ + k * log_q + ms_ * log_p)
-
-    def tail_log(m):
-        ratio = math.exp(log_p) * (k + m) / (m + 1.0)
-        if ratio >= 1.0:
-            return 0.0
-        lpmf = (sps.gammaln(k + m) - sps.gammaln(m + 1.0) - sps.gammaln(float(k))
-                + k * log_q + m * log_p)
-        return lpmf - math.log1p(-ratio)
-
-    return make, 1.0, tail_log
-
-
 def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     """Closed-form secrecy outage probability at target rate r0 (bits).
 
-    The per-shape bracket is the upper tail of a Poisson((2^r0-1)/theta)
-    convolved with a geometric (single / independent Eves) or negative
-    binomial (collaborative) sequence; this is the same finite double sum as
-    the printed expression, reorganized so nothing cancels even when the
-    outage probability is ~1e-20.
+    The per-shape bracket is the upper tail sum_{k>=n} (a * b)_k of a
+    Poisson((2^r0-1)/theta) sequence a convolved with a geometric (single /
+    independent Eves) or negative binomial (collaborative) sequence b.
+    Split by the Poisson index i, it is
+    sum_{i<n} a_i B(n-i) + b_total P(n, lambda), with B the tail sums of b
+    and P the regularized lower gamma function.  This is the same finite
+    double sum as the printed expression with only nonnegative terms, so
+    nothing cancels even when the outage probability is ~1e-20.
     """
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
@@ -432,19 +402,29 @@ def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     lam_p = (g - 1.0) / theta
     ns = ms.dof + np.arange(ms.q_max + 1)
     w = ms.weights
+    idx = np.arange(ns[-1], dtype=float)
+    poisson = np.exp(sps.xlogy(idx, lam_p) - lam_p - sps.gammaln(idx + 1.0))
+    poisson_tail = sps.gammainc(ns, lam_p)
+    m = idx + 1.0
+
+    def brackets(b_tail, b_total):
+        # b_tail[m-1] = B(m) for m >= 1; B(0) = b_total is the P(n, lambda) part
+        return np.convolve(poisson, np.append(0.0, b_tail))[ns] + b_total * poisson_tail
 
     if lb.scenario in (Scenario.SE, Scenario.MIE):
         kk = lb.k_eves
         acc = np.zeros_like(w)
         for nprime in range(kk):
-            make, total, tail_log = _geometric_b(theta, g_mu, nprime + 1.0)
-            br = _conv_tail_brackets(lam_p, make, total, tail_log, ns)
+            shift = nprime + 1.0
+            # b_m = (1 - r) r^m / shift, r = g_mu / (shift theta + g_mu)
+            log_r = -math.log1p(shift * theta / g_mu)
+            br = brackets(np.exp(m * log_r) / shift, 1.0 / shift)
             coeff = kk * math.comb(kk - 1, nprime) * (-1.0) ** nprime
             acc = acc + coeff * br
         val = float(w @ acc)
     else:
-        make, total, tail_log = _negbin_b(theta, g_mu, lb.k_eves)
-        br = _conv_tail_brackets(lam_p, make, total, tail_log, ns)
+        # b_m = C(K+m-1, m) (1-p)^K p^m, p = g_mu / (theta + g_mu)
+        br = brackets(sps.betainc(m, lb.k_eves, g_mu / (theta + g_mu)), 1.0)
         val = float(w @ br)
 
     if val < -1e-9 or val > 1.0 + 1e-9:

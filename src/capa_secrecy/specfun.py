@@ -138,7 +138,11 @@ class SignedLog:
     """A real number stored as (sign, ln|value|) with a running mass bound.
 
     `mass` tracks ln(sum of |contributions|) through + and *, giving a cheap
-    conditioning estimate: rel. rounding error <= eps * exp(mass - mag).
+    conditioning estimate: rel. rounding error ~ eps * exp(mass - mag).  It
+    is an estimate, not a bound: a product rounds ln|x|, so it carries a
+    relative error of about eps * |ln x| on top.  For the collaborative
+    closed-form rate at dof 6, K = 8, 20/20 dB the float value is 3.0e-7
+    off mpmath while the estimate says 6.6e-8.
     Used by the closed-form evaluators whose alternating binomial sums both
     overflow and cancel.
     """

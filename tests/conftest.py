@@ -37,6 +37,11 @@ def spec80():
 
 
 @pytest.fixture(scope="session")
+def ms2(spec2):
+    return snr.build_psi(spec2)
+
+
+@pytest.fixture(scope="session")
 def ms4(spec4):
     return snr.build_psi(spec4)
 

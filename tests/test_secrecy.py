@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from capa_secrecy import secrecy as sec
@@ -21,10 +23,43 @@ def lb_db(gb_db, ge_db, k=1, scen=Scenario.SE):
 # ---------------------------------------------------------------------------
 
 def test_rate_closed_matches_quadrature_reference_point(ms4):
-    lb = lb_db(20.0, 0.0)
-    rc = sec.secrecy_rate_closed(lb, ms4)
-    rq = sec.secrecy_rate_quadrature(lb, ms4)
-    assert abs(rc - rq) < 1e-4
+    # -40 dB puts Eve's boundary layer far below Bob's SNR scale
+    for lb in (lb_db(20.0, 0.0), lb_db(20.0, -40.0),
+               lb_db(20.0, -40.0, 5, Scenario.MIE),
+               lb_db(20.0, -40.0, 2, Scenario.MCE)):
+        rc = sec.secrecy_rate_closed(lb, ms4)
+        rq = sec.secrecy_rate_quadrature(lb, ms4)
+        assert abs(rc - rq) < 1e-4, (lb, rc, rq)
+
+
+@pytest.mark.parametrize("series,scen,k,want", [
+    ("ms6", Scenario.SE, 1, 0.4129588852966555),
+    ("ms6", Scenario.MIE, 8, 0.00011183349106232325),
+    ("ms6", Scenario.MCE, 8, 1.8053521911478467e-08),
+    ("ms4", Scenario.SE, 1, 0.2665146180818612),
+    ("ms4", Scenario.MIE, 8, 1.7679624476761525e-05),
+    ("ms4", Scenario.MCE, 8, 2.1822095883449804e-09),
+])
+def test_rate_closed_golden_values(request, series, scen, k, want):
+    # recorded from the full-series kernel; the cut mixture must match bit for bit
+    ms = request.getfixturevalue(series)
+    assert sec.secrecy_rate_closed(lb_db(20.0, 20.0, k, scen), ms) == want
+
+
+@pytest.mark.parametrize("series", ["ms2", "ms4", "ms6"])
+def test_rate_closed_faint_collaborators_raise_or_agree(request, series):
+    # the float sums cancel past their conditioning estimate here; the range
+    # guard must turn a wild value into an error
+    ms = request.getfixturevalue(series)
+    for k in (2, 5, 8):
+        for ge_db in (-60.0, -80.0):
+            lb = lb_db(20.0, ge_db, k, Scenario.MCE)
+            try:
+                got = sec.secrecy_rate_closed(lb, ms, STANDARD)
+            except sec.PrecisionLossError:
+                continue
+            want = sec.secrecy_rate_closed(lb, ms, EXTENDED)
+            assert got == pytest.approx(want, rel=1e-4), (k, ge_db)
 
 
 @pytest.mark.parametrize("scen", [Scenario.MIE, Scenario.MCE])
@@ -56,6 +91,7 @@ def test_rate_closed_precision_loss_signals(ms4):
     with pytest.raises(sec.PrecisionLossError):
         sec.secrecy_rate_closed(lb, ms4, STANDARD)
     ext = sec.secrecy_rate_closed(lb, ms4, EXTENDED)
+    assert ext == 3.918043019722593e-12  # recorded from the full series
     rq = sec.secrecy_rate_quadrature(lb, ms4)
     assert abs(ext - rq) <= 1e-6 * rq + 1e-15
 
@@ -119,6 +155,30 @@ def test_sop_deep_tail_follows_gain_law(ms4):
     asym = sec.sop_asymptotic(lb, ms4, 1.0)
     assert 0.0 < v < 1e-15
     assert v == pytest.approx(asym, rel=0.05)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dof=st.sampled_from([2, 4, 6]),
+       scen=st.sampled_from(list(Scenario)),
+       k=st.integers(1, 20),
+       gb_db=st.lists(st.floats(-10.0, 40.0), min_size=2, max_size=2),
+       ge_db=st.floats(-40.0, 30.0),
+       r0=st.lists(st.floats(0.1, 6.0), min_size=2, max_size=2))
+def test_sop_closed_is_a_monotone_probability(ms2, ms4, ms6, dof, scen, k,
+                                              gb_db, ge_db, r0):
+    ms = {2: ms2, 4: ms4, 6: ms6}[dof]
+    k = 1 if scen == Scenario.SE else k
+    gb_lo, gb_hi = sorted(gb_db)
+    r_lo, r_hi = sorted(r0)
+    base = sec.sop_closed(lb_db(gb_lo, ge_db, k, scen), ms, r_lo)
+    more_bob = sec.sop_closed(lb_db(gb_hi, ge_db, k, scen), ms, r_lo)
+    more_rate = sec.sop_closed(lb_db(gb_lo, ge_db, k, scen), ms, r_hi)
+    # the MIE sum alternates over K terms of total weight 2^K - 1
+    slack = 1e-15 * (2.0 ** k if scen == Scenario.MIE else 1.0)
+    for v in (base, more_bob, more_rate):
+        assert 0.0 <= v <= 1.0
+    assert more_bob <= base + slack
+    assert more_rate >= base - slack
 
 
 def test_sop_rejects_nonpositive_target(ms4):
