@@ -110,43 +110,71 @@ def kernel_value(z, z_prime, geom: ApertureGeometry):
     return float(out) if out.ndim == 0 else out
 
 
-def gauss_legendre_rule(t: int, geom: ApertureGeometry):
-    """t-point Gauss-Legendre nodes/weights on [-L/2, L/2]."""
+def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):
+    """t-point Gauss-Legendre nodes/weights on [-L/2, L/2].
+
+    `unit_rule(t)` returns the rule on [-1, 1] (default: numpy's leggauss),
+    so a caller that decomposes several apertures can compute it once.
+    """
     if t < 2:
         raise DomainError("need at least 2 quadrature points")
-    x, w = np.polynomial.legendre.leggauss(t)
+    x, w = (unit_rule or np.polynomial.legendre.leggauss)(t)
     half = 0.5 * geom.aperture_len_m
     return half * x, half * w
 
 
-def decompose(geom: ApertureGeometry, t: int,
-              epsilon_floor: float = 1e-8) -> SpectralDecomposition:
+def _parity_block(r, scale, sign, centre):
+    """Descending eigenpairs of one parity block, unfolded to all nodes.
+
+    A vector of parity `sign` is (sign*u[::-1], u)/sqrt(2) on the mirrored
+    node pairs.  An odd t adds a centre node; it is shared by the pair, so
+    its row and column of the even block carry a 1/sqrt(2) (in `scale`),
+    and it is absent from the odd block.
+    """
+    drop = centre if sign < 0 else 0
+    vals, u = np.linalg.eigh(scale[drop:, None] * r[drop:, drop:] * scale[None, drop:])
+    u = np.vstack([np.zeros((drop, len(vals))), u])
+    pairs = u[centre:] * math.sqrt(0.5)
+    return vals[::-1], np.vstack([sign * pairs[::-1], u[:centre], pairs])[:, ::-1]
+
+
+def decompose(geom: ApertureGeometry, t: int, epsilon_floor: float = 1e-8,
+              unit_rule=None) -> SpectralDecomposition:
     """Nystrom eigen-decomposition of the sinc kernel.
 
     The quadrature-weighted kernel matrix is symmetrized as
     W^(1/2) R W^(1/2) (same spectrum as the plain Nystrom matrix, but an
     orthogonal eigenproblem); eigenfunction samples are recovered as
-    v / sqrt(w).  Keeps every eigenvalue with epsilon >= epsilon_floor and
-    at least `dof` of them.
+    v / sqrt(w).  The Gauss-Legendre nodes are antisymmetric and the kernel
+    is reflection invariant, so the matrix splits into an even and an odd
+    block on the nonnegative nodes, each solved by its own eigensolve
+    (Slepian-Pollak parity).  Keeps every eigenvalue with
+    epsilon >= epsilon_floor and at least `dof` of them.
     """
     if not (0.0 < epsilon_floor < 1.0):
         raise DomainError("epsilon_floor must lie in (0, 1)")
     dof = geom.dof
     if t < 2 * dof:
         raise DomainError(f"need t >= 2*dof = {2 * dof} quadrature points, got {t}")
-    nodes, weights = gauss_legendre_rule(t, geom)
-    r = kernel_value(nodes[:, None], nodes[None, :], geom)
+    nodes, weights = gauss_legendre_rule(t, geom, unit_rule)
     sw = np.sqrt(weights)
-    m = sw[:, None] * r * sw[None, :]
+    half, centre = divmod(t, 2)
+    p = nodes[half:]
+    direct = kernel_value(p[:, None], p[None, :], geom)
+    mirror = kernel_value(p[:, None], -p[None, :], geom)
+    scale = sw[half:].copy()
+    scale[:centre] *= math.sqrt(0.5)
     try:
-        vals, vecs = np.linalg.eigh(m)
+        blocks = [_parity_block(direct + mirror, scale, 1, centre),
+                  _parity_block(direct - mirror, scale, -1, centre)]
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigensolve failed for t={t}, L={geom.aperture_len_m}: {exc}"
         ) from exc
-    order = np.argsort(vals)[::-1]
+    vals = np.concatenate([v for v, _ in blocks])
+    vecs = np.hstack([u for _, u in blocks])
+    order = np.argsort(-vals, kind="stable")
     vals = np.clip(vals[order], 0.0, None)
-    vecs = vecs[:, order]
     trace = float(np.sum(vals))
 
     half_lam = 0.5 * geom.wavelength_m
@@ -154,7 +182,7 @@ def decompose(geom: ApertureGeometry, t: int,
     keep = max(dof, int(np.sum(eps_all >= epsilon_floor)))
     keep = min(keep, t)
     sigmas = vals[:keep]
-    phis = (vecs[:, :keep] / sw[:, None]).T
+    phis = (vecs[:, order[:keep]] / sw[:, None]).T
     return SpectralDecomposition(
         wavelength_m=geom.wavelength_m,
         aperture_len_m=geom.aperture_len_m,
@@ -188,7 +216,7 @@ def landau_prediction(spec: SpectralDecomposition, eps: float) -> float:
 # on-disk cache (keyed by format, wavelength, length, order, eigenvalue floor)
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 def cache_key(wavelength_m: float, aperture_len_m: float, t: int,
@@ -202,7 +230,9 @@ def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
 
     The data goes to a temporary file in the same directory that is then
     renamed over `path`, so a concurrent reader sees either no entry or a
-    complete one.
+    complete one.  The entry gets the mode a plain file would (0666 less
+    the umask), so a shared cache directory stays readable.  It is stored
+    uncompressed: eigenvector mantissas barely compress.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -212,11 +242,14 @@ def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".npz", dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(
+            np.savez(
                 fh, meta=json.dumps(meta), sigmas=spec.sigmas,
                 epsilons=spec.epsilons, eigfun_samples=spec.eigfun_samples,
                 nodes=spec.nodes, weights=spec.weights,
             )
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -224,6 +257,7 @@ def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
 
 
 def load_decomposition(path: str) -> SpectralDecomposition:
+    """Read an entry written by save_decomposition (compressed or not)."""
     with np.load(path) as data:
         meta = json.loads(str(data["meta"]))
         return SpectralDecomposition(
@@ -242,12 +276,16 @@ def load_decomposition(path: str) -> SpectralDecomposition:
 
 def cached_decompose(geom: ApertureGeometry, t: int,
                      epsilon_floor: float = 1e-8,
-                     cache_dir: str | None = None) -> SpectralDecomposition:
-    """decompose() with an optional .npz cache (env CAPA_CACHE_DIR)."""
+                     cache_dir: str | None = None,
+                     unit_rule=None) -> SpectralDecomposition:
+    """decompose() with an optional .npz cache (env CAPA_CACHE_DIR).
+
+    `unit_rule` is passed to decompose() and only called on a cache miss.
+    """
     if cache_dir is None:
         cache_dir = os.environ.get("CAPA_CACHE_DIR")
     if not cache_dir:
-        return decompose(geom, t, epsilon_floor)
+        return decompose(geom, t, epsilon_floor, unit_rule)
     os.makedirs(cache_dir, exist_ok=True)
     key = cache_key(geom.wavelength_m, geom.aperture_len_m, t, epsilon_floor)
     path = os.path.join(cache_dir, key + ".npz")
@@ -257,6 +295,6 @@ def cached_decompose(geom: ApertureGeometry, t: int,
         except Exception as exc:
             log.warning("unreadable spectrum cache entry %s (%s: %s); "
                         "recomputing", path, type(exc).__name__, exc)
-    spec = decompose(geom, t, epsilon_floor)
+    spec = decompose(geom, t, epsilon_floor, unit_rule)
     save_decomposition(spec, path)
     return spec

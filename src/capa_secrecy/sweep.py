@@ -8,6 +8,7 @@ is only recorded when explicitly requested since it breaks determinism.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -171,13 +172,18 @@ def _db_to_lin(db: float) -> float:
 
 
 class _Workspace:
-    """Spectrum/series cache shared across grid points of one sweep."""
+    """Spectrum/series cache shared across grid points of one sweep.
+
+    The unit Gauss-Legendre rule is computed on the first spectrum cache
+    miss and reused for every aperture length of the sweep.
+    """
 
     def __init__(self, cfg: SweepConfig, cache_dir=None):
         self.cfg = cfg
         self.cache_dir = cache_dir
         self._spec = {}
         self._ms = {}
+        self._unit_rule = functools.cache(np.polynomial.legendre.leggauss)
 
     def spectrum(self, aperture_len_m: float):
         key = aperture_len_m
@@ -185,7 +191,7 @@ class _Workspace:
             geom = spc.ApertureGeometry(self.cfg.wavelength_m, aperture_len_m)
             self._spec[key] = spc.cached_decompose(
                 geom, self.cfg.quadrature_order, self.cfg.epsilon_floor,
-                cache_dir=self.cache_dir)
+                cache_dir=self.cache_dir, unit_rule=self._unit_rule)
         return self._spec[key]
 
     def series(self, aperture_len_m: float):

@@ -188,6 +188,36 @@ def test_spectrum_cache_env(tmp_path, monkeypatch):
     assert list((tmp_path / "cache").glob("*.npz"))
 
 
+def test_one_unit_rule_per_sweep(tmp_path, monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(t):
+        calls.append(t)
+        return leggauss(t)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    path = write_config(tmp_path, small_config(
+        axis="aperture_len", values=[0.1249 * 2, 0.1249 * 3],
+        evaluators=["asymptotic"], outputs=["rate"], quadrature_order=160))
+
+    def sweep(cache, name):
+        monkeypatch.setenv("CAPA_CACHE_DIR", str(tmp_path / cache))
+        out = tmp_path / name
+        calls.clear()
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        return len(calls), out.read_bytes()
+
+    # cold: one rule for both lengths; a second cold sweep pays for it again
+    assert sweep("a", "a.csv")[0] == 1
+    n_cold, cold = sweep("b", "b.csv")
+    assert n_cold == 1
+    # warm: every spectrum is read from the cache
+    n_warm, warm = sweep("b", "c.csv")
+    assert n_warm == 0
+    assert warm == cold
+
+
 # ---------------------------------------------------------------------------
 # plot data emission
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -147,3 +150,80 @@ def test_cache_write_leaves_no_temporary_file(tmp_path, spec4, geom):
     spc.cached_decompose(geom, 100, cache_dir=str(tmp_path / "c"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "spec.npz"]
     assert len(list((tmp_path / "c").iterdir())) == 1
+
+
+def _dense_spectrum(geom, t):
+    """Clipped descending spectrum of the full symmetrised Nystrom matrix."""
+    x, w = spc.gauss_legendre_rule(t, geom)
+    sw = np.sqrt(w)
+    r = spc.kernel_value(x[:, None], x[None, :], geom)
+    return np.clip(np.linalg.eigvalsh(sw[:, None] * r * sw[None, :])[::-1], 0.0, None)
+
+
+@pytest.mark.parametrize("n_lambdas,t", [(2.0, 120), (2.0, 121), (40.0, 1000)])
+def test_parity_split_matches_dense_eigensolve(n_lambdas, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        geom = spc.ApertureGeometry(LAMBDA, n_lambdas * LAMBDA)
+    spec = spc.decompose(geom, t)
+    dense = _dense_spectrum(geom, t)
+    keep = max(geom.dof, int(np.sum(np.minimum(dense / (LAMBDA / 2), 1.0) >= 1e-8)))
+    assert len(spec.sigmas) == keep
+    assert np.max(np.abs(spec.sigmas - dense[:keep])) <= 1e-15
+    assert spec.trace == pytest.approx(np.sum(dense), rel=1e-14)
+    # the nodes mirror exactly, so every eigenfunction is exactly even or odd
+    phi = spec.eigfun_samples
+    assert np.array_equal(spec.nodes, -spec.nodes[::-1])
+    mirrored = phi[:, ::-1]
+    assert all(np.array_equal(f, m) or np.array_equal(f, -m)
+               for f, m in zip(phi, mirrored))
+
+
+def test_unit_rule_is_scaled_to_the_aperture(geom):
+    calls = []
+
+    def unit_rule(t):
+        calls.append(t)
+        return np.polynomial.legendre.leggauss(t)
+
+    a = spc.decompose(geom, 100, unit_rule=unit_rule)
+    b = spc.decompose(geom, 100)
+    assert calls == [100]
+    assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.sigmas, b.sigmas)
+
+
+def test_old_format_cache_entry_is_not_read(tmp_path, geom, spec4):
+    # an entry written under the previous format's key holds another solver's
+    # output, so the current key must not find it
+    old_key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120, 1e-8)
+    old_key = old_key.replace(f"_v{spc._CACHE_FORMAT}_", "_v2_")
+    assert old_key.startswith("spectrum_v2_")
+    spc.save_decomposition(spc.decompose(geom, 100), str(tmp_path / old_key))
+    got = spc.cached_decompose(geom, 120, cache_dir=str(tmp_path))
+    assert np.array_equal(got.sigmas, spec4.sigmas)
+    assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
+def test_cache_entry_mode_follows_umask(tmp_path, spec4):
+    old = os.umask(0o022)
+    try:
+        spc.save_decomposition(spec4, str(tmp_path / "a"))
+        os.umask(0o077)
+        spc.save_decomposition(spec4, str(tmp_path / "b"))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.npz").stat().st_mode) == 0o644
+    assert stat.S_IMODE((tmp_path / "b.npz").stat().st_mode) == 0o600
+
+
+def test_compressed_cache_entry_still_loads(tmp_path, spec4):
+    path = tmp_path / "old.npz"
+    np.savez_compressed(
+        path, meta=json.dumps(dict(
+            wavelength_m=spec4.wavelength_m, aperture_len_m=spec4.aperture_len_m,
+            dof=spec4.dof, sigma_min=spec4.sigma_min, trace=spec4.trace)),
+        sigmas=spec4.sigmas, epsilons=spec4.epsilons,
+        eigfun_samples=spec4.eigfun_samples, nodes=spec4.nodes,
+        weights=spec4.weights)
+    back = spc.load_decomposition(str(path))
+    assert np.array_equal(back.eigfun_samples, spec4.eigfun_samples)
