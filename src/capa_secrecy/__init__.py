@@ -13,9 +13,8 @@ from .secrecy import (PrecisionLossError, SecrecyReport, asymptotic_rate,
                       secrecy_rate_closed, secrecy_rate_quadrature,
                       secrecy_report, sop_asymptotic, sop_closed,
                       sop_quadrature)
-from .montecarlo import (ChannelRealization, McEstimate,
-                         SPDA_ELEMENT_APERTURE_RATIO,
-                         coefficient_of_variation, draw_channel_realization,
-                         mc_exact_eve, mc_secrecy, spda_baseline)
+from .montecarlo import (McEstimate, SPDA_ELEMENT_APERTURE_RATIO,
+                         coefficient_of_variation, mc_exact_eve, mc_secrecy,
+                         spda_baseline)
 
 __version__ = "0.1.0"

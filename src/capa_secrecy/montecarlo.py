@@ -20,37 +20,6 @@ _BLOCK = 1 << 17  # fixed block size keeps merges deterministic
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the legitimate channel's expansion coefficients.
-
-    phi_b holds a unit-variance complex Gaussian per retained eigenvalue;
-    rho_b is the resulting instantaneous SNR and must stay recomputable from
-    the stored coefficients.  The block samplers below draw the
-    distributionally identical |phi|^2 exponentials directly; this type is
-    the single-realization view.
-    """
-
-    phi_b: np.ndarray
-    rho_b: float
-    rho_e: float
-
-    def __post_init__(self):
-        if self.rho_b < 0.0 or self.rho_e < 0.0:
-            raise DomainError("instantaneous SNRs must be nonnegative")
-
-
-def draw_channel_realization(lb: LinkBudget, spec: SpectralDecomposition,
-                             rng: np.random.Generator) -> ChannelRealization:
-    """Draw a realization over every retained eigenvalue of the expansion."""
-    sig = np.asarray(spec.sigmas, dtype=float)
-    phi = (rng.standard_normal(sig.size) + 1j * rng.standard_normal(sig.size))
-    phi *= math.sqrt(0.5)
-    rho_b = lb.gamma_bar_b * float(sig @ np.abs(phi) ** 2)
-    return ChannelRealization(phi_b=phi, rho_b=rho_b,
-                              rho_e=sample_eve(lb, rng))
-
-
-@dataclass(frozen=True)
 class McEstimate:
     mean: float
     std_err: float

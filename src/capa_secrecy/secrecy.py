@@ -83,9 +83,6 @@ class _FloatBackend:
     def wrap(self, x):
         return SignedLog.from_float(float(x))
 
-    def from_log(self, sign, mag):
-        return SignedLog.from_log(sign, float(mag))
-
     def efrom(self, exponent):
         return SignedLog.from_log(1, float(exponent))
 
@@ -104,9 +101,6 @@ class _FloatBackend:
     def e1(self, x):
         return SignedLog.from_log(1, exp_e1_log(float(x)))
 
-    def to_float(self, v):
-        return v.to_float()
-
 
 class _MPBackend:
     """Plain mpmath arithmetic at the ambient working precision."""
@@ -119,9 +113,6 @@ class _MPBackend:
 
     def wrap(self, x):
         return mpmath.mpf(x)
-
-    def from_log(self, sign, mag):
-        return sign * mpmath.exp(mpmath.mpf(mag))
 
     def efrom(self, exponent):
         return mpmath.exp(mpmath.mpf(exponent))
@@ -140,9 +131,6 @@ class _MPBackend:
 
     def e1(self, x):
         return mpmath.e1(x)
-
-    def to_float(self, v):
-        return float(v)
 
 
 _FLOAT_BACKEND = _FloatBackend()
@@ -244,7 +232,7 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
         for c, b in zip(row, bracket):
             ksum = ksum + c * b
         term1 = ksum * e_th / (bk.factorial(n - 1) * bk.pow(theta, n) * gamma_k_mu)
-        total = total + bk.from_log(1, lw) * (term1 - tau_prefix[n])
+        total = total + bk.efrom(lw) * (term1 - tau_prefix[n])
     return total / bk.wrap(LN2)
 
 

@@ -1,9 +1,9 @@
 """Sinc-kernel spectral decomposition of the continuous-aperture channel.
 
 The channel autocorrelation over a linear aperture of length L is the sinc
-kernel sin(k0 d)/(k0 d).  Its eigenpairs are obtained by a Gauss-Legendre
-Nystrom discretization followed by a symmetric eigensolve, and follow the
-Landau step profile: eigenvalues near lambda/2 on a plateau of width
+kernel sin(k0 d)/(k0 d).  Its eigenvalues are obtained by a Gauss-Legendre
+Nystrom discretization followed by a symmetric eigenvalue solve, and follow
+the Landau step profile: eigenvalues near lambda/2 on a plateau of width
 2L/lambda, then a rapid drop over a ~ln(dof) wide transition.
 """
 from __future__ import annotations
@@ -63,40 +63,40 @@ class ApertureGeometry:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenstructure of the aperture autocorrelation kernel.
+    """Eigenvalues of the aperture autocorrelation kernel.
 
     sigmas are the kernel eigenvalues in meters (descending, unit channel
-    gain), epsilons = 2 sigma / lambda the dimensionless Landau eigenvalues,
-    eigfun_samples[i] the i-th eigenfunction at the quadrature nodes.
-    `trace` sums the full computed spectrum and must match the aperture
-    length (kernel diagonal is 1).
+    gain); every SNR law under maximum-ratio transmission depends on the
+    kernel through them alone.  `trace` sums the full computed spectrum and
+    must match the aperture length (kernel diagonal is 1).
     """
 
     wavelength_m: float
     aperture_len_m: float
     sigmas: np.ndarray
-    epsilons: np.ndarray
-    eigfun_samples: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
     dof: int
-    sigma_min: float
     trace: float
 
     def __post_init__(self):
         s = self.sigmas
+        if len(s) < self.dof:
+            raise ComputationError(f"{len(s)} eigenvalues kept, need dof = {self.dof}")
         if np.any(np.diff(s) > 0) or np.any(s < 0):
             raise ComputationError("eigenvalues must be nonincreasing and >= 0")
-        if np.any(self.epsilons > 1.0 + 1e-6) or np.any(self.epsilons < 0.0):
-            raise ComputationError("normalized eigenvalues must lie in [0, 1]")
-        resid = abs(self.trace - self.aperture_len_m) / self.aperture_len_m
-        if resid > 0.005:
-            raise ComputationError(f"kernel trace off by {resid:.2%} (> 0.5%)")
-        if self.sigma_min != self.sigmas[self.dof - 1]:
-            raise ComputationError("sigma_min must equal sigmas[dof-1]")
-        g = (self.eigfun_samples * self.weights) @ self.eigfun_samples.T
-        if not np.allclose(g, np.eye(len(s)), atol=1e-8):
-            raise ComputationError("eigenfunctions not orthonormal under the rule")
+        if np.any(s > 0.5 * self.wavelength_m * (1.0 + 1e-6)):
+            raise ComputationError("eigenvalues must not exceed lambda/2")
+        if self.trace_residual > 0.005:
+            raise ComputationError(
+                f"kernel trace off by {self.trace_residual:.2%} (> 0.5%)")
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        """Dimensionless Landau eigenvalues 2 sigma / lambda, clipped at 1."""
+        return np.minimum(self.sigmas / (0.5 * self.wavelength_m), 1.0)
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.sigmas[self.dof - 1])
 
     @property
     def trace_residual(self) -> float:
@@ -123,33 +123,19 @@ def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):
     return half * x, half * w
 
 
-def _parity_block(r, scale, sign, centre):
-    """Descending eigenpairs of one parity block, unfolded to all nodes.
-
-    A vector of parity `sign` is (sign*u[::-1], u)/sqrt(2) on the mirrored
-    node pairs.  An odd t adds a centre node; it is shared by the pair, so
-    its row and column of the even block carry a 1/sqrt(2) (in `scale`),
-    and it is absent from the odd block.
-    """
-    drop = centre if sign < 0 else 0
-    vals, u = np.linalg.eigh(scale[drop:, None] * r[drop:, drop:] * scale[None, drop:])
-    u = np.vstack([np.zeros((drop, len(vals))), u])
-    pairs = u[centre:] * math.sqrt(0.5)
-    return vals[::-1], np.vstack([sign * pairs[::-1], u[:centre], pairs])[:, ::-1]
-
-
 def decompose(geom: ApertureGeometry, t: int, epsilon_floor: float = 1e-8,
               unit_rule=None) -> SpectralDecomposition:
-    """Nystrom eigen-decomposition of the sinc kernel.
+    """Nystrom eigenvalues of the sinc kernel.
 
     The quadrature-weighted kernel matrix is symmetrized as
-    W^(1/2) R W^(1/2) (same spectrum as the plain Nystrom matrix, but an
-    orthogonal eigenproblem); eigenfunction samples are recovered as
-    v / sqrt(w).  The Gauss-Legendre nodes are antisymmetric and the kernel
-    is reflection invariant, so the matrix splits into an even and an odd
-    block on the nonnegative nodes, each solved by its own eigensolve
-    (Slepian-Pollak parity).  Keeps every eigenvalue with
-    epsilon >= epsilon_floor and at least `dof` of them.
+    W^(1/2) R W^(1/2) (same spectrum as the plain Nystrom matrix, but a
+    symmetric eigenproblem).  The Gauss-Legendre nodes are antisymmetric and
+    the kernel is reflection invariant, so the matrix splits into an even
+    and an odd block on the nonnegative nodes, each solved by its own
+    eigenvalue solve (Slepian-Pollak parity).  An odd t adds a centre node
+    shared by the mirrored pairs: its row and column of the even block carry
+    a 1/sqrt(2), and it is absent from the odd block.  Keeps every
+    eigenvalue with epsilon >= epsilon_floor and at least `dof` of them.
     """
     if not (0.0 < epsilon_floor < 1.0):
         raise DomainError("epsilon_floor must lie in (0, 1)")
@@ -157,43 +143,31 @@ def decompose(geom: ApertureGeometry, t: int, epsilon_floor: float = 1e-8,
     if t < 2 * dof:
         raise DomainError(f"need t >= 2*dof = {2 * dof} quadrature points, got {t}")
     nodes, weights = gauss_legendre_rule(t, geom, unit_rule)
-    sw = np.sqrt(weights)
     half, centre = divmod(t, 2)
     p = nodes[half:]
     direct = kernel_value(p[:, None], p[None, :], geom)
     mirror = kernel_value(p[:, None], -p[None, :], geom)
-    scale = sw[half:].copy()
-    scale[:centre] *= math.sqrt(0.5)
+    even = np.sqrt(weights[half:])
+    even[:centre] *= math.sqrt(0.5)
+    odd = even[centre:]
     try:
-        blocks = [_parity_block(direct + mirror, scale, 1, centre),
-                  _parity_block(direct - mirror, scale, -1, centre)]
+        vals = np.concatenate([
+            np.linalg.eigvalsh(even[:, None] * (direct + mirror) * even[None, :]),
+            np.linalg.eigvalsh(odd[:, None] * (direct - mirror)[centre:, centre:]
+                               * odd[None, :]),
+        ])
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigensolve failed for t={t}, L={geom.aperture_len_m}: {exc}"
         ) from exc
-    vals = np.concatenate([v for v, _ in blocks])
-    vecs = np.hstack([u for _, u in blocks])
-    order = np.argsort(-vals, kind="stable")
-    vals = np.clip(vals[order], 0.0, None)
-    trace = float(np.sum(vals))
-
-    half_lam = 0.5 * geom.wavelength_m
-    eps_all = np.minimum(vals / half_lam, 1.0)
-    keep = max(dof, int(np.sum(eps_all >= epsilon_floor)))
-    keep = min(keep, t)
-    sigmas = vals[:keep]
-    phis = (vecs[:, order[:keep]] / sw[:, None]).T
+    vals = np.clip(np.sort(vals)[::-1], 0.0, None)
+    keep = max(dof, int(np.sum(vals / (0.5 * geom.wavelength_m) >= epsilon_floor)))
     return SpectralDecomposition(
         wavelength_m=geom.wavelength_m,
         aperture_len_m=geom.aperture_len_m,
-        sigmas=sigmas,
-        epsilons=eps_all[:keep],
-        eigfun_samples=phis,
-        nodes=nodes,
-        weights=weights,
+        sigmas=vals[:keep],
         dof=dof,
-        sigma_min=float(sigmas[dof - 1]),
-        trace=trace,
+        trace=float(np.sum(vals)),
     )
 
 
@@ -216,7 +190,7 @@ def landau_prediction(spec: SpectralDecomposition, eps: float) -> float:
 # on-disk cache (keyed by format, wavelength, length, order, eigenvalue floor)
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT = 3
+_CACHE_FORMAT = 4
 
 
 def cache_key(wavelength_m: float, aperture_len_m: float, t: int,
@@ -231,22 +205,18 @@ def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
     The data goes to a temporary file in the same directory that is then
     renamed over `path`, so a concurrent reader sees either no entry or a
     complete one.  The entry gets the mode a plain file would (0666 less
-    the umask), so a shared cache directory stays readable.  It is stored
-    uncompressed: eigenvector mantissas barely compress.
+    the umask), so a shared cache directory stays readable.  It holds only
+    the kept eigenvalues (1.6 KB at dof 80), so it is stored uncompressed.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
     meta = dict(wavelength_m=spec.wavelength_m, aperture_len_m=spec.aperture_len_m,
-                dof=spec.dof, sigma_min=spec.sigma_min, trace=spec.trace)
+                dof=spec.dof, trace=spec.trace)
     fd, tmp = tempfile.mkstemp(suffix=".npz", dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh, meta=json.dumps(meta), sigmas=spec.sigmas,
-                epsilons=spec.epsilons, eigfun_samples=spec.eigfun_samples,
-                nodes=spec.nodes, weights=spec.weights,
-            )
+            np.savez(fh, meta=json.dumps(meta), sigmas=spec.sigmas)
         umask = os.umask(0)  # the umask can only be read by setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -264,12 +234,7 @@ def load_decomposition(path: str) -> SpectralDecomposition:
             wavelength_m=meta["wavelength_m"],
             aperture_len_m=meta["aperture_len_m"],
             sigmas=data["sigmas"],
-            epsilons=data["epsilons"],
-            eigfun_samples=data["eigfun_samples"],
-            nodes=data["nodes"],
-            weights=data["weights"],
             dof=int(meta["dof"]),
-            sigma_min=float(meta["sigma_min"]),
             trace=float(meta["trace"]),
         )
 

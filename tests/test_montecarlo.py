@@ -138,23 +138,6 @@ def test_spda_dominated_by_continuous_aperture():
         assert cs.mean <= ss.mean
 
 
-def test_channel_realization_recomputable(spec80):
-    lb = LinkBudget(100.0, 1.0, 5, Scenario.MIE)
-    rng = np.random.default_rng(5)
-    real = mc.draw_channel_realization(lb, spec80, rng)
-    assert real.phi_b.shape == spec80.sigmas.shape
-    recomputed = lb.gamma_bar_b * float(spec80.sigmas @ np.abs(real.phi_b) ** 2)
-    assert real.rho_b == pytest.approx(recomputed, rel=1e-14)
-    assert real.rho_e >= 0.0
-    # the coefficients are unit-variance complex Gaussians, so the drawn SNR
-    # matches the block sampler's law (mean over many draws)
-    draws = [mc.draw_channel_realization(lb, spec80, rng).rho_b
-             for _ in range(4000)]
-    want = lb.gamma_bar_b * float(np.sum(spec80.sigmas))
-    se = np.std(draws) / math.sqrt(len(draws))
-    assert abs(np.mean(draws) - want) <= 4 * se
-
-
 def test_welford_merge_matches_direct():
     rng = np.random.default_rng(0)
     xs = rng.normal(3.0, 2.0, size=300_001)

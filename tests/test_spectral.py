@@ -99,18 +99,22 @@ def test_scale_covariance():
     assert np.max(np.abs(pa - pb)) < 0.05
 
 
-def test_eigenfunction_orthonormality(spec4):
-    g = (spec4.eigfun_samples * spec4.weights) @ spec4.eigfun_samples.T
-    assert np.max(np.abs(g - np.eye(len(spec4.sigmas)))) < 1e-8
+def _assert_same_spectrum(a, b):
+    assert np.array_equal(a.sigmas, b.sigmas)
+    assert a.trace == b.trace and a.dof == b.dof
+    assert np.array_equal(a.epsilons, b.epsilons)
+    assert a.sigma_min == b.sigma_min
 
 
 def test_cache_round_trip(tmp_path, spec4):
     path = tmp_path / "spec.npz"
     spc.save_decomposition(spec4, str(path))
-    back = spc.load_decomposition(str(path))
-    assert back.dof == spec4.dof
-    assert np.array_equal(back.sigmas, spec4.sigmas)
-    assert np.array_equal(back.eigfun_samples, spec4.eigfun_samples)
+    _assert_same_spectrum(spc.load_decomposition(str(path)), spec4)
+
+
+def test_cache_entry_holds_only_eigenvalues(tmp_path, spec80):
+    spc.save_decomposition(spec80, str(tmp_path / "spec"))
+    assert (tmp_path / "spec.npz").stat().st_size < 16 * 1024
 
 
 def test_cached_decompose_uses_directory(tmp_path):
@@ -171,12 +175,6 @@ def test_parity_split_matches_dense_eigensolve(n_lambdas, t):
     assert len(spec.sigmas) == keep
     assert np.max(np.abs(spec.sigmas - dense[:keep])) <= 1e-15
     assert spec.trace == pytest.approx(np.sum(dense), rel=1e-14)
-    # the nodes mirror exactly, so every eigenfunction is exactly even or odd
-    phi = spec.eigfun_samples
-    assert np.array_equal(spec.nodes, -spec.nodes[::-1])
-    mirrored = phi[:, ::-1]
-    assert all(np.array_equal(f, m) or np.array_equal(f, -m)
-               for f, m in zip(phi, mirrored))
 
 
 def test_unit_rule_is_scaled_to_the_aperture(geom):
@@ -189,15 +187,16 @@ def test_unit_rule_is_scaled_to_the_aperture(geom):
     a = spc.decompose(geom, 100, unit_rule=unit_rule)
     b = spc.decompose(geom, 100)
     assert calls == [100]
-    assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.sigmas, b.sigmas)
+    _assert_same_spectrum(a, b)
 
 
-def test_old_format_cache_entry_is_not_read(tmp_path, geom, spec4):
-    # an entry written under the previous format's key holds another solver's
+@pytest.mark.parametrize("old_format", [2, 3])
+def test_old_format_cache_entry_is_not_read(tmp_path, geom, spec4, old_format):
+    # an entry written under an earlier format's key holds another solver's
     # output, so the current key must not find it
     old_key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120, 1e-8)
-    old_key = old_key.replace(f"_v{spc._CACHE_FORMAT}_", "_v2_")
-    assert old_key.startswith("spectrum_v2_")
+    old_key = old_key.replace(f"_v{spc._CACHE_FORMAT}_", f"_v{old_format}_")
+    assert old_key.startswith(f"spectrum_v{old_format}_")
     spc.save_decomposition(spc.decompose(geom, 100), str(tmp_path / old_key))
     got = spc.cached_decompose(geom, 120, cache_dir=str(tmp_path))
     assert np.array_equal(got.sigmas, spec4.sigmas)
@@ -216,14 +215,39 @@ def test_cache_entry_mode_follows_umask(tmp_path, spec4):
     assert stat.S_IMODE((tmp_path / "b.npz").stat().st_mode) == 0o600
 
 
+def _entry_meta(spec):
+    return json.dumps(dict(wavelength_m=spec.wavelength_m,
+                           aperture_len_m=spec.aperture_len_m,
+                           dof=spec.dof, trace=spec.trace))
+
+
 def test_compressed_cache_entry_still_loads(tmp_path, spec4):
     path = tmp_path / "old.npz"
-    np.savez_compressed(
-        path, meta=json.dumps(dict(
-            wavelength_m=spec4.wavelength_m, aperture_len_m=spec4.aperture_len_m,
-            dof=spec4.dof, sigma_min=spec4.sigma_min, trace=spec4.trace)),
-        sigmas=spec4.sigmas, epsilons=spec4.epsilons,
-        eigfun_samples=spec4.eigfun_samples, nodes=spec4.nodes,
-        weights=spec4.weights)
-    back = spc.load_decomposition(str(path))
-    assert np.array_equal(back.eigfun_samples, spec4.eigfun_samples)
+    np.savez_compressed(path, meta=_entry_meta(spec4), sigmas=spec4.sigmas)
+    _assert_same_spectrum(spc.load_decomposition(str(path)), spec4)
+
+
+def test_eigenvalues_above_half_wavelength_are_rejected():
+    def flat(top):
+        # dof 4 on a 2-wavelength aperture; trace = L for a flat lambda/2 spectrum
+        return spc.SpectralDecomposition(LAMBDA, 2 * LAMBDA,
+                                         np.array([top] + [LAMBDA / 2] * 3),
+                                         dof=4, trace=2 * LAMBDA)
+
+    ok = flat(LAMBDA / 2 * (1 + 1e-7))
+    assert ok.epsilons[0] == 1.0 and ok.sigma_min == LAMBDA / 2
+    with pytest.raises(spc.ComputationError, match="lambda/2"):
+        flat(LAMBDA / 2 * (1 + 1e-5))
+
+
+def test_short_cache_entry_is_recomputed(tmp_path, caplog, geom, spec4):
+    key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120, 1e-8)
+    entry = tmp_path / (key + ".npz")
+    np.savez(entry, meta=_entry_meta(spec4), sigmas=spec4.sigmas[:3])
+    with pytest.raises(spc.ComputationError, match="need dof"):
+        spc.load_decomposition(str(entry))
+    with caplog.at_level("WARNING", logger="capa_secrecy.spectral"):
+        got = spc.cached_decompose(geom, 120, cache_dir=str(tmp_path))
+    assert any("spectrum cache entry" in r.getMessage() for r in caplog.records)
+    _assert_same_spectrum(got, spec4)
+    _assert_same_spectrum(spc.load_decomposition(str(entry)), spec4)
