@@ -8,11 +8,10 @@ from .spectral import (ApertureGeometry, ComputationError,
 from .snr_models import (LinkBudget, MoschopoulosSeries, Scenario, bob_cdf,
                          bob_pdf, bob_survival, build_psi, eve_cdf, eve_pdf,
                          sample_bob, sample_eve)
-from .secrecy import (PrecisionLossError, SecrecyReport, asymptotic_rate,
+from .secrecy import (PrecisionLossError, asymptotic_rate,
                       diversity_and_gain, high_snr_offset, high_snr_slope,
                       secrecy_rate_closed, secrecy_rate_quadrature,
-                      secrecy_report, sop_asymptotic, sop_closed,
-                      sop_quadrature)
+                      sop_asymptotic, sop_closed, sop_quadrature)
 from .montecarlo import (McEstimate, SPDA_ELEMENT_APERTURE_RATIO,
                          coefficient_of_variation, mc_exact_eve, mc_secrecy,
                          spda_baseline)

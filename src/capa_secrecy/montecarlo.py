@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .snr_models import LinkBudget, sample_bob, sample_eve
+from .snr_models import LinkBudget, MoschopoulosSeries, sample_bob, sample_eve
 from .spectral import ApertureGeometry, SpectralDecomposition
 from .specfun import DomainError
 
@@ -80,17 +80,16 @@ def _secrecy_loop(draw_bob, draw_eve, r0: float, n_trials: int,
     return rate_acc.estimate(seed), sop_acc.estimate(seed)
 
 
-def mc_secrecy(lb: LinkBudget, src, r0: float, n_trials: int,
-               seed: int) -> tuple[McEstimate, McEstimate]:
+def mc_secrecy(lb: LinkBudget, ms: MoschopoulosSeries, r0: float,
+               n_trials: int, seed: int) -> tuple[McEstimate, McEstimate]:
     """Empirical secrecy rate and outage probability.
 
-    `src` supplies Bob's eigenvalue weights (a SpectralDecomposition,
-    MoschopoulosSeries, or plain array).  Eve draws come from the
-    per-scenario SNR laws, independent of Bob's channel.
+    Bob's SNR is drawn from the eigenvalues of `ms`; Eve draws come from
+    the per-scenario SNR laws, independent of Bob's channel.
     """
     if n_trials < 10_000:
         raise DomainError("need at least 1e4 trials")
-    return _secrecy_loop(lambda rng, n: sample_bob(src, lb, rng, size=n),
+    return _secrecy_loop(lambda rng, n: sample_bob(ms, lb, rng, size=n),
                          lambda rng, n: sample_eve(lb, rng, size=n),
                          r0, n_trials, seed)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -46,25 +45,6 @@ class PrecisionLossError(ArithmeticError):
             f"{_PRECISION_LOSS_THRESHOLD:.0e}; use the quadrature evaluator "
             "or extended precision"
         )
-
-
-@dataclass(frozen=True)
-class SecrecyReport:
-    scenario: Scenario
-    rate_bits: float
-    sop: float
-    target_rate_r0: float
-    hi_snr_slope: float
-    hi_snr_offset: float
-    diversity_order: int
-    array_gain: float
-    evaluator: str
-
-    def __post_init__(self):
-        if not (0.0 <= self.sop <= 1.0):
-            raise ComputationError(f"SOP {self.sop} outside [0, 1]")
-        if self.rate_bits < 0.0:
-            raise ComputationError("secrecy rate must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +301,23 @@ def _bob_spread(lb, ms):
     return mean, std
 
 
-def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, *,
-                            epsabs: float = 1e-9) -> float:
+def _piecewise_quad(f, edges, epsabs: float, max_err: float, what: str) -> float:
+    """int_{edges[0]}^inf f, one adaptive rule per piece between the edges
+    and one for the tail beyond the last edge.
+
+    Raises ComputationError when the summed error estimates exceed max_err.
+    """
+    parts = [spi.quad(f, a, b, limit=400, epsabs=epsabs, epsrel=1e-11)
+             for a, b in zip(edges, edges[1:])]
+    parts.append(spi.quad(f, edges[-1], np.inf, limit=200, epsabs=epsabs,
+                          epsrel=1e-11))
+    err = sum(e for _, e in parts)
+    if err > max_err:
+        raise ComputationError(f"{what} quadrature achieved only +-{err:.2e}")
+    return sum(v for v, _ in parts)
+
+
+def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
     """E{[log2(1+rho_b) - log2(1+rho_e)]^+} as a single integral.
 
     Integration by parts of the double integral gives
@@ -338,17 +333,10 @@ def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, *,
     edges = [0.0, split]
     if 50.0 * lb.gamma_bar_e * lb.k_eves < split:
         edges.insert(1, 50.0 * lb.gamma_bar_e * lb.k_eves)
-    parts = [spi.quad(f, a, b, limit=400, epsabs=epsabs, epsrel=1e-11)
-             for a, b in zip(edges, edges[1:])]
-    parts.append(spi.quad(f, split, np.inf, limit=200, epsabs=epsabs, epsrel=1e-11))
-    err = sum(e for _, e in parts)
-    if err > 1e-6:
-        raise ComputationError(f"rate quadrature achieved only +-{err:.2e} bits")
-    return max(sum(v for v, _ in parts), 0.0)
+    return max(_piecewise_quad(f, edges, 1e-9, 1e-6, "rate"), 0.0)
 
 
-def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float, *,
-                   epsabs: float = 1e-10) -> float:
+def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     """P(rho_b < 2^r0 (1 + rho_e) - 1) by integrating over Eve's density."""
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
@@ -357,13 +345,8 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float, *,
     def f(y):
         return snr.eve_pdf(y, lb) * snr.bob_cdf(g * (1.0 + y) - 1.0, lb, ms)
 
-    scale = lb.gamma_bar_e * max(lb.k_eves, 1)
-    split = 40.0 * scale
-    v1, e1_ = spi.quad(f, 0.0, split, limit=400, epsabs=epsabs, epsrel=1e-11)
-    v2, e2_ = spi.quad(f, split, np.inf, limit=200, epsabs=epsabs, epsrel=1e-11)
-    if e1_ + e2_ > 1e-7:
-        raise ComputationError(f"SOP quadrature achieved only +-{e1_ + e2_:.2e}")
-    return float(min(max(v1 + v2, 0.0), 1.0))
+    edges = [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves)]
+    return min(max(_piecewise_quad(f, edges, 1e-10, 1e-7, "SOP"), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +482,6 @@ ANALYTIC_EVALUATORS = {
     "asymptotic": (lambda lb, ms: asymptotic_rate(lb, ms),
                    lambda lb, ms, r0: min(sop_asymptotic(lb, ms, r0), 1.0)),
 }
-
-
-def secrecy_report(lb: LinkBudget, ms: MoschopoulosSeries, r0: float,
-                   evaluator: str = "quadrature") -> SecrecyReport:
-    """Evaluate every secrecy metric with one rate/SOP evaluator."""
-    if evaluator not in ANALYTIC_EVALUATORS:
-        raise DomainError(f"unknown evaluator {evaluator!r}")
-    rate_fn, sop_fn = ANALYTIC_EVALUATORS[evaluator]
-    rate, sop = rate_fn(lb, ms), sop_fn(lb, ms, r0)
-    dof, gain = diversity_and_gain(lb, ms, r0)
-    return SecrecyReport(
-        scenario=lb.scenario, rate_bits=rate, sop=sop, target_rate_r0=r0,
-        hi_snr_slope=high_snr_slope(ms), hi_snr_offset=high_snr_offset(lb, ms),
-        diversity_order=dof, array_gain=gain, evaluator=evaluator,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -80,17 +80,6 @@ class MoschopoulosSeries:
         return self.dof + np.arange(self.q_max + 1)
 
 
-def _first_dof_sigmas(src) -> np.ndarray:
-    if isinstance(src, SpectralDecomposition):
-        return np.asarray(src.sigmas[:src.dof], dtype=float)
-    if isinstance(src, MoschopoulosSeries):
-        return np.asarray(src.sigmas, dtype=float)
-    arr = np.asarray(src, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("expected a 1-d array of eigenvalues")
-    return arr
-
-
 def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
               q_cap: int = 2000) -> MoschopoulosSeries:
     """Moschopoulos coefficients for the first-dof eigenvalue set.
@@ -102,7 +91,13 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
     Accepts a SpectralDecomposition or a raw eigenvalue array (synthetic
     spectra are used by the verification suite).
     """
-    sigmas = np.sort(_first_dof_sigmas(spec))[::-1]
+    if isinstance(spec, SpectralDecomposition):
+        sigmas = np.asarray(spec.sigmas[:spec.dof], dtype=float)
+    else:
+        sigmas = np.asarray(spec, dtype=float)
+        if sigmas.ndim != 1 or sigmas.size == 0:
+            raise DomainError("expected a 1-d array of eigenvalues")
+    sigmas = np.sort(sigmas)[::-1]
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
     if np.any(sigmas <= 0.0):
@@ -247,27 +242,20 @@ def eve_cdf(x, lb: LinkBudget):
 # exact samplers
 # ---------------------------------------------------------------------------
 
-def sample_bob(ms, lb: LinkBudget, rng: np.random.Generator, size=None):
-    """Draw gamma_b * sum_l sigma_l |Phi_l|^2 with |Phi_l|^2 ~ Exp(1).
-
-    `ms` may be a MoschopoulosSeries, a SpectralDecomposition, or an
-    eigenvalue array; the first-dof eigenvalues are used.
-    """
-    sigmas = _first_dof_sigmas(ms)
-    n = 1 if size is None else int(size)
-    e = rng.standard_exponential((n, len(sigmas)))
-    vals = lb.gamma_bar_b * (e @ sigmas)
-    return float(vals[0]) if size is None else vals
+def sample_bob(ms: MoschopoulosSeries, lb: LinkBudget,
+               rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw gamma_b * sum_l sigma_l |Phi_l|^2 with |Phi_l|^2 ~ Exp(1) over
+    the series' first-dof eigenvalues."""
+    e = rng.standard_exponential((size, len(ms.sigmas)))
+    return lb.gamma_bar_b * (e @ ms.sigmas)
 
 
-def sample_eve(lb: LinkBudget, rng: np.random.Generator, size=None):
+def sample_eve(lb: LinkBudget, rng: np.random.Generator,
+               size: int) -> np.ndarray:
     """Draw Eve's instantaneous SNR for the configured scenario."""
-    n = 1 if size is None else int(size)
     mu, k = lb.gamma_bar_e, lb.k_eves
     if lb.scenario == Scenario.SE:
-        vals = mu * rng.standard_exponential(n)
-    elif lb.scenario == Scenario.MIE:
-        vals = mu * rng.standard_exponential((n, k)).max(axis=1)
-    else:
-        vals = mu * rng.standard_gamma(k, n)
-    return float(vals[0]) if size is None else vals
+        return mu * rng.standard_exponential(size)
+    if lb.scenario == Scenario.MIE:
+        return mu * rng.standard_exponential((size, k)).max(axis=1)
+    return mu * rng.standard_gamma(k, size)

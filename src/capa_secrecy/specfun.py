@@ -41,14 +41,13 @@ EXTENDED = EvalPrecision(mode="extended")
 # exponential integral
 # ---------------------------------------------------------------------------
 
-def _e1_power_series(x, euler, eps, log_fn=math.log):
-    """E1 for small arguments: -gamma - ln x + sum (-1)^(k-1) x^k / (k k!).
+_E1_EPS = 2e-17  # relative truncation target of both E1 expansions
 
-    Generic over the scalar type (float or mpmath.mpf); `eps` is the relative
-    truncation target.
-    """
-    total = -euler - log_fn(x)
-    term = x * 0 + 1
+
+def _e1_power_series(x: float) -> float:
+    """E1 for small arguments: -gamma - ln x + sum (-1)^(k-1) x^k / (k k!)."""
+    total = -EULER_GAMMA - math.log(x)
+    term = 1.0
     k = 0
     while True:
         k += 1
@@ -58,11 +57,11 @@ def _e1_power_series(x, euler, eps, log_fn=math.log):
             total += contrib
         else:
             total -= contrib
-        if abs(contrib) < eps * abs(total) or k > 10_000:
+        if abs(contrib) < _E1_EPS * abs(total) or k > 10_000:
             return total
 
 
-def _e1_cf_scaled(x, eps):
+def _e1_cf_scaled(x: float) -> float:
     """e^x E1(x) via the continued fraction (modified Lentz), x >= 1.
 
     The scaled value is formed directly, never through e^x.
@@ -77,14 +76,14 @@ def _e1_cf_scaled(x, eps):
         b = b + 2
         d = a * d + b
         if abs(d) < tiny:
-            d = d * 0 + tiny
+            d = tiny
         c = b + a / c
         if abs(c) < tiny:
-            c = c * 0 + tiny
+            c = tiny
         d = 1 / d
         delta = d * c
         h = h * delta
-        if abs(delta - 1) < eps:
+        if abs(delta - 1) < _E1_EPS:
             return h
     raise ArithmeticError("continued fraction for E1 failed to converge")
 
@@ -98,8 +97,8 @@ def exp_e1(x: float) -> float:
     if x <= 0.0:
         raise DomainError("E1 requires x > 0")
     if x < 1.0:
-        return _e1_power_series(float(x), EULER_GAMMA, 2e-17)
-    return math.exp(-x) * _e1_cf_scaled(float(x), 2e-17)
+        return _e1_power_series(float(x))
+    return math.exp(-x) * _e1_cf_scaled(float(x))
 
 
 def scaled_e1(x: float) -> float:
@@ -107,8 +106,8 @@ def scaled_e1(x: float) -> float:
     if x <= 0.0:
         raise DomainError("scaled E1 requires x > 0")
     if x < 1.0:
-        return math.exp(x) * _e1_power_series(float(x), EULER_GAMMA, 2e-17)
-    return _e1_cf_scaled(float(x), 2e-17)
+        return math.exp(x) * _e1_power_series(float(x))
+    return _e1_cf_scaled(float(x))
 
 
 def exp_e1_log(x: float) -> float:

@@ -243,12 +243,10 @@ def cached_decompose(geom: ApertureGeometry, t: int,
                      epsilon_floor: float = 1e-8,
                      cache_dir: str | None = None,
                      unit_rule=None) -> SpectralDecomposition:
-    """decompose() with an optional .npz cache (env CAPA_CACHE_DIR).
+    """decompose() with an optional .npz cache in `cache_dir`.
 
     `unit_rule` is passed to decompose() and only called on a cache miss.
     """
-    if cache_dir is None:
-        cache_dir = os.environ.get("CAPA_CACHE_DIR")
     if not cache_dir:
         return decompose(geom, t, epsilon_floor, unit_rule)
     os.makedirs(cache_dir, exist_ok=True)

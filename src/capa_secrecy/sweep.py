@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,33 +39,27 @@ _SAMPLED = {
 EVALUATORS = (*sec.ANALYTIC_EVALUATORS, *_SAMPLED)
 OUTPUTS = ("rate", "sop", "slope", "offset", "gain")
 
-TABLE1 = {
-    "gamma_b_db": 20.0,
-    "gamma_e_db": 20.0,
-    "wavelength_m": 0.1249,
-    "aperture_len_m": 40 * 0.1249,
-    "q_floor": 160,
-    "quadrature_order": 1000,
-    "k_eves": 5,
-    "target_rate_r0": 3.0,
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _number(v, kinds=(int, float)) -> bool:
+    # bool is an int subclass, but JSON true/false is no number
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 @dataclass
 class SweepConfig:
-    # system
-    wavelength_m: float = TABLE1["wavelength_m"]
-    aperture_len_m: float = TABLE1["aperture_len_m"]
-    gamma_b_db: float = TABLE1["gamma_b_db"]
-    gamma_e_db: float = TABLE1["gamma_e_db"]
-    k_eves: int = TABLE1["k_eves"]
-    target_rate_r0: float = TABLE1["target_rate_r0"]
-    quadrature_order: int = TABLE1["quadrature_order"]
-    q_floor: int = TABLE1["q_floor"]
+    # system; the defaults are the paper's Table 1 setup
+    wavelength_m: float = 0.1249
+    aperture_len_m: float = 40 * 0.1249
+    gamma_b_db: float = 20.0
+    gamma_e_db: float = 20.0
+    k_eves: int = 5
+    target_rate_r0: float = 3.0
+    quadrature_order: int = 1000
+    q_floor: int = 160
     epsilon_floor: float = 1e-8
     series_tol: float = 1e-8
     n_trials: int = 200_000
@@ -85,20 +79,23 @@ class SweepConfig:
 
         for name in ("wavelength_m", "aperture_len_m", "target_rate_r0",
                      "epsilon_floor", "series_tol"):
-            if not (isinstance(getattr(self, name), (int, float))
-                    and getattr(self, name) > 0):
+            if not (_number(getattr(self, name)) and getattr(self, name) > 0):
                 bad(name, "must be a positive number")
+        for name in ("gamma_b_db", "gamma_e_db"):
+            if not _number(getattr(self, name)):
+                bad(name, "must be a number")
         for name in ("k_eves", "quadrature_order", "q_floor", "n_trials",
                      "workers"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v > 0):
+            if not (_number(v, int) and v > 0):
                 bad(name, "must be a positive integer")
-        if not isinstance(self.seed, int):
+        if not _number(self.seed, int):
             bad("seed", "must be an integer")
         if self.axis not in AXES:
             bad("axis", f"must be one of {AXES}")
-        if not self.values:
-            bad("values", "must be a nonempty increasing list")
+        if not (isinstance(self.values, list) and self.values
+                and all(_number(v) for v in self.values)):
+            bad("values", "must be a nonempty increasing list of numbers")
         vals = [float(v) for v in self.values]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             bad("values", "must be strictly increasing")
@@ -106,26 +103,22 @@ class SweepConfig:
             bad("values", "k_eves values must be integers >= 1")
         if self.axis == "aperture_len" and any(v <= 0 for v in vals):
             bad("values", "aperture lengths must be positive")
-        if not self.scenarios:
-            bad("scenarios", "must list at least one scenario")
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                bad("scenarios", f"unknown scenario {s!r}")
-        if not self.evaluators:
-            bad("evaluators", "must list at least one evaluator")
-        for e in self.evaluators:
-            if e not in EVALUATORS:
-                bad("evaluators", f"unknown evaluator {e!r}")
-        if not self.outputs:
-            bad("outputs", "must list at least one output")
-        for o in self.outputs:
-            if o not in OUTPUTS:
-                bad("outputs", f"unknown output {o!r}")
+        for name, known in (("scenarios", SCENARIOS),
+                            ("evaluators", EVALUATORS), ("outputs", OUTPUTS)):
+            items = getattr(self, name)
+            if not (isinstance(items, list)
+                    and all(isinstance(x, str) for x in items)):
+                bad(name, "must be a list of strings")
+            if not items:
+                bad(name, f"must list at least one {name[:-1]}")
+            for x in items:
+                if x not in known:
+                    bad(name, f"unknown {name[:-1]} {x!r}")
         return self
 
 
 def load_config(path: str) -> SweepConfig:
-    """Parse a JSON config; the `table1` preset pins the reference setup."""
+    """Parse a JSON config; fields it leaves out keep the Table 1 defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,27 +133,24 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
     raw = dict(raw)
+    # "table1" names the defaults; it stays accepted for existing configs
     preset = raw.pop("preset", None)
+    if preset not in (None, "table1"):
+        raise ConfigError(f"preset: unknown preset {preset!r}")
     cfg = SweepConfig()
-    if preset is not None:
-        if preset != "table1":
-            raise ConfigError(f"preset: unknown preset {preset!r}")
-        for k, v in TABLE1.items():
-            setattr(cfg, k, v)
     if "aperture_lambdas" in raw:
-        cfg.aperture_len_m = float(raw.pop("aperture_lambdas")) * float(
-            raw.get("wavelength_m", cfg.wavelength_m))
+        lambdas = raw.pop("aperture_lambdas")
+        wavelength = raw.get("wavelength_m", cfg.wavelength_m)
+        if not (_number(lambdas) and _number(wavelength)):
+            raise ConfigError("aperture_lambdas: needs a number, and a "
+                              "numeric wavelength_m")
+        cfg.aperture_len_m = float(lambdas) * float(wavelength)
     known = set(cfg.__dataclass_fields__)
     for k, v in raw.items():
         if k not in known:
             raise ConfigError(f"{k}: unknown field")
         setattr(cfg, k, v)
     return cfg.validate()
-
-
-def serialize_config(cfg: SweepConfig) -> str:
-    """Round-trippable JSON with all defaults made explicit."""
-    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(x: float) -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capa_secrecy import cli
+from capa_secrecy import spectral as spc
 from capa_secrecy import sweep as sw
 
 
@@ -78,6 +79,13 @@ def test_missing_config_exit_2(capsys):
     ({"outputs": ["latency"]}, "outputs"),
     ({"n_trials": -5}, "n_trials"),
     ({"frequency": 1.0}, "frequency"),
+    ({"values": ["x"]}, "values"),
+    ({"values": [0.0, True]}, "values"),
+    ({"outputs": 5}, "outputs"),
+    ({"k_eves": True}, "k_eves"),
+    ({"gamma_e_db": "x"}, "gamma_e_db"),
+    ({"aperture_lambdas": "x"}, "aperture_lambdas"),
+    ({"aperture_lambdas": True}, "aperture_lambdas"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -86,6 +94,7 @@ def test_validation_names_field(bad, field):
 
 def test_table1_preset():
     cfg = sw.config_from_dict({"preset": "table1"})
+    assert cfg == sw.config_from_dict({})
     assert cfg.gamma_b_db == 20.0
     assert cfg.gamma_e_db == 20.0
     assert cfg.k_eves == 5
@@ -95,12 +104,6 @@ def test_table1_preset():
     assert cfg.aperture_len_m == pytest.approx(40 * 0.1249)
     with pytest.raises(sw.ConfigError, match="preset"):
         sw.config_from_dict({"preset": "table2"})
-
-
-def test_config_round_trip():
-    cfg = sw.config_from_dict(small_config())
-    back = sw.config_from_dict(json.loads(sw.serialize_config(cfg)))
-    assert back == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,17 @@ def test_spectrum_cache_env(tmp_path, monkeypatch):
     out = str(tmp_path / "o.csv")
     assert cli.main(["sweep", "--config", path, "--out", out]) == 0
     assert list((tmp_path / "cache").glob("*.npz"))
+
+
+def test_library_ignores_cache_env(tmp_path, monkeypatch):
+    # only the CLI reads CAPA_CACHE_DIR; library callers pass cache_dir
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CAPA_CACHE_DIR", str(cache))
+    code, _ = run_sweep_to_string(small_config(
+        evaluators=["asymptotic"], outputs=["rate"], values=[10.0]))
+    assert code == 0
+    spc.cached_decompose(spc.ApertureGeometry(0.1249, 2 * 0.1249), 120)
+    assert not cache.exists()
 
 
 def test_one_unit_rule_per_sweep(tmp_path, monkeypatch):

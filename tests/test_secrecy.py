@@ -406,38 +406,29 @@ def test_leading_coefficient_matches_gain_law(scen, k, n):
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# sweep wiring
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("evaluator", ["closed-form", "quadrature", "asymptotic"])
-def test_secrecy_report(ms4, evaluator):
-    lb = lb_db(20.0, 0.0, 5, Scenario.MIE)
-    rep = sec.secrecy_report(lb, ms4, 1.0, evaluator)
-    assert rep.diversity_order == 4
-    assert 0.0 <= rep.sop <= 1.0
-    assert rep.rate_bits >= 0.0
-    assert rep.evaluator == evaluator
-    assert rep.hi_snr_slope == pytest.approx(1.0, abs=1e-6)
-    # the sweep reads the same evaluator table: its rows match bit for bit
+def test_sweep_rows_are_the_evaluators(ms4, evaluator):
+    # the sweep is the only point evaluator: every row it writes is the
+    # direct library call, bit for bit, and the scalar high-SNR rows ride
+    # with the closed form only
     cfg = sw.config_from_dict({
         "wavelength_m": 0.1249, "aperture_lambdas": 2.0, "quadrature_order": 120,
         "gamma_e_db": 0.0, "k_eves": 5, "target_rate_r0": 1.0,
         "axis": "gamma_b_db", "values": [20.0], "scenarios": ["SE", "MIE", "MCE"],
-        "evaluators": [evaluator], "outputs": ["rate", "sop"]})
+        "evaluators": [evaluator], "outputs": list(sw.OUTPUTS)})
     out = io.StringIO()
     assert sw.run_sweep(cfg, out, summary_stream=io.StringIO()) == 0
-    rows = {(r[2], r[4]): float(r[5])
-            for r in (ln.split(",") for ln in out.getvalue().splitlines()[1:])}
+    rows = [ln.split(",") for ln in out.getvalue().splitlines()[1:]]
+    rate_fn, sop_fn = sec.ANALYTIC_EVALUATORS[evaluator]
     for scen in Scenario:
-        rep = sec.secrecy_report(lb_db(20.0, 0.0, 1 if scen == Scenario.SE else 5,
-                                       scen), ms4, 1.0, evaluator)
-        assert rows[(scen.value, "rate")] == rep.rate_bits
-        assert rows[(scen.value, "sop")] == rep.sop
-
-
-def test_secrecy_report_rejects_unknown_evaluator(ms4):
-    with pytest.raises(DomainError):
-        sec.secrecy_report(lb_db(10, 0), ms4, 1.0, "exact")
-    # sampled evaluators are sweep rows, not report routes
-    with pytest.raises(DomainError):
-        sec.secrecy_report(lb_db(10, 0), ms4, 1.0, "monte-carlo")
+        lb = lb_db(20.0, 0.0, 1 if scen == Scenario.SE else 5, scen)
+        want = {"rate": rate_fn(lb, ms4), "sop": sop_fn(lb, ms4, 1.0)}
+        if evaluator == "closed-form":
+            want.update(slope=sec.high_snr_slope(ms4),
+                        offset=sec.high_snr_offset(lb, ms4),
+                        gain=sec.diversity_and_gain(lb, ms4, 1.0)[1])
+        got = {r[4]: float(r[5]) for r in rows if r[2] == scen.value}
+        assert got == want, scen

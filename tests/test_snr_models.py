@@ -164,6 +164,3 @@ def test_sampler_means(ms4):
     lbc = LinkBudget(100.0, 3.0, 4, Scenario.MCE)
     ce = snr.sample_eve(lbc, rng, size=n)
     assert abs(np.mean(ce) - 12.0) <= 3.0 * np.std(ce) / math.sqrt(n)
-
-    assert isinstance(snr.sample_bob(ms4, lb, rng), float)
-    assert isinstance(snr.sample_eve(lb, rng), float)
