@@ -12,8 +12,7 @@ from .secrecy import (PrecisionLossError, asymptotic_rate,
                       diversity_and_gain, high_snr_offset, high_snr_slope,
                       secrecy_rate_closed, secrecy_rate_quadrature,
                       sop_asymptotic, sop_closed, sop_quadrature)
-from .montecarlo import (McEstimate, SPDA_ELEMENT_APERTURE_RATIO,
-                         coefficient_of_variation, mc_exact_eve, mc_secrecy,
+from .montecarlo import (McEstimate, SPDA_ELEMENT_APERTURE_RATIO, mc_secrecy,
                          spda_baseline)
 
 __version__ = "0.1.0"

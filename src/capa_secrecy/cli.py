@@ -71,8 +71,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    geom = spc.ApertureGeometry(args.wavelength_m, args.aperture_len_m)
-    spec = spc.decompose(geom, args.t)
+    try:
+        spec = spc.decompose(
+            spc.ApertureGeometry(args.wavelength_m, args.aperture_len_m), args.t)
+    except spc.DomainError as exc:
+        print(f"spectrum error: {exc}", file=sys.stderr)
+        return 2
     print(f"dof={spec.dof} trace_residual={spec.trace_residual:.3e} "
           f"sigma_min={spec.sigma_min:.6e}")
     for eps in (0.9, 0.5, 0.1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .snr_models import LinkBudget, MoschopoulosSeries, sample_bob, sample_eve
-from .spectral import ApertureGeometry, SpectralDecomposition
+from .spectral import ApertureGeometry
 from .specfun import DomainError
 
 _BLOCK = 1 << 17  # fixed block size keeps merges deterministic
@@ -92,31 +92,6 @@ def mc_secrecy(lb: LinkBudget, ms: MoschopoulosSeries, r0: float,
     return _secrecy_loop(lambda rng, n: sample_bob(ms, lb, rng, size=n),
                          lambda rng, n: sample_eve(lb, rng, size=n),
                          r0, n_trials, seed)
-
-
-def mc_exact_eve(lb: LinkBudget, spec: SpectralDecomposition, n_trials: int,
-                 seed: int) -> McEstimate:
-    """Conditional-variance ratio of Eve's effective signal given Bob's channel.
-
-    Per realization of Bob's expansion coefficients, computes
-    sum(sigma^2 |Phi|^2) / sum(sigma |Phi|^2) over every retained eigenvalue
-    and reports it normalized by lambda/2.  A mean near 1 with a small
-    coefficient of variation validates treating Eve's SNR as independent of
-    Bob's channel.
-    """
-    sig = np.asarray(spec.sigmas, dtype=float)
-    half_lam = 0.5 * spec.wavelength_m
-    acc = _Welford()
-    for rng, size in _block_rngs(seed, n_trials):
-        e = rng.standard_exponential((size, sig.size))
-        ratio = (e @ (sig ** 2)) / (e @ sig)
-        acc.add(ratio / half_lam)
-    return acc.estimate(seed)
-
-
-def coefficient_of_variation(est: McEstimate) -> float:
-    """Sample std / mean recovered from a Monte Carlo estimate."""
-    return est.std_err * math.sqrt(est.n_trials) / est.mean
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,9 @@ def high_snr_slope(ms: MoschopoulosSeries) -> float:
 
 
 def _weighted_harmonic(ms: MoschopoulosSeries) -> float:
-    h = np.array([harmonic_number(ms.dof + q - 1) for q in range(ms.q_max + 1)])
+    # H_(dof+q-1) for every shape: one fsum for q = 0, then a cumulative pass
+    steps = 1.0 / np.arange(ms.dof, ms.dof + ms.q_max, dtype=float)
+    h = harmonic_number(ms.dof - 1) + np.append(0.0, np.cumsum(steps))
     w = ms.weights
     return float((w @ h) / np.sum(w))
 
@@ -485,13 +487,8 @@ ANALYTIC_EVALUATORS = {
 
 
 # ---------------------------------------------------------------------------
-# identity and ordering checks (exact where rational)
+# independent-Eves terms of the power offset and the array gain
 # ---------------------------------------------------------------------------
-
-def binomial_unit_identity(k: int) -> Fraction:
-    """K sum_d C(K-1,d) (-1)^d / (d+1); equals 1 for every positive K."""
-    return k * sum(Fraction((-1) ** d * math.comb(k - 1, d), d + 1)
-                   for d in range(k))
 
 def independent_eve_offset_term(k: int, gamma_e: float) -> float:
     """y(K) = K sum_a C(K-1,a) (-1)^a/(1+a) e^((1+a)/ge) E1((1+a)/ge),
@@ -508,173 +505,9 @@ def independent_eve_offset_term(k: int, gamma_e: float) -> float:
             k * math.comb(k - 1, a) * (-1) ** a / mpmath.mpf(1 + a)
             * mpmath.exp(x) * mpmath.e1(x) for a, x in enumerate(xs)))
 
+
 def independent_eve_gain_term(k: int, dof: int, m: int) -> Fraction:
     """y(K) = K sum_n C(K-1,n)(-1)^n (n+1)^(m-dof-1); 1 at m = dof,
     increasing in K below it."""
     return k * sum(Fraction((-1) ** n * math.comb(k - 1, n), (n + 1) ** (dof - m + 1))
                    for n in range(k))
-
-def collaborative_vs_independent_offset_gap(k: int, gamma_e: float) -> float:
-    """e^(1/(K ge)) E1(1/(K ge)) minus the independent-Eves combination.
-
-    Positive for K >= 2: the collaborative offset exceeds the independent
-    one.  (The source text asserts this sign in the claim but flips it in
-    the final proof step; the positive sign is the numerically correct one
-    and the one consistent with the offset ordering.)
-    """
-    return scaled_e1(1.0 / (k * gamma_e)) - independent_eve_offset_term(k, gamma_e)
-
-def collaborative_gain_term_gap(k: int, dof: int, m: int) -> Fraction:
-    """C(dof-m+K-1, K-1) - independent term; 0 at m = dof, positive below."""
-    return math.comb(dof - m + k - 1, k - 1) - independent_eve_gain_term(k, dof, m)
-
-
-# ---------------------------------------------------------------------------
-# exact small-1/SNR polynomial expansion of the outage probability
-# ---------------------------------------------------------------------------
-
-def _poly_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[:order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[:order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _inv_binom_series(c: Fraction, p: int, order: int):
-    """(1 + c z)^(-p) as a truncated series, p >= 1."""
-    return [Fraction(math.comb(p + i - 1, i)) * (-c) ** i for i in range(order + 1)]
-
-
-def _exp_series(c: Fraction, order: int):
-    """exp(c z) truncated."""
-    return [c ** i / math.factorial(i) for i in range(order + 1)]
-
-
-def psi_fractions(sigmas, q_terms: int):
-    """Moschopoulos coefficients in exact rational arithmetic."""
-    sig = [Fraction(s) for s in sigmas]
-    smin = min(sig)
-    ratios = [1 - smin / s for s in sig]
-    psis = [Fraction(1)]
-    powers = [Fraction(1)] * len(sig)
-    b = []
-    for _ in range(q_terms):
-        powers = [p * r for p, r in zip(powers, ratios)]
-        b.append(sum(powers))
-    for q in range(1, q_terms + 1):
-        psis.append(sum(b[k - 1] * psis[q - k] for k in range(1, q + 1)) / q)
-    return psis
-
-
-def sop_inverse_snr_poly(scenario: Scenario, sigmas, gamma_e, r0: int,
-                         q: int, order: int, k_eves: int = 1):
-    """Exact series in z = 1/gamma_b of the q-th outage bracket.
-
-    Inputs are taken as rationals, so the cancellation of every coefficient
-    below z^dof is checked exactly.  Returns Fraction coefficients
-    [z^0 .. z^order].
-    """
-    sig = [Fraction(s) for s in sigmas]
-    n_dof = len(sig)
-    smin = min(sig)
-    g = Fraction(2) ** r0
-    mu = Fraction(gamma_e)
-    gmu = g * mu
-    n = n_dof + q
-    e_ser = _exp_series(-(g - 1) / smin, order)
-
-    def bracket_for(shift: int):
-        c = gmu / (smin * shift)
-        dpows = {}
-        cq = [Fraction(0)] * (order + 1)
-        for k in range(min(n - 1, order) + 1):
-            for m in range(k + 1):
-                pref = ((g - 1) ** (k - m) * gmu ** m
-                        / math.factorial(k - m) / smin ** k
-                        * Fraction(1, shift) ** (m + 1))
-                if m + 1 not in dpows:
-                    dpows[m + 1] = _inv_binom_series(c, m + 1, order)
-                d = dpows[m + 1]
-                for i in range(order + 1 - k):
-                    cq[k + i] += pref * d[i]
-        ec = _poly_mul(e_ser, cq, order)
-        out = [-x for x in ec]
-        out[0] += Fraction(1, shift)
-        return out
-
-    if scenario == Scenario.SE:
-        return bracket_for(1)
-    if scenario == Scenario.MIE:
-        total = [Fraction(0)] * (order + 1)
-        for nprime in range(k_eves):
-            coeff = k_eves * math.comb(k_eves - 1, nprime) * (-1) ** nprime
-            part = bracket_for(nprime + 1)
-            total = [t + coeff * p for t, p in zip(total, part)]
-        return total
-    # collaborative: negative-binomial weights
-    K = k_eves
-    c = gmu / smin
-    cq = [Fraction(0)] * (order + 1)
-    dpows = {}
-    for k in range(min(n - 1, order) + 1):
-        for m in range(k + 1):
-            pref = (Fraction(math.comb(k, m)) * (g - 1) ** (k - m) * gmu ** m
-                    * Fraction(math.factorial(K + m - 1),
-                               math.factorial(K - 1) * math.factorial(k))
-                    / smin ** k)
-            if K + m not in dpows:
-                dpows[K + m] = _inv_binom_series(c, K + m, order)
-            d = dpows[K + m]
-            for i in range(order + 1 - k):
-                cq[k + i] += pref * d[i]
-    ec = _poly_mul(e_ser, cq, order)
-    out = [-x for x in ec]
-    out[0] += 1
-    return out
-
-
-def sop_poly_mixture(scenario: Scenario, sigmas, gamma_e, r0: int,
-                     q_terms: int, order: int, k_eves: int = 1):
-    """Exact mixture-weighted series sum_q W psi_q * bracket_q."""
-    sig = [Fraction(s) for s in sigmas]
-    smin = min(sig)
-    prefix = smin ** len(sig)
-    for s in sig:
-        prefix /= s
-    psis = psi_fractions(sigmas, q_terms)
-    total = [Fraction(0)] * (order + 1)
-    for q in range(q_terms + 1):
-        part = sop_inverse_snr_poly(scenario, sigmas, gamma_e, r0, q, order,
-                                    k_eves)
-        wq = prefix * psis[q]
-        total = [t + wq * p for t, p in zip(total, part)]
-    return total
-
-
-def sop_leading_coeff(scenario: Scenario, sigmas, gamma_e, r0: int,
-                      k_eves: int = 1) -> Fraction:
-    """Exact z^dof coefficient of the outage expansion (array-gain law)."""
-    sig = [Fraction(s) for s in sigmas]
-    n = len(sig)
-    g = Fraction(2) ** r0
-    gmu = g * Fraction(gamma_e)
-    x = (g - 1) / gmu
-    prod = Fraction(1)
-    for s in sig:
-        prod *= s
-    if scenario == Scenario.SE:
-        s_m = sum(x ** m / math.factorial(m) for m in range(n + 1))
-    elif scenario == Scenario.MIE:
-        s_m = k_eves * sum(
-            x ** m / math.factorial(m)
-            * sum(Fraction((-1) ** d * math.comb(k_eves - 1, d),
-                           (d + 1) ** (n - m + 1)) for d in range(k_eves))
-            for m in range(n + 1))
-    else:
-        s_m = sum(x ** m / math.factorial(m)
-                  * math.comb(n - m + k_eves - 1, k_eves - 1)
-                  for m in range(n + 1))
-    return s_m * gmu ** n / prod

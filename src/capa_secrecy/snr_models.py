@@ -211,15 +211,13 @@ def eve_pdf(x, lb: LinkBudget):
     out = np.zeros_like(x)
     m = x >= 0.0
     xv = x[m]
-    if lb.scenario == Scenario.SE:
-        out[m] = np.exp(-xv / mu) / mu
-    elif lb.scenario == Scenario.MIE:
-        out[m] = k * (-np.expm1(-xv / mu)) ** (k - 1) * np.exp(-xv / mu) / mu
-    else:  # MCE: gamma with shape K, scale mu
+    if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = ((k - 1) * np.log(xv) - xv / mu
                     - sps.gammaln(k) - k * math.log(mu))
         out[m] = np.where(xv > 0, np.exp(logp), 1.0 / mu if k == 1 else 0.0)
+    else:  # max of K exponentials; SE is K = 1
+        out[m] = k * (-np.expm1(-xv / mu)) ** (k - 1) * np.exp(-xv / mu) / mu
     return float(out[0]) if scalar else out
 
 
@@ -229,12 +227,10 @@ def eve_cdf(x, lb: LinkBudget):
     x = np.atleast_1d(x)
     mu, k = lb.gamma_bar_e, lb.k_eves
     xv = np.clip(x, 0.0, None)
-    if lb.scenario == Scenario.SE:
-        out = -np.expm1(-xv / mu)
-    elif lb.scenario == Scenario.MIE:
-        out = (-np.expm1(-xv / mu)) ** k
-    else:
+    if lb.scenario == Scenario.MCE:
         out = sps.gammainc(k, xv / mu)
+    else:  # SE is K = 1
+        out = (-np.expm1(-xv / mu)) ** k
     return float(out[0]) if scalar else out
 
 
@@ -254,8 +250,7 @@ def sample_eve(lb: LinkBudget, rng: np.random.Generator,
                size: int) -> np.ndarray:
     """Draw Eve's instantaneous SNR for the configured scenario."""
     mu, k = lb.gamma_bar_e, lb.k_eves
-    if lb.scenario == Scenario.SE:
-        return mu * rng.standard_exponential(size)
-    if lb.scenario == Scenario.MIE:
-        return mu * rng.standard_exponential((size, k)).max(axis=1)
-    return mu * rng.standard_gamma(k, size)
+    if lb.scenario == Scenario.MCE:
+        return mu * rng.standard_gamma(k, size)
+    # SE is K = 1: one column draws the same stream as a flat draw
+    return mu * rng.standard_exponential((size, k)).max(axis=1)

@@ -35,8 +35,10 @@ class ApertureGeometry:
     aperture_len_m: float
 
     def __post_init__(self):
-        if self.wavelength_m <= 0.0 or self.aperture_len_m <= 0.0:
-            raise DomainError("wavelength and aperture length must be positive")
+        if not (0.0 < self.wavelength_m < math.inf
+                and 0.0 < self.aperture_len_m < math.inf):
+            raise DomainError("wavelength and aperture length must be positive "
+                              "and finite")
         if self.aperture_len_m < 2.0 * self.wavelength_m:
             warnings.warn(
                 "aperture shorter than 2 wavelengths: the step-profile "

@@ -45,8 +45,11 @@ class ConfigError(ValueError):
 
 
 def _number(v, kinds=(int, float)) -> bool:
-    # bool is an int subclass, but JSON true/false is no number
-    return isinstance(v, kinds) and not isinstance(v, bool)
+    # bool is an int subclass, but JSON true/false is no number; json also
+    # reads NaN, +-Infinity and integers past the float range, which no
+    # setting or grid value may be
+    return (isinstance(v, kinds) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass
@@ -80,10 +83,10 @@ class SweepConfig:
         for name in ("wavelength_m", "aperture_len_m", "target_rate_r0",
                      "epsilon_floor", "series_tol"):
             if not (_number(getattr(self, name)) and getattr(self, name) > 0):
-                bad(name, "must be a positive number")
+                bad(name, "must be a positive finite number")
         for name in ("gamma_b_db", "gamma_e_db"):
             if not _number(getattr(self, name)):
-                bad(name, "must be a number")
+                bad(name, "must be a finite number")
         for name in ("k_eves", "quadrature_order", "q_floor", "n_trials",
                      "workers"):
             v = getattr(self, name)
@@ -91,11 +94,13 @@ class SweepConfig:
                 bad(name, "must be a positive integer")
         if not _number(self.seed, int):
             bad("seed", "must be an integer")
+        if not isinstance(self.timing, bool):
+            bad("timing", "must be true or false")
         if self.axis not in AXES:
             bad("axis", f"must be one of {AXES}")
         if not (isinstance(self.values, list) and self.values
                 and all(_number(v) for v in self.values)):
-            bad("values", "must be a nonempty increasing list of numbers")
+            bad("values", "must be a nonempty increasing list of finite numbers")
         vals = [float(v) for v in self.values]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             bad("values", "must be strictly increasing")

@@ -86,6 +86,12 @@ def test_missing_config_exit_2(capsys):
     ({"gamma_e_db": "x"}, "gamma_e_db"),
     ({"aperture_lambdas": "x"}, "aperture_lambdas"),
     ({"aperture_lambdas": True}, "aperture_lambdas"),
+    ({"values": [0.0, float("nan")]}, "values"),
+    ({"values": [0.0, float("inf")]}, "values"),
+    ({"values": [0.0, 10 ** 400]}, "values"),
+    ({"gamma_b_db": float("nan")}, "gamma_b_db"),
+    ({"wavelength_m": float("inf")}, "wavelength_m"),
+    ({"timing": "no"}, "timing"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -279,3 +285,16 @@ def test_spectrum_subcommand(capsys):
     out = capsys.readouterr().out
     assert "dof=4" in out
     assert "l,sigma_m,epsilon" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["--lambda", "0.1249", "--length", "0.4996", "--t", "4"],
+    ["--lambda", "0", "--length", "0.4996", "--t", "40"],
+    ["--lambda", "0.1249", "--length=-1", "--t", "40"],
+    ["--lambda", "nan", "--length", "0.4996", "--t", "40"],
+])
+def test_spectrum_bad_arguments_exit_2(capsys, args):
+    assert cli.main(["spectrum", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spectrum error: ")
+    assert "Traceback" not in err

@@ -12,6 +12,7 @@ from capa_secrecy import spectral as spc
 from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import DomainError
 
+import theorems as thm
 from conftest import LAMBDA, make_spectrum
 
 
@@ -96,17 +97,15 @@ def test_consistency_grid(ms4, ms6):
 
 def test_exact_eve_flat_spectrum_is_deterministic():
     stub = _StubSpectrum(np.full(6, LAMBDA / 2), LAMBDA)
-    lb = LinkBudget(1.0, 1.0)
-    est = mc.mc_exact_eve(lb, stub, 20_000, 3)
+    est = thm.mc_exact_eve(stub, 20_000, 3)
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     assert est.std_err == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_eve_spread_grows_at_small_aperture(spec80):
-    lb = LinkBudget(1.0, 1.0)
     small = make_spectrum(2.0, 120)
-    cv_small = mc.coefficient_of_variation(mc.mc_exact_eve(lb, small, 30_000, 4))
-    cv_large = mc.coefficient_of_variation(mc.mc_exact_eve(lb, spec80, 30_000, 4))
+    cv_small = thm.coefficient_of_variation(thm.mc_exact_eve(small, 30_000, 4))
+    cv_large = thm.coefficient_of_variation(thm.mc_exact_eve(spec80, 30_000, 4))
     assert cv_small > cv_large
 
 

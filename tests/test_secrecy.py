@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import sweep as sw
 from capa_secrecy.snr_models import LinkBudget, Scenario
-from capa_secrecy.specfun import EXTENDED, STANDARD, DomainError
+from capa_secrecy.specfun import EXTENDED, STANDARD, DomainError, harmonic_number
+
+import theorems as thm
 
 
 def lb_db(gb_db, ge_db, k=1, scen=Scenario.SE):
@@ -226,6 +229,17 @@ def test_offset_shifts_with_eigenvalue_scale(ms_synth):
     assert d == pytest.approx(-3.0, abs=1e-9)
 
 
+def test_weighted_harmonic_matches_per_shape_fsum():
+    # one shape at a time: the cumulative pass against H_(dof+q-1) by fsum
+    for sig in ([0.7], [4.0, 3.0, 2.0, 1.0], 0.0624 * np.linspace(1.0, 0.7, 6)):
+        ms = snr.build_psi(np.array(sig), q_max=2000)
+        qs = np.arange(ms.q_max + 1)
+        for q in qs:
+            one = replace(ms, log_psis=np.where(qs == q, 0.0, -np.inf))
+            want = harmonic_number(ms.dof + q - 1)
+            assert sec._weighted_harmonic(one) == pytest.approx(want, rel=2e-15, abs=0)
+
+
 def test_offset_ordering_across_scenarios(ms4):
     for ge in (0.1, 1.0, 10.0, 100.0):
         l_se = sec.high_snr_offset(LinkBudget(10.0, ge), ms4)
@@ -305,25 +319,6 @@ def test_sop_monotone_in_parameters(ms4):
 # identity and ordering checks
 # ---------------------------------------------------------------------------
 
-def test_binomial_unit_identity_exact():
-    for k in range(1, 13):
-        assert sec.binomial_unit_identity(k) == 1
-
-
-def test_independent_offset_term_increases_with_k():
-    for ge in (0.1, 1.0, 10.0, 100.0):
-        ys = [sec.independent_eve_offset_term(k, ge) for k in range(1, 13)]
-        assert all(b > a for a, b in zip(ys, ys[1:]))
-
-
-def test_independent_gain_term_identity_and_growth():
-    for k in range(1, 13):
-        assert sec.independent_eve_gain_term(k, 4, 4) == 1
-    for m in range(0, 4):
-        ys = [sec.independent_eve_gain_term(k, 4, m) for k in range(1, 13)]
-        assert all(b > a for a, b in zip(ys, ys[1:]))
-
-
 def _offset_term_oracle(k, mu):
     # E ln(1 + max of K Eves) = mu int_0^inf [1 - (1 - e^-t)^K] / (1 + mu t) dt
     def f(t):
@@ -348,26 +343,12 @@ def test_independent_eve_terms_stay_exact_for_many_eves():
         assert all(b > a for a, b in zip(ys, ys[1:]))
     for k in (20, 40, 60, 80):
         d, ag = sec.diversity_and_gain(LinkBudget(100.0, 1.0, k, Scenario.MIE), ms, 1)
-        lead = sec.sop_leading_coeff(Scenario.MIE, ms.sigmas, 1.0, 1, k)
+        lead = thm.sop_leading_coeff(Scenario.MIE, ms.sigmas, 1.0, 1, k)
         # ag^(-dof) is the leading outage coefficient
         want = math.exp(-(math.log(lead.numerator)
                           - math.log(lead.denominator)) / d)
         assert math.isfinite(ag)
         assert ag == pytest.approx(want, rel=1e-12)
-
-
-def test_collaborative_offset_gap_positive():
-    # consistent with the collaborative scenario having the larger offset
-    for ge in (0.1, 1.0, 10.0, 100.0):
-        for k in range(2, 13):
-            assert sec.collaborative_vs_independent_offset_gap(k, ge) > 0.0
-
-
-def test_collaborative_gain_gap():
-    for k in range(2, 13):
-        assert sec.collaborative_gain_term_gap(k, 4, 4) == 0
-        for m in range(0, 4):
-            assert sec.collaborative_gain_term_gap(k, 4, m) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +364,7 @@ SPECTRA = {2: [3, 1], 3: [7, 3, 2], 4: [4, 3, 2, 1]}
 def test_inverse_snr_coefficients_cancel_exactly(scen, k, n):
     sig = SPECTRA[n]
     for q in range(4):
-        poly = sec.sop_inverse_snr_poly(scen, sig, 2, 1, q, n, k)
+        poly = thm.sop_inverse_snr_poly(scen, sig, 2, 1, q, n, k)
         assert all(c == 0 for c in poly[:n])
         if q >= 1:
             assert poly[n] == 0
@@ -394,8 +375,8 @@ def test_inverse_snr_coefficients_cancel_exactly(scen, k, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_leading_coefficient_matches_gain_law(scen, k, n):
     sig = SPECTRA[n]
-    total = sec.sop_poly_mixture(scen, sig, 2, 1, 6, n, k)
-    lead = sec.sop_leading_coeff(scen, sig, 2, 1, k)
+    total = thm.sop_poly_mixture(scen, sig, 2, 1, 6, n, k)
+    lead = thm.sop_leading_coeff(scen, sig, 2, 1, k)
     assert all(c == 0 for c in total[:n])
     assert total[n] == lead
     # and the array-gain law reproduces it numerically

@@ -125,6 +125,12 @@ def test_k1_reduces_to_single_eve(scenario):
     xs = np.linspace(0.0, 20.0, 50)
     assert np.allclose(snr.eve_pdf(xs, lb1), snr.eve_pdf(xs, lb_se), rtol=1e-12)
     assert np.allclose(snr.eve_cdf(xs, lb1), snr.eve_cdf(xs, lb_se), rtol=1e-12)
+    # SE runs as the K = 1 independent law, bit for bit the exponential one
+    assert np.array_equal(snr.eve_pdf(xs, lb_se), np.exp(-xs / 2.5) / 2.5)
+    assert np.array_equal(snr.eve_cdf(xs, lb_se), -np.expm1(-xs / 2.5))
+    got = snr.sample_eve(lb_se, np.random.default_rng(5), size=1000)
+    want = 2.5 * np.random.default_rng(5).standard_exponential(1000)
+    assert np.array_equal(got, want)
 
 
 def test_mce_mean_is_k_gamma_e():
