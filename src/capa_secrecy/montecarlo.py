@@ -26,9 +26,6 @@ class McEstimate:
     n_trials: int
     seed: int
 
-    def within(self, value: float, n_sigma: float = 3.0) -> bool:
-        return abs(value - self.mean) <= n_sigma * self.std_err
-
 
 class _Welford:
     """Streaming mean/variance with exact block merging."""

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as sps
 
 from .specfun import DomainError
-from .spectral import SpectralDecomposition
+from .spectral import ComputationError, SpectralDecomposition
 
 
 class Scenario(str, enum.Enum):
@@ -36,8 +36,9 @@ class LinkBudget:
     scenario: Scenario = Scenario.SE
 
     def __post_init__(self):
-        if self.gamma_bar_b <= 0.0 or self.gamma_bar_e <= 0.0:
-            raise DomainError("average SNRs must be positive")
+        if not (0.0 < self.gamma_bar_b < math.inf
+                and 0.0 < self.gamma_bar_e < math.inf):
+            raise DomainError("average SNRs must be positive and finite")
         if self.k_eves < 1:
             raise DomainError("need at least one eavesdropper")
         if self.scenario == Scenario.SE and self.k_eves != 1:
@@ -86,7 +87,8 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
 
     psi_q = sum_{k=1}^{q} [sum_l (1 - sigma_min/sigma_l)^k] psi_{q-k} / q,
     psi_0 = 1.  q_max grows adaptively (doubling, up to q_cap) until the
-    mixture-weight tail 1 - prefix * sum(psi) drops below series_tol.
+    mixture-weight tail 1 - prefix * sum(psi) drops below series_tol;
+    a tail still above it at q_cap raises ComputationError.
 
     Accepts a SpectralDecomposition or a raw eigenvalue array (synthetic
     spectra are used by the verification suite).
@@ -131,6 +133,9 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
         if residual <= series_tol or q >= q_cap:
             break
         q = min(2 * q, q_cap)
+    if not residual <= series_tol:
+        raise ComputationError(f"mixture tail {residual:.3g} > series_tol "
+                               f"{series_tol:g} at q = {q}")
 
     psi_arr = np.array(psis[:q + 1])
     with np.errstate(divide="ignore"):

@@ -1,6 +1,6 @@
 """Special functions for the secrecy analytics.
 
-The exponential integral E1 (plain, scaled and logarithmic), log-domain
+The exponential integral E1 (scaled and logarithmic), log-domain
 combinatorics and harmonic numbers.  All functions here are pure and operate
 on plain floats; a signed log-domain value type (`SignedLog`) is provided for
 summations whose terms overflow or cancel.
@@ -86,19 +86,6 @@ def _e1_cf_scaled(x: float) -> float:
         if abs(delta - 1) < _E1_EPS:
             return h
     raise ArithmeticError("continued fraction for E1 failed to converge")
-
-
-def exp_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf e^(-u)/u du, x > 0.
-
-    Power series below 1, continued fraction above; underflows to 0 for
-    x beyond ~745 (use scaled_e1 there).
-    """
-    if x <= 0.0:
-        raise DomainError("E1 requires x > 0")
-    if x < 1.0:
-        return _e1_power_series(float(x))
-    return math.exp(-x) * _e1_cf_scaled(float(x))
 
 
 def scaled_e1(x: float) -> float:

@@ -166,36 +166,24 @@ def _db_to_lin(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-class _Workspace:
-    """Spectrum/series cache shared across grid points of one sweep.
-
-    The unit Gauss-Legendre rule is computed on the first spectrum cache
-    miss and reused for every aperture length of the sweep.
-    """
-
-    def __init__(self, cfg: SweepConfig, cache_dir=None):
-        self.cfg = cfg
-        self.cache_dir = cache_dir
-        self._spec = {}
-        self._ms = {}
-        self._unit_rule = functools.cache(np.polynomial.legendre.leggauss)
-
-    def spectrum(self, aperture_len_m: float):
-        key = aperture_len_m
-        if key not in self._spec:
-            geom = spc.ApertureGeometry(self.cfg.wavelength_m, aperture_len_m)
-            self._spec[key] = spc.cached_decompose(
-                geom, self.cfg.quadrature_order, self.cfg.epsilon_floor,
-                cache_dir=self.cache_dir, unit_rule=self._unit_rule)
-        return self._spec[key]
-
-    def series(self, aperture_len_m: float):
-        key = aperture_len_m
-        if key not in self._ms:
-            self._ms[key] = snr.build_psi(
-                self.spectrum(aperture_len_m), self.cfg.q_floor,
-                series_tol=self.cfg.series_tol)
-        return self._ms[key]
+def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
+    """Each distinct aperture length of the grid, in grid order, mapped to
+    its (spectrum, series) pair or to the exception that stopped it."""
+    # one unit Gauss-Legendre rule per sweep, made on the first cache miss
+    unit_rule = functools.cache(np.polynomial.legendre.leggauss)
+    lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
+    stage = {}
+    for length in map(float, lengths):
+        try:
+            spec = spc.cached_decompose(
+                spc.ApertureGeometry(cfg.wavelength_m, length),
+                cfg.quadrature_order, cfg.epsilon_floor,
+                cache_dir=cache_dir, unit_rule=unit_rule)
+            stage[length] = spec, snr.build_psi(spec, cfg.q_floor,
+                                                series_tol=cfg.series_tol)
+        except Exception as exc:  # every point at this length reports it
+            stage[length] = exc
+    return stage
 
 
 def _point_params(cfg: SweepConfig, value: float):
@@ -214,50 +202,48 @@ def _point_params(cfg: SweepConfig, value: float):
     return gamma_b, gamma_e, aperture, k
 
 
-def _eval_point(ws: _Workspace, cfg: SweepConfig, value: float, scen_name: str,
+def _eval_point(stage: dict, cfg: SweepConfig, value: float, scen_name: str,
                 evaluator: str, point_seed: int):
-    """Returns {metric: (result, std_err_or_None)} for one grid point."""
+    """{metric: (result, std_err_or_None)} for one grid point, in the order
+    of cfg.outputs."""
     gamma_b, gamma_e, aperture, k = _point_params(cfg, value)
     if scen_name == "SE":
         k = 1
     lb = LinkBudget(gamma_b, gamma_e, k, Scenario(scen_name))
-    ms = ws.series(aperture)
+    resolved = stage[aperture]
+    if isinstance(resolved, Exception):
+        # each point starts a new traceback; re-raising would extend the old
+        raise resolved.with_traceback(None)
+    ms = resolved[1]
     r0 = cfg.target_rate_r0
-    out = {}
     wanted = cfg.outputs
     if evaluator in _SAMPLED:
-        if "rate" in wanted or "sop" in wanted:
-            ests = _SAMPLED[evaluator](cfg, lb, ms, aperture, point_seed)
-            for metric, est in zip(("rate", "sop"), ests):
-                if metric in wanted:
-                    out[metric] = (est.mean, est.std_err)
-        return out
+        if "rate" not in wanted and "sop" not in wanted:
+            return {}
+        rate, sop = _SAMPLED[evaluator](cfg, lb, ms, aperture, point_seed)
+        got = {"rate": (rate.mean, rate.std_err), "sop": (sop.mean, sop.std_err)}
+        return {m: got[m] for m in wanted if m in got}
     rate_fn, sop_fn = sec.ANALYTIC_EVALUATORS[evaluator]
-    if "rate" in wanted:
-        out["rate"] = (rate_fn(lb, ms), None)
-    if "sop" in wanted:
-        out["sop"] = (sop_fn(lb, ms, r0), None)
+    fns = {"rate": lambda: rate_fn(lb, ms), "sop": lambda: sop_fn(lb, ms, r0)}
     if evaluator == "closed-form":
         # scalar high-SNR characterizations ride with the closed-form rows
-        if "slope" in wanted:
-            out["slope"] = (sec.high_snr_slope(ms), None)
-        if "offset" in wanted:
-            out["offset"] = (sec.high_snr_offset(lb, ms), None)
-        if "gain" in wanted:
-            out["gain"] = (sec.diversity_and_gain(lb, ms, r0)[1], None)
-    return out
+        fns.update(slope=lambda: sec.high_snr_slope(ms),
+                   offset=lambda: sec.high_snr_offset(lb, ms),
+                   gain=lambda: sec.diversity_and_gain(lb, ms, r0)[1])
+    return {m: (fns[m](), None) for m in wanted if m in fns}
 
 
 def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
               summary_stream=None) -> int:
     """Execute the sweep; returns the process exit code (0 ok, 1 point errors).
 
-    Grid points may run on a worker pool (cfg.workers > 1); per-point seeds
-    are derived from the root seed and the grid index, and rows are emitted
-    in grid order, so output is identical for any worker count.
+    Every aperture length is resolved once before any grid point runs; the
+    points then run on a worker pool (cfg.workers > 1) or in turn.  Per-point
+    seeds are derived from the root seed and the grid index, and rows are
+    emitted in grid order, so output is identical for any worker count.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
-    ws = _Workspace(cfg, cache_dir=cache_dir)
+    stage = _resolve_apertures(cfg, cache_dir)
     tasks = []
     for vi, value in enumerate(cfg.values):
         for si, scen in enumerate(cfg.scenarios):
@@ -270,20 +256,19 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
         value, scen, ev, point_seed = task
         t0 = time.perf_counter()
         try:
-            res, err = _eval_point(ws, cfg, value, scen, ev, point_seed), None
+            res, err = _eval_point(stage, cfg, value, scen, ev, point_seed), None
         except Exception as exc:  # keep sweeping, tag the row
             res, err = {}, exc
         return res, err, (time.perf_counter() - t0) * 1e3
 
-    if cfg.workers > 1:
-        # pre-warm the shared spectrum cache so threads never race the solver
-        for value, _, _, _ in tasks:
-            ws.series(value if cfg.axis == "aperture_len" else cfg.aperture_len_m)
+    if cfg.workers == 1:
+        # the builtin map: an executor would finish every queued point
+        # before Ctrl-C could stop the sweep
+        results = list(map(run_one, tasks))
+    else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
 
     rows = []
     had_error = False
@@ -295,10 +280,7 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
                         f"error,error:{type(err).__name__},,"
                         f"{point_seed},{wall_s}")
             continue
-        for metric in cfg.outputs:
-            if metric not in res:
-                continue
-            r, se = res[metric]
+        for metric, (r, se) in res.items():
             se_s = "" if se is None else _fmt(se)
             rows.append(f"{cfg.axis},{_fmt(value)},{scen},{ev},"
                         f"{metric},{_fmt(r)},{se_s},{point_seed},{wall_s}")
@@ -306,14 +288,17 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     for row in rows:
         out_stream.write(row + "\n")
 
-    summary_len = (float(cfg.values[0]) if cfg.axis == "aperture_len"
-                   else cfg.aperture_len_m)
-    base_spec = ws.spectrum(summary_len)
-    counts = {e: spc.landau_count(base_spec, e) for e in (0.01, 0.5, 0.99)}
-    print(f"spectrum: aperture_len={summary_len:g} dof={base_spec.dof} "
-          f"trace_residual={base_spec.trace_residual:.3e} "
-          f"landau_counts(eps=0.01/0.5/0.99)="
-          f"{counts[0.01]}/{counts[0.5]}/{counts[0.99]}", file=summary)
+    # the first length of the grid: values[0] on the aperture axis
+    summary_len, resolved = next(iter(stage.items()))
+    if isinstance(resolved, Exception):
+        detail = f"error:{type(resolved).__name__}: {resolved}"
+    else:
+        spec = resolved[0]
+        counts = [spc.landau_count(spec, e) for e in (0.01, 0.5, 0.99)]
+        detail = (f"dof={spec.dof} trace_residual={spec.trace_residual:.3e} "
+                  "landau_counts(eps=0.01/0.5/0.99)="
+                  + "/".join(map(str, counts)))
+    print(f"spectrum: aperture_len={summary_len:g} {detail}", file=summary)
     return 1 if had_error else 0
 
 

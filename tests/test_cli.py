@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capa_secrecy import cli
+from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
 from capa_secrecy import sweep as sw
 
@@ -173,11 +174,56 @@ def test_sweep_cli_overrides(tmp_path):
     assert all(r["evaluator"] == "monte-carlo" for r in rows)
 
 
+# 74.94 m is 600 wavelengths: dof 1200 needs 2400 quadrature points, so
+# decompose() raises DomainError at the quadrature order of small_config
+FAILING_LENGTHS = dict(axis="aperture_len", values=[0.4996, 74.94])
+
+
 def test_worker_pool_output_identical():
-    base = small_config(evaluators=["quadrature", "monte-carlo"])
-    _, seq = run_sweep_to_string(base)
-    _, par = run_sweep_to_string({**base, "workers": 4})
-    assert seq == par
+    for grid, code in (({}, 0), (FAILING_LENGTHS, 1)):
+        base = small_config(evaluators=["quadrature", "monte-carlo"], **grid)
+        seq = run_sweep_to_string(base)
+        assert run_sweep_to_string({**base, "workers": 4}) == seq
+        assert seq[0] == code
+
+
+def test_each_aperture_resolved_once(monkeypatch):
+    calls = {"cached_decompose": [], "build_psi": []}
+
+    def counting(module, name, length_of):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(length_of(args[0]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(spc, "cached_decompose", lambda geom: geom.aperture_len_m)
+    counting(snr, "build_psi", lambda spec: spec.aperture_len_m)
+
+    def sweep(values):
+        for c in calls.values():
+            c.clear()
+        summary = io.StringIO()
+        code = sw.run_sweep(sw.config_from_dict(small_config(
+            axis="aperture_len", values=values,
+            evaluators=["quadrature", "asymptotic"])),
+            io.StringIO(), summary_stream=summary)
+        return code, summary.getvalue()
+
+    # every length once, the failing ones included; a failed spectrum
+    # leaves no series to build
+    code, summary = sweep([0.4996, 74.94, 149.88])
+    assert code == 1
+    assert calls == {"cached_decompose": [0.4996, 74.94, 149.88],
+                     "build_psi": [0.4996]}
+    assert summary.startswith("spectrum: aperture_len=0.4996 dof=8 ")
+    # the summary reports a failed first length instead of solving again
+    code, summary = sweep([74.94, 149.88])
+    assert code == 1
+    assert calls == {"cached_decompose": [74.94, 149.88], "build_psi": []}
+    assert summary == ("spectrum: aperture_len=74.94 error:DomainError: "
+                       "need t >= 2*dof = 2400 quadrature points, got 120\n")
 
 
 def test_wall_ms_only_with_timing_flag():

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from capa_secrecy import snr_models as snr
 from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import DomainError
+from capa_secrecy.spectral import ComputationError
 
 
 def hypoexp_pdf(x, scales):
@@ -22,6 +23,11 @@ def hypoexp_pdf(x, scales):
 def test_link_budget_validation():
     with pytest.raises(DomainError):
         LinkBudget(-1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            LinkBudget(bad, 1.0)
+        with pytest.raises(DomainError):
+            LinkBudget(1.0, bad)
     with pytest.raises(DomainError):
         LinkBudget(1.0, 1.0, 3, Scenario.SE)
     with pytest.raises(DomainError):
@@ -47,6 +53,9 @@ def test_psi_rejects_bad_eigenvalues():
         snr.build_psi(np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         snr.build_psi(np.array([2.0, 1.0]), q_max=0)
+    # a spread this wide leaves a 0.135 tail at q_cap = 2000
+    with pytest.raises(ComputationError, match="mixture tail"):
+        snr.build_psi(np.array([1.0, 1e-3]))
 
 
 def test_bob_pdf_matches_partial_fractions(ms_synth):
