@@ -17,6 +17,7 @@ from .spectral import ApertureGeometry
 from .specfun import DomainError
 
 _BLOCK = 1 << 17  # fixed block size keeps merges deterministic
+MIN_TRIALS = 10_000  # mc_secrecy's floor
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ def mc_secrecy(lb: LinkBudget, ms: MoschopoulosSeries, r0: float,
     Bob's SNR is drawn from the eigenvalues of `ms`; Eve draws come from
     the per-scenario SNR laws, independent of Bob's channel.
     """
-    if n_trials < 10_000:
-        raise DomainError("need at least 1e4 trials")
+    if n_trials < MIN_TRIALS:
+        raise DomainError(f"need at least {MIN_TRIALS} trials")
     return _secrecy_loop(lambda rng, n: sample_bob(ms, lb, rng, size=n),
                          lambda rng, n: sample_eve(lb, rng, size=n),
                          r0, n_trials, seed)
@@ -110,7 +111,8 @@ def spda_baseline(lb: LinkBudget, geom: ApertureGeometry, r0: float,
     gain normalization is a documented modeling assumption; the comparison
     targets are qualitative (continuous aperture dominates).
     """
-    n_el = int(2.0 * geom.aperture_len_m / geom.wavelength_m)
+    ratio = 2.0 * geom.aperture_len_m / geom.wavelength_m
+    n_el = math.floor(ratio + 1e-9 * max(1.0, ratio))  # geom.dof's tolerance
     if n_el < 2:
         raise DomainError("need at least 2 array elements (aperture too short)")
     a_el = SPDA_ELEMENT_APERTURE_RATIO

@@ -8,7 +8,6 @@ the Landau step profile: eigenvalues near lambda/2 on a plateau of width
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -21,6 +20,8 @@ import numpy as np
 from .specfun import DomainError
 
 log = logging.getLogger(__name__)
+
+EPSILON_FLOOR = 1e-8  # decompose() keeps the first dof eigenvalues and all above it
 
 
 class ComputationError(RuntimeError):
@@ -125,8 +126,7 @@ def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):
     return half * x, half * w
 
 
-def decompose(geom: ApertureGeometry, t: int, epsilon_floor: float = 1e-8,
-              unit_rule=None) -> SpectralDecomposition:
+def decompose(geom: ApertureGeometry, t: int, unit_rule=None) -> SpectralDecomposition:
     """Nystrom eigenvalues of the sinc kernel.
 
     The quadrature-weighted kernel matrix is symmetrized as
@@ -137,11 +137,11 @@ def decompose(geom: ApertureGeometry, t: int, epsilon_floor: float = 1e-8,
     eigenvalue solve (Slepian-Pollak parity).  An odd t adds a centre node
     shared by the mirrored pairs: its row and column of the even block carry
     a 1/sqrt(2), and it is absent from the odd block.  Keeps every
-    eigenvalue with epsilon >= epsilon_floor and at least `dof` of them.
+    eigenvalue with epsilon >= EPSILON_FLOOR and at least `dof` of them.
     """
-    if not (0.0 < epsilon_floor < 1.0):
-        raise DomainError("epsilon_floor must lie in (0, 1)")
     dof = geom.dof
+    if dof < 1:
+        raise DomainError("aperture shorter than lambda/4 has dof = 0")
     if t < 2 * dof:
         raise DomainError(f"need t >= 2*dof = {2 * dof} quadrature points, got {t}")
     nodes, weights = gauss_legendre_rule(t, geom, unit_rule)
@@ -163,7 +163,7 @@ def decompose(geom: ApertureGeometry, t: int, epsilon_floor: float = 1e-8,
             f"eigensolve failed for t={t}, L={geom.aperture_len_m}: {exc}"
         ) from exc
     vals = np.clip(np.sort(vals)[::-1], 0.0, None)
-    keep = max(dof, int(np.sum(vals / (0.5 * geom.wavelength_m) >= epsilon_floor)))
+    keep = max(dof, int(np.sum(vals / (0.5 * geom.wavelength_m) >= EPSILON_FLOOR)))
     return SpectralDecomposition(
         wavelength_m=geom.wavelength_m,
         aperture_len_m=geom.aperture_len_m,
@@ -189,36 +189,34 @@ def landau_prediction(spec: SpectralDecomposition, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# on-disk cache (keyed by format, wavelength, length, order, eigenvalue floor)
+# on-disk cache (keyed by format, wavelength, length and quadrature order; a
+# change to the solver or to EPSILON_FLOOR needs a new format)
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT = 4
+_CACHE_FORMAT = 5
 
 
-def cache_key(wavelength_m: float, aperture_len_m: float, t: int,
-              epsilon_floor: float) -> str:
-    return (f"spectrum_v{_CACHE_FORMAT}_{wavelength_m:.12e}_{aperture_len_m:.12e}"
-            f"_{t}_{epsilon_floor:.12e}")
+def cache_key(wavelength_m: float, aperture_len_m: float, t: int) -> str:
+    return f"spectrum_v{_CACHE_FORMAT}_{wavelength_m:.12e}_{aperture_len_m:.12e}_{t}"
 
 
 def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
-    """Write `spec` to `path` (".npz" appended if missing) atomically.
+    """Write the eigenvalues and trace of `spec` to `path` (".npz" appended
+    if missing) atomically.
 
     The data goes to a temporary file in the same directory that is then
     renamed over `path`, so a concurrent reader sees either no entry or a
     complete one.  The entry gets the mode a plain file would (0666 less
     the umask), so a shared cache directory stays readable.  It holds only
-    the kept eigenvalues (1.6 KB at dof 80), so it is stored uncompressed.
+    the kept eigenvalues (1.4 KB at dof 80), so it is stored uncompressed.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    meta = dict(wavelength_m=spec.wavelength_m, aperture_len_m=spec.aperture_len_m,
-                dof=spec.dof, trace=spec.trace)
     fd, tmp = tempfile.mkstemp(suffix=".npz", dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, meta=json.dumps(meta), sigmas=spec.sigmas)
+            np.savez(fh, sigmas=spec.sigmas, trace=spec.trace)
         umask = os.umask(0)  # the umask can only be read by setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -228,38 +226,32 @@ def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
         raise
 
 
-def load_decomposition(path: str) -> SpectralDecomposition:
-    """Read an entry written by save_decomposition (compressed or not)."""
+def load_decomposition(path: str, geom: ApertureGeometry) -> SpectralDecomposition:
+    """Read an entry written by save_decomposition (compressed or not) as
+    the spectrum of `geom`; the SpectralDecomposition checks reject an
+    entry that cannot belong to it."""
     with np.load(path) as data:
-        meta = json.loads(str(data["meta"]))
-        return SpectralDecomposition(
-            wavelength_m=meta["wavelength_m"],
-            aperture_len_m=meta["aperture_len_m"],
-            sigmas=data["sigmas"],
-            dof=int(meta["dof"]),
-            trace=float(meta["trace"]),
-        )
+        return SpectralDecomposition(geom.wavelength_m, geom.aperture_len_m,
+                                     data["sigmas"], geom.dof, float(data["trace"]))
 
 
-def cached_decompose(geom: ApertureGeometry, t: int,
-                     epsilon_floor: float = 1e-8,
-                     cache_dir: str | None = None,
+def cached_decompose(geom: ApertureGeometry, t: int, cache_dir: str | None = None,
                      unit_rule=None) -> SpectralDecomposition:
     """decompose() with an optional .npz cache in `cache_dir`.
 
     `unit_rule` is passed to decompose() and only called on a cache miss.
     """
     if not cache_dir:
-        return decompose(geom, t, epsilon_floor, unit_rule)
+        return decompose(geom, t, unit_rule)
     os.makedirs(cache_dir, exist_ok=True)
-    key = cache_key(geom.wavelength_m, geom.aperture_len_m, t, epsilon_floor)
+    key = cache_key(geom.wavelength_m, geom.aperture_len_m, t)
     path = os.path.join(cache_dir, key + ".npz")
     if os.path.exists(path):
         try:
-            return load_decomposition(path)
+            return load_decomposition(path, geom)
         except Exception as exc:
-            log.warning("unreadable spectrum cache entry %s (%s: %s); "
+            log.warning("unusable spectrum cache entry %s (%s: %s); "
                         "recomputing", path, type(exc).__name__, exc)
-    spec = decompose(geom, t, epsilon_floor, unit_rule)
+    spec = decompose(geom, t, unit_rule)
     save_decomposition(spec, path)
     return spec

@@ -62,9 +62,6 @@ class SweepConfig:
     k_eves: int = 5
     target_rate_r0: float = 3.0
     quadrature_order: int = 1000
-    q_floor: int = 160
-    epsilon_floor: float = 1e-8
-    series_tol: float = 1e-8
     n_trials: int = 200_000
     seed: int = 20260810
     workers: int = 1
@@ -80,15 +77,13 @@ class SweepConfig:
         def bad(fieldname, msg):
             raise ConfigError(f"{fieldname}: {msg}")
 
-        for name in ("wavelength_m", "aperture_len_m", "target_rate_r0",
-                     "epsilon_floor", "series_tol"):
+        for name in ("wavelength_m", "aperture_len_m", "target_rate_r0"):
             if not (_number(getattr(self, name)) and getattr(self, name) > 0):
                 bad(name, "must be a positive finite number")
         for name in ("gamma_b_db", "gamma_e_db"):
             if not _number(getattr(self, name)):
                 bad(name, "must be a finite number")
-        for name in ("k_eves", "quadrature_order", "q_floor", "n_trials",
-                     "workers"):
+        for name in ("k_eves", "quadrature_order", "n_trials", "workers"):
             v = getattr(self, name)
             if not (_number(v, int) and v > 0):
                 bad(name, "must be a positive integer")
@@ -119,6 +114,8 @@ class SweepConfig:
             for x in items:
                 if x not in known:
                     bad(name, f"unknown {name[:-1]} {x!r}")
+        if "monte-carlo" in self.evaluators and self.n_trials < mc.MIN_TRIALS:
+            bad("n_trials", f"monte-carlo needs at least {mc.MIN_TRIALS}")
         return self
 
 
@@ -177,10 +174,8 @@ def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
         try:
             spec = spc.cached_decompose(
                 spc.ApertureGeometry(cfg.wavelength_m, length),
-                cfg.quadrature_order, cfg.epsilon_floor,
-                cache_dir=cache_dir, unit_rule=unit_rule)
-            stage[length] = spec, snr.build_psi(spec, cfg.q_floor,
-                                                series_tol=cfg.series_tol)
+                cfg.quadrature_order, cache_dir=cache_dir, unit_rule=unit_rule)
+            stage[length] = spec, snr.build_psi(spec)
         except Exception as exc:  # every point at this length reports it
             stage[length] = exc
     return stage

@@ -19,7 +19,6 @@ def small_config(**overrides):
         "k_eves": 3,
         "target_rate_r0": 1.0,
         "quadrature_order": 120,
-        "q_floor": 160,
         "n_trials": 20000,
         "seed": 42,
         "axis": "gamma_b_db",
@@ -93,6 +92,10 @@ def test_missing_config_exit_2(capsys):
     ({"gamma_b_db": float("nan")}, "gamma_b_db"),
     ({"wavelength_m": float("inf")}, "wavelength_m"),
     ({"timing": "no"}, "timing"),
+    ({"q_floor": 160}, "q_floor"),
+    ({"series_tol": 1e-8}, "series_tol"),
+    ({"epsilon_floor": 1e-8}, "epsilon_floor"),
+    ({"n_trials": 5000}, "n_trials"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -106,7 +109,6 @@ def test_table1_preset():
     assert cfg.gamma_e_db == 20.0
     assert cfg.k_eves == 5
     assert cfg.target_rate_r0 == 3.0
-    assert cfg.q_floor == 160
     assert cfg.quadrature_order == 1000
     assert cfg.aperture_len_m == pytest.approx(40 * 0.1249)
     with pytest.raises(sw.ConfigError, match="preset"):
@@ -226,6 +228,25 @@ def test_each_aperture_resolved_once(monkeypatch):
                        "need t >= 2*dof = 2400 quadrature points, got 120\n")
 
 
+def test_zero_dof_aperture_rows_are_domain_errors():
+    # 0.01 m is under lambda/4: the aperture has no degree of freedom
+    code, text = run_sweep_to_string(small_config(
+        axis="aperture_len", values=[0.01, 0.4996], evaluators=["quadrature"]))
+    assert code == 1
+    rows = parse_rows(text)
+    short = [r for r in rows if r["value"] == 0.01]
+    assert short and all(r["result"] == "error:DomainError" for r in short)
+    assert all(r["metric"] != "error" for r in rows if r["value"] == 0.4996)
+
+
+def test_spda_alone_keeps_its_trial_count():
+    # the Monte Carlo floor binds only when monte-carlo is requested
+    code, text = run_sweep_to_string(small_config(
+        n_trials=5000, values=[10.0], scenarios=["SE"], evaluators=["spda-mc"]))
+    assert code == 0
+    assert {r["metric"] for r in parse_rows(text)} == {"rate", "sop"}
+
+
 def test_wall_ms_only_with_timing_flag():
     _, text = run_sweep_to_string(small_config(evaluators=["quadrature"]))
     assert all(r["wall"] == "" for r in parse_rows(text))
@@ -338,6 +359,7 @@ def test_spectrum_subcommand(capsys):
     ["--lambda", "0", "--length", "0.4996", "--t", "40"],
     ["--lambda", "0.1249", "--length=-1", "--t", "40"],
     ["--lambda", "nan", "--length", "0.4996", "--t", "40"],
+    ["--lambda", "0.1249", "--length", "0.01", "--t", "40"],
 ])
 def test_spectrum_bad_arguments_exit_2(capsys, args):
     assert cli.main(["spectrum", *args]) == 2

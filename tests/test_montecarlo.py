@@ -126,6 +126,17 @@ def test_spda_requires_two_elements():
         mc.spda_baseline(lb, bad, 1.0, 20_000, 0)
 
 
+def test_spda_element_count_matches_dof():
+    # 2 * 0.7 / 0.1 is 13.999999999999998 in floats; the array has 14
+    # elements, as many as a hair longer aperture and as geom.dof says
+    lb = LinkBudget(10.0, 1.0)
+    geom = spc.ApertureGeometry(0.1, 0.7)
+    assert geom.dof == 14
+    longer = spc.ApertureGeometry(0.1, 0.7 + 1e-10)
+    assert (mc.spda_baseline(lb, geom, 1.0, 10_000, 3)
+            == mc.spda_baseline(lb, longer, 1.0, 10_000, 3))
+
+
 def test_spda_dominated_by_continuous_aperture():
     spec8 = make_spectrum(4.0, 200)
     ms8 = snr.build_psi(spec8)

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import stat
@@ -106,10 +105,10 @@ def _assert_same_spectrum(a, b):
     assert a.sigma_min == b.sigma_min
 
 
-def test_cache_round_trip(tmp_path, spec4):
+def test_cache_round_trip(tmp_path, spec4, geom):
     path = tmp_path / "spec.npz"
     spc.save_decomposition(spec4, str(path))
-    _assert_same_spectrum(spc.load_decomposition(str(path)), spec4)
+    _assert_same_spectrum(spc.load_decomposition(str(path), geom), spec4)
 
 
 def test_cache_entry_holds_only_eigenvalues(tmp_path, spec80):
@@ -128,15 +127,6 @@ def test_cached_decompose_uses_directory(tmp_path):
     assert np.array_equal(first.sigmas, again.sigmas)
 
 
-def test_cache_key_separates_epsilon_floor(tmp_path, geom):
-    fine = spc.cached_decompose(geom, 100, 1e-8, cache_dir=str(tmp_path))
-    coarse = spc.cached_decompose(geom, 100, 1e-2, cache_dir=str(tmp_path))
-    assert len(fine.sigmas) > len(coarse.sigmas)
-    assert len(list(tmp_path.glob("*.npz"))) == 2
-    again = spc.cached_decompose(geom, 100, 1e-2, cache_dir=str(tmp_path))
-    assert len(again.sigmas) == len(coarse.sigmas)
-
-
 def test_truncated_cache_entry_is_recomputed(tmp_path, caplog, geom):
     first = spc.cached_decompose(geom, 100, cache_dir=str(tmp_path))
     (entry,) = tmp_path.glob("*.npz")
@@ -146,7 +136,8 @@ def test_truncated_cache_entry_is_recomputed(tmp_path, caplog, geom):
     assert any("spectrum cache entry" in r.getMessage() for r in caplog.records)
     assert np.array_equal(first.sigmas, again.sigmas)
     # the recomputed entry replaced the broken one
-    assert np.array_equal(spc.load_decomposition(str(entry)).sigmas, first.sigmas)
+    assert np.array_equal(spc.load_decomposition(str(entry), geom).sigmas,
+                          first.sigmas)
 
 
 def test_cache_write_leaves_no_temporary_file(tmp_path, spec4, geom):
@@ -190,11 +181,11 @@ def test_unit_rule_is_scaled_to_the_aperture(geom):
     _assert_same_spectrum(a, b)
 
 
-@pytest.mark.parametrize("old_format", [2, 3])
+@pytest.mark.parametrize("old_format", [2, 3, 4])
 def test_old_format_cache_entry_is_not_read(tmp_path, geom, spec4, old_format):
     # an entry written under an earlier format's key holds another solver's
-    # output, so the current key must not find it
-    old_key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120, 1e-8)
+    # output or layout, so the current key must not find it
+    old_key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120)
     old_key = old_key.replace(f"_v{spc._CACHE_FORMAT}_", f"_v{old_format}_")
     assert old_key.startswith(f"spectrum_v{old_format}_")
     spc.save_decomposition(spc.decompose(geom, 100), str(tmp_path / old_key))
@@ -215,16 +206,10 @@ def test_cache_entry_mode_follows_umask(tmp_path, spec4):
     assert stat.S_IMODE((tmp_path / "b.npz").stat().st_mode) == 0o600
 
 
-def _entry_meta(spec):
-    return json.dumps(dict(wavelength_m=spec.wavelength_m,
-                           aperture_len_m=spec.aperture_len_m,
-                           dof=spec.dof, trace=spec.trace))
-
-
-def test_compressed_cache_entry_still_loads(tmp_path, spec4):
+def test_compressed_cache_entry_still_loads(tmp_path, spec4, geom):
     path = tmp_path / "old.npz"
-    np.savez_compressed(path, meta=_entry_meta(spec4), sigmas=spec4.sigmas)
-    _assert_same_spectrum(spc.load_decomposition(str(path)), spec4)
+    np.savez_compressed(path, sigmas=spec4.sigmas, trace=spec4.trace)
+    _assert_same_spectrum(spc.load_decomposition(str(path), geom), spec4)
 
 
 def test_eigenvalues_above_half_wavelength_are_rejected():
@@ -241,13 +226,29 @@ def test_eigenvalues_above_half_wavelength_are_rejected():
 
 
 def test_short_cache_entry_is_recomputed(tmp_path, caplog, geom, spec4):
-    key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120, 1e-8)
+    key = spc.cache_key(geom.wavelength_m, geom.aperture_len_m, 120)
     entry = tmp_path / (key + ".npz")
-    np.savez(entry, meta=_entry_meta(spec4), sigmas=spec4.sigmas[:3])
+    np.savez(entry, sigmas=spec4.sigmas[:3], trace=spec4.trace)
     with pytest.raises(spc.ComputationError, match="need dof"):
-        spc.load_decomposition(str(entry))
+        spc.load_decomposition(str(entry), geom)
     with caplog.at_level("WARNING", logger="capa_secrecy.spectral"):
         got = spc.cached_decompose(geom, 120, cache_dir=str(tmp_path))
     assert any("spectrum cache entry" in r.getMessage() for r in caplog.records)
     _assert_same_spectrum(got, spec4)
-    _assert_same_spectrum(spc.load_decomposition(str(entry)), spec4)
+    _assert_same_spectrum(spc.load_decomposition(str(entry), geom), spec4)
+
+
+def test_entry_for_other_geometry_is_recomputed(tmp_path, caplog, spec4, spec6):
+    # an entry holds no geometry of its own: the request supplies it, and a
+    # 2-wavelength spectrum under the 3-wavelength key fails the trace check
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        geom6 = spc.ApertureGeometry(LAMBDA, 3 * LAMBDA)
+    key = spc.cache_key(geom6.wavelength_m, geom6.aperture_len_m, 160)
+    spc.save_decomposition(spec4, str(tmp_path / key))
+    with caplog.at_level("WARNING", logger="capa_secrecy.spectral"):
+        got = spc.cached_decompose(geom6, 160, cache_dir=str(tmp_path))
+    assert any("spectrum cache entry" in r.getMessage() for r in caplog.records)
+    assert got.dof == 6
+    _assert_same_spectrum(got, spec6)
+
