@@ -13,6 +13,6 @@ from .secrecy import (PrecisionLossError, asymptotic_rate,
                       secrecy_rate_closed, secrecy_rate_quadrature,
                       sop_asymptotic, sop_closed, sop_quadrature)
 from .montecarlo import (McEstimate, SPDA_ELEMENT_APERTURE_RATIO, mc_secrecy,
-                         spda_baseline)
+                         spda_baseline, unit_bob_draws)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Monte Carlo oracle and the half-wavelength discrete-array baseline.
 
 Channel realizations are drawn from the eigen-expansion of the aperture
-kernel (Bob) and from the per-scenario eavesdropper laws, in fixed-size
-blocks with seeds derived from one root seed, so estimates are bit-exact
-reproducible and independent of how work is scheduled.
+kernel (Bob; once per aperture) and from the per-scenario eavesdropper
+laws, in fixed-size blocks with seeds derived from one root seed, so
+estimates are bit-exact reproducible and independent of scheduling.
 """
 from __future__ import annotations
 
@@ -54,23 +54,32 @@ class _Welford:
                           self.n, seed)
 
 
-def _block_rngs(seed: int, n_trials: int):
-    n_blocks = (n_trials + _BLOCK - 1) // _BLOCK
-    for b in range(n_blocks):
-        size = min(_BLOCK, n_trials - b * _BLOCK)
-        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), size
+def _blocks(seed: int, n_trials: int):
+    for b, lo in enumerate(range(0, n_trials, _BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        yield rng, lo, min(_BLOCK, n_trials - lo)
+
+
+def unit_bob_draws(ms: MoschopoulosSeries, n_trials: int,
+                   seed: int) -> np.ndarray:
+    """Read-only draws of Bob's SNR at gamma_b = 1, shared by an aperture's
+    points (common random numbers); `seed` differs from every Eve stream."""
+    out = np.concatenate([sample_bob(ms, LinkBudget(1.0, 1.0), rng, size=n)
+                          for rng, _, n in _blocks(seed, n_trials)])
+    out.flags.writeable = False
+    return out
 
 
 def _secrecy_loop(draw_bob, draw_eve, r0: float, n_trials: int,
                   seed: int) -> tuple[McEstimate, McEstimate]:
-    """Blocked rate/outage estimates; each block draws Bob's SNRs, then Eve's."""
+    """Blocked rate/outage estimates; each block takes Bob's SNRs, then Eve's."""
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
     g = 2.0 ** r0
     rate_acc, sop_acc = _Welford(), _Welford()
-    for rng, size in _block_rngs(seed, n_trials):
-        rho_b = draw_bob(rng, size)
-        rho_e = draw_eve(rng, size)
+    for rng, lo, n in _blocks(seed, n_trials):
+        rho_b = draw_bob(rng, lo, n)
+        rho_e = draw_eve(rng, n)
         rates = np.maximum(np.log2(1.0 + rho_b) - np.log2(1.0 + rho_e), 0.0)
         outage = (rho_b < g * (1.0 + rho_e) - 1.0).astype(float)
         rate_acc.add(rates)
@@ -78,16 +87,16 @@ def _secrecy_loop(draw_bob, draw_eve, r0: float, n_trials: int,
     return rate_acc.estimate(seed), sop_acc.estimate(seed)
 
 
-def mc_secrecy(lb: LinkBudget, ms: MoschopoulosSeries, r0: float,
+def mc_secrecy(lb: LinkBudget, bob: np.ndarray, r0: float,
                n_trials: int, seed: int) -> tuple[McEstimate, McEstimate]:
     """Empirical secrecy rate and outage probability.
 
-    Bob's SNR is drawn from the eigenvalues of `ms`; Eve draws come from
-    the per-scenario SNR laws, independent of Bob's channel.
+    Bob's SNRs are the `unit_bob_draws` in `bob` scaled by gamma_b; Eve's
+    are drawn from `seed` by the per-scenario SNR laws.
     """
-    if n_trials < MIN_TRIALS:
-        raise DomainError(f"need at least {MIN_TRIALS} trials")
-    return _secrecy_loop(lambda rng, n: sample_bob(ms, lb, rng, size=n),
+    if n_trials < MIN_TRIALS or len(bob) != n_trials:
+        raise DomainError(f"need at least {MIN_TRIALS} trials, one Bob draw each")
+    return _secrecy_loop(lambda rng, lo, n: lb.gamma_bar_b * bob[lo:lo + n],
                          lambda rng, n: sample_eve(lb, rng, size=n),
                          r0, n_trials, seed)
 
@@ -109,8 +118,8 @@ def spda_baseline(lb: LinkBudget, geom: ApertureGeometry, r0: float,
     is the continuous per-mode level lambda/2 scaled by the element-aperture
     ratio, and Eve's average SNR scales by the same ratio.  The per-element
     gain normalization is a documented modeling assumption; the comparison
-    targets are qualitative (continuous aperture dominates).
-    """
+    targets are qualitative (continuous aperture dominates).  Bob's SNR, a
+    sum of n_el unit exponentials, is one Gamma(n_el) draw."""
     ratio = 2.0 * geom.aperture_len_m / geom.wavelength_m
     n_el = math.floor(ratio + 1e-9 * max(1.0, ratio))  # geom.dof's tolerance
     if n_el < 2:
@@ -120,5 +129,5 @@ def spda_baseline(lb: LinkBudget, geom: ApertureGeometry, r0: float,
     eve_lb = LinkBudget(lb.gamma_bar_b, lb.gamma_bar_e * a_el, lb.k_eves,
                         lb.scenario)
     return _secrecy_loop(
-        lambda rng, n: bob_scale * rng.standard_exponential((n, n_el)).sum(axis=1),
+        lambda rng, lo, n: bob_scale * rng.standard_gamma(n_el, n),
         lambda rng, n: sample_eve(eve_lb, rng, size=n), r0, n_trials, seed)

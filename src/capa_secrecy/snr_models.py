@@ -257,5 +257,6 @@ def sample_eve(lb: LinkBudget, rng: np.random.Generator,
     mu, k = lb.gamma_bar_e, lb.k_eves
     if lb.scenario == Scenario.MCE:
         return mu * rng.standard_gamma(k, size)
-    # SE is K = 1: one column draws the same stream as a flat draw
-    return mu * rng.standard_exponential((size, k)).max(axis=1)
+    e = rng.standard_exponential(size)  # SE (K = 1) is mu * E
+    # the max of K exponentials by inverse CDF, -mu log(1 - U^(1/K)), U = e^-E
+    return mu * e if k == 1 else -mu * np.log(-np.expm1(-e / k))

@@ -27,12 +27,12 @@ CSV_HEADER = "axis,value,scenario,evaluator,metric,result,std_err,seed,wall_ms"
 
 AXES = ("gamma_b_db", "gamma_e_db", "aperture_len", "k_eves")
 SCENARIOS = ("SE", "MIE", "MCE")
-# sampled evaluators: name -> fn(cfg, lb, ms, aperture_len_m, seed) returning
-# the (rate, sop) Monte Carlo estimates
+# sampled evaluators: name -> fn(cfg, lb, bob, aperture_len_m, seed) returning
+# the (rate, sop) Monte Carlo estimates; bob holds the aperture's unit draws
 _SAMPLED = {
-    "monte-carlo": lambda cfg, lb, ms, aperture, seed: mc.mc_secrecy(
-        lb, ms, cfg.target_rate_r0, cfg.n_trials, seed),
-    "spda-mc": lambda cfg, lb, ms, aperture, seed: mc.spda_baseline(
+    "monte-carlo": lambda cfg, lb, bob, aperture, seed: mc.mc_secrecy(
+        lb, bob, cfg.target_rate_r0, cfg.n_trials, seed),
+    "spda-mc": lambda cfg, lb, bob, aperture, seed: mc.spda_baseline(
         lb, spc.ApertureGeometry(cfg.wavelength_m, aperture),
         cfg.target_rate_r0, cfg.n_trials, seed),
 }
@@ -163,19 +163,27 @@ def _db_to_lin(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _seed(root: int, *key: int) -> int:
+    # a grid point's key is (vi, si, ei); Bob's at aperture index ai is (ai,)
+    return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1)[0])
+
+
 def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     """Each distinct aperture length of the grid, in grid order, mapped to
-    its (spectrum, series) pair or to the exception that stopped it."""
+    (spectrum, series, unit Bob draws or None) or to the exception raised."""
     # one unit Gauss-Legendre rule per sweep, made on the first cache miss
     unit_rule = functools.cache(np.polynomial.legendre.leggauss)
     lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
     stage = {}
-    for length in map(float, lengths):
+    for ai, length in enumerate(map(float, lengths)):
         try:
             spec = spc.cached_decompose(
                 spc.ApertureGeometry(cfg.wavelength_m, length),
                 cfg.quadrature_order, cache_dir=cache_dir, unit_rule=unit_rule)
-            stage[length] = spec, snr.build_psi(spec)
+            ms = snr.build_psi(spec)
+            bob = (mc.unit_bob_draws(ms, cfg.n_trials, _seed(cfg.seed, ai))
+                   if "monte-carlo" in cfg.evaluators else None)
+            stage[length] = spec, ms, bob
         except Exception as exc:  # every point at this length reports it
             stage[length] = exc
     return stage
@@ -209,13 +217,13 @@ def _eval_point(stage: dict, cfg: SweepConfig, value: float, scen_name: str,
     if isinstance(resolved, Exception):
         # each point starts a new traceback; re-raising would extend the old
         raise resolved.with_traceback(None)
-    ms = resolved[1]
+    _, ms, bob = resolved
     r0 = cfg.target_rate_r0
     wanted = cfg.outputs
     if evaluator in _SAMPLED:
         if "rate" not in wanted and "sop" not in wanted:
             return {}
-        rate, sop = _SAMPLED[evaluator](cfg, lb, ms, aperture, point_seed)
+        rate, sop = _SAMPLED[evaluator](cfg, lb, bob, aperture, point_seed)
         got = {"rate": (rate.mean, rate.std_err), "sop": (sop.mean, sop.std_err)}
         return {m: got[m] for m in wanted if m in got}
     rate_fn, sop_fn = sec.ANALYTIC_EVALUATORS[evaluator]
@@ -243,9 +251,8 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     for vi, value in enumerate(cfg.values):
         for si, scen in enumerate(cfg.scenarios):
             for ei, ev in enumerate(cfg.evaluators):
-                point_seed = int(np.random.SeedSequence(
-                    cfg.seed, spawn_key=(vi, si, ei)).generate_state(1)[0])
-                tasks.append((float(value), scen, ev, point_seed))
+                tasks.append((float(value), scen, ev,
+                              _seed(cfg.seed, vi, si, ei)))
 
     def run_one(task):
         value, scen, ev, point_seed = task

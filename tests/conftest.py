@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from capa_secrecy import montecarlo as mc
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
 
@@ -14,6 +15,15 @@ def make_spectrum(n_lambdas: float, t: int) -> spc.SpectralDecomposition:
         warnings.simplefilter("ignore")
         geom = spc.ApertureGeometry(LAMBDA, n_lambdas * LAMBDA)
         return spc.decompose(geom, t)
+
+
+def mc_point(lb, ms, r0, n_trials, seed):
+    """mc_secrecy at one point: Bob's unit draws on the stream a sweep with
+    root `seed` gives its first aperture, Eve's on `seed` itself."""
+    bob_seed = int(np.random.SeedSequence(
+        seed, spawn_key=(0,)).generate_state(1)[0])
+    return mc.mc_secrecy(lb, mc.unit_bob_draws(ms, n_trials, bob_seed), r0,
+                         n_trials, seed)
 
 
 @pytest.fixture(scope="session")

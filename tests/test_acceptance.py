@@ -17,7 +17,7 @@ from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import EXTENDED, scaled_e1
 
 import theorems as thm
-from conftest import LAMBDA, make_spectrum
+from conftest import LAMBDA, make_spectrum, mc_point
 
 R0 = 1.0
 SEED = 20260810
@@ -100,8 +100,7 @@ def test_criterion_3_triangulation():
                         rc = rate_closed_any_precision(lb, ms)
                         rq = sec.secrecy_rate_quadrature(lb, ms)
                         sc = sec.sop_closed(lb, ms, R0)
-                        rate_mc, sop_mc = mc.mc_secrecy(lb, ms, R0, n_trials,
-                                                        seed)
+                        rate_mc, sop_mc = mc_point(lb, ms, R0, n_trials, seed)
                         gap = abs(rc - rq)
                         assert gap <= 1e-4, (dof, gb_db, ge_db, k, scen, gap)
                         rate_tol = 3 * rate_mc.std_err + 4e-6
@@ -214,7 +213,7 @@ def test_criterion_8_capa_vs_spda(spec80, ms80):
     gaps = {}
     for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
         lb = LinkBudget(db(20.0), db(20.0), k, scen)
-        cr, cs = mc.mc_secrecy(lb, ms80, r0, n_trials, SEED)
+        cr, cs = mc_point(lb, ms80, r0, n_trials, SEED)
         sr, ss = mc.spda_baseline(lb, geom, r0, n_trials, SEED)
         assert cr.mean >= sr.mean, (scen, cr.mean, sr.mean)
         assert cs.mean <= ss.mean, (scen, cs.mean, ss.mean)
@@ -224,7 +223,7 @@ def test_criterion_8_capa_vs_spda(spec80, ms80):
     for k in (1, 8):
         lb = LinkBudget(db(20.0), db(20.0), k,
                         Scenario.MIE if k > 1 else Scenario.SE)
-        cr, _ = mc.mc_secrecy(lb, ms80, r0, n_trials, SEED + 1)
+        cr, _ = mc_point(lb, ms80, r0, n_trials, SEED + 1)
         sr, _ = mc.spda_baseline(lb, geom, r0, n_trials, SEED + 1)
         shrink.append(cr.mean - sr.mean)
     assert shrink[1] < shrink[0]

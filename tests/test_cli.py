@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capa_secrecy import cli
+from capa_secrecy import montecarlo as mc
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
 from capa_secrecy import sweep as sw
@@ -226,6 +227,69 @@ def test_each_aperture_resolved_once(monkeypatch):
     assert calls == {"cached_decompose": [74.94, 149.88], "build_psi": []}
     assert summary == ("spectrum: aperture_len=74.94 error:DomainError: "
                        "need t >= 2*dof = 2400 quadrature points, got 120\n")
+
+
+def test_monte_carlo_rows_replay_from_shared_bob_draws():
+    raw = small_config(values=[0.0, 20.0])
+    code, text = run_sweep_to_string(raw)
+    assert code == 0
+    cfg = sw.config_from_dict(raw)
+    _, _, bob = sw._resolve_apertures(cfg, None)[cfg.aperture_len_m]
+    assert not bob.flags.writeable
+    rows = [r for r in parse_rows(text) if r["evaluator"] == "monte-carlo"]
+    assert len(rows) == 8  # 2 SNRs x 2 scenarios x (rate, sop)
+    for r in rows:
+        k = 1 if r["scenario"] == "SE" else cfg.k_eves
+        lb = snr.LinkBudget(10 ** (r["value"] / 10),
+                            10 ** (cfg.gamma_e_db / 10), k,
+                            snr.Scenario(r["scenario"]))
+        rate, sop = mc.mc_secrecy(lb, bob, cfg.target_rate_r0, cfg.n_trials,
+                                  int(r["seed"]))
+        est = rate if r["metric"] == "rate" else sop
+        assert (r["result"], r["std_err"]) == (sw._fmt(est.mean),
+                                               sw._fmt(est.std_err))
+
+
+def test_bob_drawn_once_per_aperture(monkeypatch):
+    drawn = []
+    draw = mc.unit_bob_draws
+
+    def counting(ms, n_trials, seed):
+        drawn.append(ms.dof)
+        return draw(ms, n_trials, seed)
+    monkeypatch.setattr(mc, "unit_bob_draws", counting)
+    for evaluators, want in (
+            (["quadrature", "monte-carlo", "spda-mc"], [4, 8]),
+            (["quadrature"], []), (["spda-mc"], [])):
+        drawn.clear()
+        code, _ = run_sweep_to_string(small_config(
+            axis="aperture_len", values=[0.2498, 0.4996],
+            evaluators=evaluators))
+        assert code == 0
+        assert drawn == want
+
+
+def test_bob_stream_apart_from_point_streams(monkeypatch):
+    keys, bob_seeds = {}, []
+    seed, draw = sw._seed, mc.unit_bob_draws
+
+    def keyed(root, *key):
+        keys[key] = seed(root, *key)
+        return keys[key]
+
+    def recorded(ms, n_trials, s):
+        bob_seeds.append(s)
+        return draw(ms, n_trials, s)
+    monkeypatch.setattr(sw, "_seed", keyed)
+    monkeypatch.setattr(mc, "unit_bob_draws", recorded)
+    code, text = run_sweep_to_string(small_config(
+        axis="aperture_len", values=[0.2498, 0.4996]))
+    assert code == 0
+    point_seeds = {int(r["seed"]) for r in parse_rows(text)}
+    bob_keys = {k for k, s in keys.items() if s in bob_seeds}
+    assert len(bob_keys) == len(bob_seeds) == 2
+    assert point_seeds and not point_seeds & set(bob_seeds)
+    assert not bob_keys & {k for k, s in keys.items() if s in point_seeds}
 
 
 def test_zero_dof_aperture_rows_are_domain_errors():

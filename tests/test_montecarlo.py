@@ -13,7 +13,7 @@ from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import DomainError
 
 import theorems as thm
-from conftest import LAMBDA, make_spectrum
+from conftest import LAMBDA, make_spectrum, mc_point
 
 
 @dataclass(frozen=True)
@@ -24,28 +24,36 @@ class _StubSpectrum:
 
 def test_estimates_are_seed_deterministic(ms4):
     lb = LinkBudget(100.0, 1.0, 5, Scenario.MIE)
-    a = mc.mc_secrecy(lb, ms4, 1.0, 50_000, 123)
-    b = mc.mc_secrecy(lb, ms4, 1.0, 50_000, 123)
+    a = mc_point(lb, ms4, 1.0, 50_000, 123)
+    b = mc_point(lb, ms4, 1.0, 50_000, 123)
     assert a == b
-    c = mc.mc_secrecy(lb, ms4, 1.0, 50_000, 124)
+    c = mc_point(lb, ms4, 1.0, 50_000, 124)
     assert c[0].mean != a[0].mean
 
 
 def test_standard_error_scaling(ms4):
     lb = LinkBudget(100.0, 1.0)
-    r1, _ = mc.mc_secrecy(lb, ms4, 1.0, 100_000, 9)
-    r4, _ = mc.mc_secrecy(lb, ms4, 1.0, 400_000, 9)
+    r1, _ = mc_point(lb, ms4, 1.0, 100_000, 9)
+    r4, _ = mc_point(lb, ms4, 1.0, 400_000, 9)
     assert r4.std_err == pytest.approx(r1.std_err / 2.0, rel=0.2)
 
 
 def test_trial_floor_enforced(ms4):
     with pytest.raises(DomainError):
-        mc.mc_secrecy(LinkBudget(1.0, 1.0), ms4, 1.0, 100, 0)
+        mc_point(LinkBudget(1.0, 1.0), ms4, 1.0, 100, 0)
+
+
+def test_bob_draws_are_shared_read_only_and_sized(ms4):
+    bob = mc.unit_bob_draws(ms4, 20_000, 1)
+    assert not bob.flags.writeable
+    assert np.array_equal(bob, mc.unit_bob_draws(ms4, 20_000, 1))
+    with pytest.raises(DomainError):
+        mc.mc_secrecy(LinkBudget(10.0, 1.0), bob, 1.0, 30_000, 2)
 
 
 def test_rate_without_eavesdropper(ms4):
     lb = LinkBudget(100.0, 1e-9)
-    rate, _ = mc.mc_secrecy(lb, ms4, 1.0, 400_000, 31)
+    rate, _ = mc_point(lb, ms4, 1.0, 400_000, 31)
     want = quad(lambda x: np.log2(1.0 + x) * snr.bob_pdf(x, lb, ms4),
                 0.0, np.inf, limit=300)[0]
     assert abs(rate.mean - want) <= 3 * rate.std_err
@@ -53,19 +61,19 @@ def test_rate_without_eavesdropper(ms4):
 
 def test_sop_limits_in_target_rate(ms4):
     lb = LinkBudget(100.0, 100.0)
-    _, sop_small = mc.mc_secrecy(lb, ms4, 1e-9, 100_000, 5)
+    _, sop_small = mc_point(lb, ms4, 1e-9, 100_000, 5)
     # r0 -> 0+: P(rho_b < rho_e), strictly inside (0, 1)
     p = quad(lambda x: snr.bob_pdf(x, lb, ms4) * np.exp(-x / 100.0),
              0.0, np.inf, limit=300)[0]
     assert 0.0 < sop_small.mean < 1.0
     assert abs(sop_small.mean - p) <= 4 * sop_small.std_err
-    _, sop_big = mc.mc_secrecy(lb, ms4, 40.0, 100_000, 5)
+    _, sop_big = mc_point(lb, ms4, 40.0, 100_000, 5)
     assert sop_big.mean == 1.0
 
 
 def test_mie_point_matches_analytics(ms4):
     lb = LinkBudget(100.0, 1.0, 5, Scenario.MIE)
-    rate, sop = mc.mc_secrecy(lb, ms4, 1.0, 1_000_000, 7)
+    rate, sop = mc_point(lb, ms4, 1.0, 1_000_000, 7)
     assert (abs(rate.mean - sec.secrecy_rate_quadrature(lb, ms4))
             <= 3 * rate.std_err)
     assert abs(sop.mean - sec.sop_closed(lb, ms4, 1.0)) <= 3 * sop.std_err
@@ -84,7 +92,7 @@ def test_consistency_grid(ms4, ms6):
                                 (Scenario.MCE, 3), (Scenario.MIE, 6)):
                     lb = LinkBudget(10 ** (gb_db / 10), 10 ** (ge_db / 10),
                                     k, scen)
-                    rate, sop = mc.mc_secrecy(lb, ms, 1.0, 100_000, 1000 + i)
+                    rate, sop = mc_point(lb, ms, 1.0, 100_000, 1000 + i)
                     rq = sec.secrecy_rate_quadrature(lb, ms)
                     sq = sec.sop_closed(lb, ms, 1.0)
                     checks.append(abs(rq - rate.mean)
@@ -137,13 +145,34 @@ def test_spda_element_count_matches_dof():
             == mc.spda_baseline(lb, longer, 1.0, 10_000, 3))
 
 
+@pytest.mark.parametrize("n_el,gb_db,ge_db,r0", [(4, 20.0, 10.0, 1.0),
+                                                 (80, 20.0, 20.0, 3.0)])
+def test_spda_matches_its_analytic_law(n_el, gb_db, ge_db, r0):
+    # the array's Bob SNR is the aperture law of n_el equal eigenvalues
+    # a_el lambda/2, and Eve's average SNR carries the same a_el, so the
+    # analytic evaluators give the baseline's exact rate and SOP
+    a_el = mc.SPDA_ELEMENT_APERTURE_RATIO
+    geom = spc.ApertureGeometry(LAMBDA, n_el * LAMBDA / 2)
+    ms = snr.build_psi(np.full(n_el, a_el * LAMBDA / 2))
+    n = 100_000
+    for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
+        lb = LinkBudget(10 ** (gb_db / 10), 10 ** (ge_db / 10), k, scen)
+        eve_lb = LinkBudget(lb.gamma_bar_b, lb.gamma_bar_e * a_el, k, scen)
+        rate, sop = mc.spda_baseline(lb, geom, r0, n, 11)
+        assert 0.0 < sop.mean < 1.0
+        assert (abs(rate.mean - sec.secrecy_rate_quadrature(eve_lb, ms))
+                <= 6 * rate.std_err + 10 / n)
+        assert (abs(sop.mean - sec.sop_closed(eve_lb, ms, r0))
+                <= 6 * sop.std_err + 10 / n)
+
+
 def test_spda_dominated_by_continuous_aperture():
     spec8 = make_spectrum(4.0, 200)
     ms8 = snr.build_psi(spec8)
     geom = spc.ApertureGeometry(LAMBDA, 4 * LAMBDA)
     for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 4), (Scenario.MCE, 4)):
         lb = LinkBudget(100.0, 10.0, k, scen)
-        cr, cs = mc.mc_secrecy(lb, ms8, 1.0, 100_000, 17)
+        cr, cs = mc_point(lb, ms8, 1.0, 100_000, 17)
         sr, ss = mc.spda_baseline(lb, geom, 1.0, 100_000, 17)
         assert cr.mean >= sr.mean
         assert cs.mean <= ss.mean

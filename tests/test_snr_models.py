@@ -142,6 +142,19 @@ def test_k1_reduces_to_single_eve(scenario):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("scenario,k", [(Scenario.MIE, 2), (Scenario.MIE, 5),
+                                        (Scenario.MIE, 40), (Scenario.MCE, 5)])
+def test_eve_ks_distance_against_sampler(scenario, k):
+    lb = LinkBudget(1.0, 2.5, k, scenario)
+    rng = np.random.default_rng(2024)
+    samp = np.sort(snr.sample_eve(lb, rng, size=200_000))
+    cdf = snr.eve_cdf(samp, lb)
+    emp_hi = np.arange(1, samp.size + 1) / samp.size
+    ks = max(np.max(np.abs(cdf - emp_hi)),
+             np.max(np.abs(cdf - emp_hi + 1.0 / samp.size)))
+    assert ks < 0.005
+
+
 def test_mce_mean_is_k_gamma_e():
     lb = LinkBudget(1.0, 2.0, 5, Scenario.MCE)
     mean = quad(lambda x: x * snr.eve_pdf(x, lb), 0.0, np.inf, limit=300)[0]
