@@ -10,7 +10,6 @@ past a configurable DoF cap.
 """
 from __future__ import annotations
 
-import logging
 import math
 from fractions import Fraction
 
@@ -25,8 +24,6 @@ from .specfun import (EXTENDED, STANDARD, DomainError, EvalPrecision,
                       EULER_GAMMA, SignedLog, exp_e1_log, harmonic_number,
                       log_binomial, scaled_e1)
 from .spectral import ComputationError
-
-log = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 DEFAULT_CLOSED_FORM_DOF_CAP = 16
@@ -356,51 +353,34 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
 def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     """Closed-form secrecy outage probability at target rate r0 (bits).
 
-    The per-shape bracket is the upper tail sum_{k>=n} (a * b)_k of a
-    Poisson((2^r0-1)/theta) sequence a convolved with a geometric (single /
-    independent Eves) or negative binomial (collaborative) sequence b.
-    Split by the Poisson index i, it is
-    sum_{i<n} a_i B(n-i) + b_total P(n, lambda), with B the tail sums of b
-    and P the regularized lower gamma function.  This is the same finite
-    double sum as the printed expression with only nonnegative terms, so
-    nothing cancels even when the outage probability is ~1e-20.
+    Eve's SNR is sum_j mu_j E_j over K unit exponentials E_j, with
+    mu_j = gamma_e for collaborative Eves (and the single Eve, K = 1) and
+    mu_j = gamma_e / j for independent ones, the law of the largest of K
+    Exp(gamma_e) (Renyi's representation of exponential order statistics).
+    Bob's per-shape CDF is a Poisson tail, so the outage of shape n is
+    P(Pois(lambda) + sum_j Geom(r_j) >= n), lambda = (2^r0 - 1)/theta and
+    r_j = g mu_j / (theta + g mu_j).  One pass per Eve convolves the count's
+    pmf with Geom(r_j) and adds its tail increment, both truncated at the
+    largest shape.  Every term is nonnegative, so nothing cancels even when
+    the outage probability is ~1e-200 or K is in the hundreds.
     """
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
     g = 2.0 ** r0
     theta = lb.gamma_bar_b * ms.sigma_min
-    g_mu = g * lb.gamma_bar_e
-    lam_p = (g - 1.0) / theta
-    ns = ms.dof + np.arange(ms.q_max + 1)
-    w = ms.weights
-    idx = np.arange(ns[-1], dtype=float)
-    poisson = np.exp(sps.xlogy(idx, lam_p) - lam_p - sps.gammaln(idx + 1.0))
-    poisson_tail = sps.gammainc(ns, lam_p)
-    m = idx + 1.0
-
-    def brackets(b_tail, b_total):
-        # b_tail[m-1] = B(m) for m >= 1; B(0) = b_total is the P(n, lambda) part
-        return np.convolve(poisson, np.append(0.0, b_tail))[ns] + b_total * poisson_tail
-
-    if lb.scenario in (Scenario.SE, Scenario.MIE):
-        kk = lb.k_eves
-        acc = np.zeros_like(w)
-        for nprime in range(kk):
-            shift = nprime + 1.0
-            # b_m = (1 - r) r^m / shift, r = g_mu / (shift theta + g_mu)
-            log_r = -math.log1p(shift * theta / g_mu)
-            br = brackets(np.exp(m * log_r) / shift, 1.0 / shift)
-            coeff = kk * math.comb(kk - 1, nprime) * (-1.0) ** nprime
-            acc = acc + coeff * br
-        val = float(w @ acc)
-    else:
-        # b_m = C(K+m-1, m) (1-p)^K p^m, p = g_mu / (theta + g_mu)
-        br = brackets(sps.betainc(m, lb.k_eves, g_mu / (theta + g_mu)), 1.0)
-        val = float(w @ br)
-
-    if val < -1e-9 or val > 1.0 + 1e-9:
-        log.warning("SOP %.3e clamped to [0, 1] (excursion beyond 1e-9)", val)
-    return float(min(max(val, 0.0), 1.0))
+    lam = (g - 1.0) / theta
+    idx = np.arange(ms.dof + ms.q_max + 1, dtype=float)
+    pmf = np.exp(sps.xlogy(idx, lam) - lam - sps.gammaln(idx + 1.0))
+    tail = sps.gammainc(idx, lam)            # tail[n] = P(count >= n)
+    k = lb.k_eves
+    j = np.arange(1.0, k + 1.0) if lb.scenario == Scenario.MIE else np.ones(k)
+    for mu in lb.gamma_bar_e / j:
+        log_r = -math.log1p(theta / (g * mu))
+        # v[n] = sum_{i<=n} pmf[i] r^(n-i): P(count >= n+1) gains r v[n]
+        v = np.convolve(pmf, np.exp(log_r * idx))[:idx.size]
+        tail[1:] += math.exp(log_r) * v[:-1]
+        pmf = -math.expm1(log_r) * v
+    return min(float(ms.weights @ tail[ms.dof:]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,9 @@ def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     # one unit Gauss-Legendre rule per sweep, made on the first cache miss
     unit_rule = functools.cache(np.polynomial.legendre.leggauss)
     lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
+    # only rate and sop rows read the draws
+    draw_bob = ("monte-carlo" in cfg.evaluators
+                and not {"rate", "sop"}.isdisjoint(cfg.outputs))
     stage = {}
     for ai, length in enumerate(map(float, lengths)):
         try:
@@ -182,7 +185,7 @@ def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
                 cfg.quadrature_order, cache_dir=cache_dir, unit_rule=unit_rule)
             ms = snr.build_psi(spec)
             bob = (mc.unit_bob_draws(ms, cfg.n_trials, _seed(cfg.seed, ai))
-                   if "monte-carlo" in cfg.evaluators else None)
+                   if draw_bob else None)
             stage[length] = spec, ms, bob
         except Exception as exc:  # every point at this length reports it
             stage[length] = exc

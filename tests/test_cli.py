@@ -258,13 +258,15 @@ def test_bob_drawn_once_per_aperture(monkeypatch):
         drawn.append(ms.dof)
         return draw(ms, n_trials, seed)
     monkeypatch.setattr(mc, "unit_bob_draws", counting)
-    for evaluators, want in (
-            (["quadrature", "monte-carlo", "spda-mc"], [4, 8]),
-            (["quadrature"], []), (["spda-mc"], [])):
+    for evaluators, outputs, want in (
+            (["quadrature", "monte-carlo", "spda-mc"], ["rate", "sop"], [4, 8]),
+            (["quadrature"], ["rate", "sop"], []),
+            (["spda-mc"], ["rate", "sop"], []),
+            (["closed-form", "monte-carlo"], ["slope"], [])):
         drawn.clear()
         code, _ = run_sweep_to_string(small_config(
             axis="aperture_len", values=[0.2498, 0.4996],
-            evaluators=evaluators))
+            evaluators=evaluators, outputs=outputs))
         assert code == 0
         assert drawn == want
 
