@@ -64,10 +64,15 @@ def _cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     cache_dir = os.environ.get("CAPA_CACHE_DIR")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            return sw.run_sweep(cfg, fh, cache_dir=cache_dir)
-    return sw.run_sweep(cfg, sys.stdout, cache_dir=cache_dir)
+    if not args.out:
+        return sw.run_sweep(cfg, sys.stdout, cache_dir=cache_dir)
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"sweep error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with fh:
+        return sw.run_sweep(cfg, fh, cache_dir=cache_dir)
 
 
 def _cmd_spectrum(args) -> int:
@@ -93,9 +98,6 @@ def _cmd_plotdata(args) -> int:
         written = sw.emit_plotdata(args.csv, args.outdir)
     except sw.ConfigError as exc:
         print(f"plotdata error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError:
-        print(f"plotdata error: no such file: {args.csv}", file=sys.stderr)
         return 2
     for path in written:
         print(path, file=sys.stderr)

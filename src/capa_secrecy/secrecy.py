@@ -7,11 +7,14 @@ rate forms are alternating binomial sums that overflow and cancel, so the
 standard path runs in signed log-domain arithmetic with a running
 conditioning estimate, and an extended wide-float path (mpmath) takes over
 past a configurable DoF cap.
+
+Everything else sums nonnegative terms: the closed-form SOP and the array
+gain, its gamma_b -> inf limit, fold in one geometric count per Eve scale
+(`_eve_scales`), and the independent Eves' offset term integrates a survival.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -299,15 +302,13 @@ def _bob_spread(lb, ms):
 
 
 def _piecewise_quad(f, edges, epsabs: float, max_err: float, what: str) -> float:
-    """int_{edges[0]}^inf f, one adaptive rule per piece between the edges
-    and one for the tail beyond the last edge.
+    """int_{edges[0]}^{edges[-1]} f (the last edge may be inf), one adaptive
+    rule per piece between consecutive edges.
 
     Raises ComputationError when the summed error estimates exceed max_err.
     """
     parts = [spi.quad(f, a, b, limit=400, epsabs=epsabs, epsrel=1e-11)
              for a, b in zip(edges, edges[1:])]
-    parts.append(spi.quad(f, edges[-1], np.inf, limit=200, epsabs=epsabs,
-                          epsrel=1e-11))
     err = sum(e for _, e in parts)
     if err > max_err:
         raise ComputationError(f"{what} quadrature achieved only +-{err:.2e}")
@@ -327,7 +328,7 @@ def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
     split = mean + 12.0 * std + 1.0
     # F_e rises from 0 to 1 over a few Eve SNR scales; a faint Eve's layer
     # is too thin for the adaptive rule to find on its own
-    edges = [0.0, split]
+    edges = [0.0, split, np.inf]
     if 50.0 * lb.gamma_bar_e * lb.k_eves < split:
         edges.insert(1, 50.0 * lb.gamma_bar_e * lb.k_eves)
     return max(_piecewise_quad(f, edges, 1e-9, 1e-6, "rate"), 0.0)
@@ -342,7 +343,7 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     def f(y):
         return snr.eve_pdf(y, lb) * snr.bob_cdf(g * (1.0 + y) - 1.0, lb, ms)
 
-    edges = [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves)]
+    edges = [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves), np.inf]
     return min(max(_piecewise_quad(f, edges, 1e-10, 1e-7, "SOP"), 0.0), 1.0)
 
 
@@ -350,14 +351,21 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
 # closed-form secrecy outage probability
 # ---------------------------------------------------------------------------
 
+def _eve_scales(lb: LinkBudget) -> np.ndarray:
+    """Eve's SNR is sum_j mu_j E_j over K unit exponentials: mu_j = gamma_e
+    for collaborative Eves (and the single Eve, K = 1), gamma_e / j for
+    independent ones, the law of the largest of K Exp(gamma_e) (Renyi's
+    representation of exponential order statistics)."""
+    k = lb.k_eves
+    j = np.arange(1.0, k + 1.0) if lb.scenario == Scenario.MIE else np.ones(k)
+    return lb.gamma_bar_e / j
+
+
 def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     """Closed-form secrecy outage probability at target rate r0 (bits).
 
-    Eve's SNR is sum_j mu_j E_j over K unit exponentials E_j, with
-    mu_j = gamma_e for collaborative Eves (and the single Eve, K = 1) and
-    mu_j = gamma_e / j for independent ones, the law of the largest of K
-    Exp(gamma_e) (Renyi's representation of exponential order statistics).
-    Bob's per-shape CDF is a Poisson tail, so the outage of shape n is
+    Eve's SNR is sum_j mu_j E_j (`_eve_scales`).  Bob's per-shape CDF is a
+    Poisson tail, so the outage of shape n is
     P(Pois(lambda) + sum_j Geom(r_j) >= n), lambda = (2^r0 - 1)/theta and
     r_j = g mu_j / (theta + g mu_j).  One pass per Eve convolves the count's
     pmf with Geom(r_j) and adds its tail increment, both truncated at the
@@ -372,9 +380,7 @@ def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     idx = np.arange(ms.dof + ms.q_max + 1, dtype=float)
     pmf = np.exp(sps.xlogy(idx, lam) - lam - sps.gammaln(idx + 1.0))
     tail = sps.gammainc(idx, lam)            # tail[n] = P(count >= n)
-    k = lb.k_eves
-    j = np.arange(1.0, k + 1.0) if lb.scenario == Scenario.MIE else np.ones(k)
-    for mu in lb.gamma_bar_e / j:
+    for mu in _eve_scales(lb):
         log_r = -math.log1p(theta / (g * mu))
         # v[n] = sum_{i<=n} pmf[i] r^(n-i): P(count >= n+1) gains r v[n]
         v = np.convolve(pmf, np.exp(log_r * idx))[:idx.size]
@@ -424,26 +430,21 @@ def asymptotic_rate(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
 
 def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,
                        r0: float) -> tuple[int, float]:
-    """Outage exponent (= spatial DoF in every scenario) and array gain."""
+    """Outage exponent (= spatial DoF in every scenario) and array gain.
+
+    SOP -> (Ag gamma_b)^(-dof), Ag^(-dof) prod(sigma) = [z^dof] e^((g-1) z)
+    prod_j 1/(1 - g mu_j z): `sop_closed`'s counts as theta -> inf.  Each Eve
+    multiplies in 1/(1 - c z), c = g mu_j, as h_n <- c^n sum_{i<=n} h_i c^-i.
+    """
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
     g = 2.0 ** r0
-    x = (g - 1.0) / (g * lb.gamma_bar_e)
-    dof = ms.dof
-    lx = math.log(x) if x > 0 else -math.inf
-    mm = np.arange(dof + 1, dtype=float)
-    base = mm * lx - sps.gammaln(mm + 1.0)
-    K = lb.k_eves
-    if lb.scenario == Scenario.MIE:
-        log_y = np.log([float(independent_eve_gain_term(K, dof, m))
-                        for m in range(dof + 1)])
-    else:  # SE is the K = 1 collaborative case, all terms ln C(dof-m, 0) = 0
-        log_y = np.array([log_binomial(dof - m + K - 1, K - 1)
-                          for m in range(dof + 1)])
-    log_s = sps.logsumexp(base + log_y)
-    log_prod = float(np.sum(ms.log_sigmas))
-    gain = math.exp((log_prod - log_s) / dof) / (g * lb.gamma_bar_e)
-    return dof, gain
+    idx = np.arange(ms.dof + 1, dtype=float)
+    log_h = sps.xlogy(idx, g - 1.0) - sps.gammaln(idx + 1.0)
+    for mu in _eve_scales(lb):
+        lc = math.log(g * mu)
+        log_h = idx * lc + np.logaddexp.accumulate(log_h - idx * lc)
+    return ms.dof, math.exp((float(np.sum(ms.log_sigmas)) - log_h[-1]) / ms.dof)
 
 
 def sop_asymptotic(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
@@ -467,27 +468,19 @@ ANALYTIC_EVALUATORS = {
 
 
 # ---------------------------------------------------------------------------
-# independent-Eves terms of the power offset and the array gain
+# independent-Eves term of the power offset
 # ---------------------------------------------------------------------------
 
 def independent_eve_offset_term(k: int, gamma_e: float) -> float:
-    """y(K) = K sum_a C(K-1,a) (-1)^a/(1+a) e^((1+a)/ge) E1((1+a)/ge),
-    increasing in K.
+    """y(K) = E ln(1 + max of K Eve SNRs), increasing in K.
 
-    y(K) = E ln(1 + max of K Eve SNRs) >= y(1), while the terms sum in
-    magnitude to at most K 2^(K-1) y(1), so the alternating sum runs in
-    mpmath with that many guard digits.
-    """
-    dps = 20 + int(math.log10(k) + (k - 1) * math.log10(2.0))
-    with mpmath.workdps(dps):
-        xs = [mpmath.mpf(1 + a) / gamma_e for a in range(k)]
-        return float(mpmath.fsum(
-            k * math.comb(k - 1, a) * (-1) ** a / mpmath.mpf(1 + a)
-            * mpmath.exp(x) * mpmath.e1(x) for a, x in enumerate(xs)))
+    The integral of the max's survival 1 - (1 - e^(-x/ge))^K against
+    1/(1+x): nothing cancels.  The survival falls past ge ln K and is below
+    e^-40 beyond ge (ln K + 40), where the integral stops (the rest is
+    under 1e-17 of y)."""
+    def f(x):
+        return -math.expm1(k * math.log1p(-math.exp(-x / gamma_e))) / (1.0 + x)
 
-
-def independent_eve_gain_term(k: int, dof: int, m: int) -> Fraction:
-    """y(K) = K sum_n C(K-1,n)(-1)^n (n+1)^(m-dof-1); 1 at m = dof,
-    increasing in K below it."""
-    return k * sum(Fraction((-1) ** n * math.comb(k - 1, n), (n + 1) ** (dof - m + 1))
-                   for n in range(k))
+    edge = gamma_e * math.log(k)
+    return _piecewise_quad(f, [0.0, edge, edge + 40.0 * gamma_e], 0.0, 1e-9,
+                           "offset")

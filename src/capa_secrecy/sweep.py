@@ -119,13 +119,21 @@ class SweepConfig:
         return self
 
 
+def _read_text(path: str, what: str) -> str:
+    """The whole UTF-8 file; a path that cannot be read is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{what}: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what}: {path} is not UTF-8 text") from None
+
+
 def load_config(path: str) -> SweepConfig:
     """Parse a JSON config; fields it leaves out keep the Table 1 defaults."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
+        raw = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}")
     return config_from_dict(raw)
@@ -317,8 +325,7 @@ def emit_plotdata(csv_path: str, outdir: str) -> list[str]:
     Deterministic and idempotent: re-running on the same input reproduces
     byte-identical files.
     """
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in _read_text(csv_path, "csv").split("\n") if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError("csv: missing or unexpected header row")
     groups: dict[tuple[str, str], list[str]] = {}

@@ -183,9 +183,9 @@ def test_criterion_6_identity_suite():
         for k in range(2, 13):
             assert thm.collaborative_vs_independent_offset_gap(k, ge) > 0.0
     for k in range(1, 13):
-        assert sec.independent_eve_gain_term(k, 4, 4) == 1
+        assert thm.independent_eve_gain_term(k, 4, 4) == 1
     for m in range(4):
-        ys = [sec.independent_eve_gain_term(k, 4, m) for k in range(1, 13)]
+        ys = [thm.independent_eve_gain_term(k, 4, m) for k in range(1, 13)]
         assert all(b > a for a, b in zip(ys, ys[1:]))
     for k in range(2, 13):
         assert thm.collaborative_gain_term_gap(k, 4, 4) == 0

@@ -72,6 +72,36 @@ def test_missing_config_exit_2(capsys):
     assert cli.main(["sweep", "--config", "/nonexistent.json"]) == 2
 
 
+def unreadable_input(tmp_path, kind):
+    path = tmp_path / f"input-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    else:  # Latin-1 text, not UTF-8
+        path.write_bytes('{"scenarios": ["SE"], "note": "é"}\n'.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_config_exit_2(tmp_path, capsys, kind):
+    path = unreadable_input(tmp_path, kind)
+    assert cli.main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path in err
+
+
+def test_sweep_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output was opened")
+
+    monkeypatch.setattr(sw, "run_sweep", no_work)
+    out = str(tmp_path / "missing" / "out.csv")
+    code = cli.main(["sweep", "--config", write_config(tmp_path, small_config()),
+                     "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep error: ") and out in err
+
+
 @pytest.mark.parametrize("bad,field", [
     ({"values": [3.0, 1.0]}, "values"),
     ({"values": []}, "values"),
@@ -409,6 +439,14 @@ def test_plotdata_malformed_exit_2(tmp_path, capsys):
     bad.write_text("not,a,sweep\n1,2,3\n")
     code = cli.main(["plotdata", str(bad), "--outdir", str(tmp_path / "p")])
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_plotdata_csv_exit_2(tmp_path, capsys, kind):
+    path = unreadable_input(tmp_path, kind)
+    assert cli.main(["plotdata", path, "--outdir", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("plotdata error: ") and path in err
 
 
 def test_spectrum_subcommand(capsys):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, logsumexp
 
 from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import sweep as sw
 from capa_secrecy.snr_models import LinkBudget, Scenario
-from capa_secrecy.specfun import EXTENDED, STANDARD, DomainError, harmonic_number
+from capa_secrecy.specfun import (EXTENDED, STANDARD, DomainError, harmonic_number,
+                                  log_binomial)
 
 import theorems as thm
 
@@ -344,6 +346,26 @@ def _offset_term_oracle(k, mu):
                      for a, b in ((0.0, t_k), (t_k, t_k + 60.0)))
 
 
+def _exact_gain(scen, sigmas, gamma_e, k):
+    # ag^(-dof) is the leading outage coefficient
+    lead = thm.sop_leading_coeff(scen, sigmas, gamma_e, 1, k)
+    return math.exp(-(math.log(lead.numerator)
+                      - math.log(lead.denominator)) / len(sigmas))
+
+
+def _collaborative_gain_by_binomials(lb, ms, r0):
+    # the sum over m of x^m/m! C(dof-m+K-1, K-1), x = (g-1)/(g ge)
+    g = 2.0 ** r0
+    m = np.arange(ms.dof + 1, dtype=float)
+    log_y = [log_binomial(ms.dof - i + lb.k_eves - 1, lb.k_eves - 1)
+             for i in range(ms.dof + 1)]
+    log_s = logsumexp(m * math.log((g - 1.0) / (g * lb.gamma_bar_e))
+                      - gammaln(m + 1.0) + log_y)
+    return (math.exp((float(np.sum(ms.log_sigmas)) - log_s) / ms.dof)
+            / (g * lb.gamma_bar_e))
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_independent_eve_terms_stay_exact_for_many_eves():
     ms = snr.build_psi(0.0624 * np.linspace(1.0, 0.7, 6))
     for mu in (0.1, 1.0, 100.0):
@@ -357,14 +379,33 @@ def test_independent_eve_terms_stay_exact_for_many_eves():
             assert off_mie == pytest.approx(want, rel=1e-10)
             ys.append(y)
         assert all(b > a for a, b in zip(ys, ys[1:]))
-    for k in (20, 40, 60, 80):
-        d, ag = sec.diversity_and_gain(LinkBudget(100.0, 1.0, k, Scenario.MIE), ms, 1)
-        lead = thm.sop_leading_coeff(Scenario.MIE, ms.sigmas, 1.0, 1, k)
-        # ag^(-dof) is the leading outage coefficient
-        want = math.exp(-(math.log(lead.numerator)
-                          - math.log(lead.denominator)) / d)
-        assert math.isfinite(ag)
-        assert ag == pytest.approx(want, rel=1e-12)
+    # the 324-digit reference sum takes over ten seconds at K = 1000 near
+    # 0 dB, so that K takes the ends of the Eve-SNR range
+    for k, ge_dbs in [(k, range(-60, 61, 20)) for k in (1, 2, 5, 60, 200)] + [
+            (1000, (-60, -20, 20, 60))]:
+        for ge_db in ge_dbs:
+            ge = 10.0 ** (ge_db / 10.0)
+            assert sec.independent_eve_offset_term(k, ge) == pytest.approx(
+                thm.independent_eve_offset_sum(k, ge), rel=1e-12, abs=0)
+    for dof, ks in ((4, (1, 2, 5, 20, 40, 60, 80, 200)),
+                    (6, (1, 2, 5, 20, 40, 60, 80, 200)),
+                    (20, (1, 2, 5, 60, 200)), (80, (1, 2, 5, 60))):
+        ms = snr.build_psi(0.0624 * np.linspace(1.0, 0.7, dof))
+        for k in ks:
+            for scen in (Scenario.MIE, Scenario.MCE):
+                for ge in (1e-3, 1.0, 100.0):
+                    d, ag = sec.diversity_and_gain(LinkBudget(100.0, ge, k, scen), ms, 1)
+                    assert d == dof
+                    assert ag == pytest.approx(
+                        _exact_gain(scen, ms.sigmas, ge, k), rel=1e-12, abs=0)
+    # collaborative Eves far past the exact reference's reach
+    ms = snr.build_psi(0.0624 * np.linspace(1.0, 0.7, 400))
+    for ge in (1e-3, 1.0, 100.0):
+        lb = LinkBudget(100.0, ge, 1000, Scenario.MCE)
+        _, ag = sec.diversity_and_gain(lb, ms, 1.0)
+        assert math.isfinite(ag) and ag > 0.0
+        assert ag == pytest.approx(_collaborative_gain_by_binomials(lb, ms, 1.0),
+                                   rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The paper's lemmas as exact rational checks (ordering and identity terms,
-the small-1/SNR outage expansion) and the conditional-variance check behind
-treating Eve's SNR as independent of Bob's channel.  No sweep or CLI path
-runs them; the acceptance, secrecy and Monte Carlo tests import them.
+the small-1/SNR outage expansion), the alternating independent-Eves sums
+as references for the library's positive forms, and the
+conditional-variance check behind treating Eve's SNR as independent of
+Bob's channel.  No sweep or CLI path runs them; the acceptance, secrecy and
+Monte Carlo tests import them.
 """
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from capa_secrecy import secrecy as sec
@@ -35,9 +38,31 @@ def collaborative_vs_independent_offset_gap(k: int, gamma_e: float) -> float:
     return scaled_e1(1.0 / (k * gamma_e)) - sec.independent_eve_offset_term(k, gamma_e)
 
 
+def independent_eve_gain_term(k: int, dof: int, m: int) -> Fraction:
+    """y(K) = K sum_n C(K-1,n)(-1)^n (n+1)^(m-dof-1); 1 at m = dof,
+    increasing in K below it."""
+    return k * sum(Fraction((-1) ** n * math.comb(k - 1, n), (n + 1) ** (dof - m + 1))
+                   for n in range(k))
+
+
 def collaborative_gain_term_gap(k: int, dof: int, m: int) -> Fraction:
     """C(dof-m+K-1, K-1) - independent term; 0 at m = dof, positive below."""
-    return math.comb(dof - m + k - 1, k - 1) - sec.independent_eve_gain_term(k, dof, m)
+    return math.comb(dof - m + k - 1, k - 1) - independent_eve_gain_term(k, dof, m)
+
+
+def independent_eve_offset_sum(k: int, gamma_e: float) -> float:
+    """y(K) = K sum_a C(K-1,a) (-1)^a/(1+a) e^((1+a)/ge) E1((1+a)/ge).
+
+    y(K) = E ln(1 + max of K Eve SNRs) >= y(1), while the terms sum in
+    magnitude to at most K 2^(K-1) y(1), so the alternating sum runs in
+    mpmath with that many guard digits.
+    """
+    dps = 20 + int(math.log10(k) + (k - 1) * math.log10(2.0))
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(1 + a) / gamma_e for a in range(k)]
+        return float(mpmath.fsum(
+            k * math.comb(k - 1, a) * (-1) ** a / mpmath.mpf(1 + a)
+            * mpmath.exp(x) * mpmath.e1(x) for a, x in enumerate(xs)))
 
 
 # ---------------------------------------------------------------------------
