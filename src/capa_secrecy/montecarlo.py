@@ -25,7 +25,6 @@ class McEstimate:
     mean: float
     std_err: float
     n_trials: int
-    seed: int
 
 
 class _Welford:
@@ -48,10 +47,9 @@ class _Welford:
         self.mean += delta * n_b / n
         self.n = n
 
-    def estimate(self, seed: int) -> McEstimate:
+    def estimate(self) -> McEstimate:
         var = self.m2 / max(self.n - 1, 1)
-        return McEstimate(self.mean, math.sqrt(max(var, 0.0) / self.n),
-                          self.n, seed)
+        return McEstimate(self.mean, math.sqrt(max(var, 0.0) / self.n), self.n)
 
 
 def _blocks(seed: int, n_trials: int):
@@ -84,7 +82,7 @@ def _secrecy_loop(draw_bob, draw_eve, r0: float, n_trials: int,
         outage = (rho_b < g * (1.0 + rho_e) - 1.0).astype(float)
         rate_acc.add(rates)
         sop_acc.add(outage)
-    return rate_acc.estimate(seed), sop_acc.estimate(seed)
+    return rate_acc.estimate(), sop_acc.estimate()
 
 
 def mc_secrecy(lb: LinkBudget, bob: np.ndarray, r0: float,

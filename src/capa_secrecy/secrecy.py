@@ -301,18 +301,23 @@ def _bob_spread(lb, ms):
     return mean, std
 
 
-def _piecewise_quad(f, edges, epsabs: float, max_err: float, what: str) -> float:
+def _piecewise_quad(f, edges, epsabs: float, max_err: float, what: str,
+                    max_rel: float | None = None) -> float:
     """int_{edges[0]}^{edges[-1]} f (the last edge may be inf), one adaptive
     rule per piece between consecutive edges.
 
-    Raises ComputationError when the summed error estimates exceed max_err.
+    Raises ComputationError when the summed error estimates exceed max_err,
+    or max_rel times the result clamped at 0 when max_rel is given.
     """
     parts = [spi.quad(f, a, b, limit=400, epsabs=epsabs, epsrel=1e-11)
              for a, b in zip(edges, edges[1:])]
     err = sum(e for _, e in parts)
-    if err > max_err:
-        raise ComputationError(f"{what} quadrature achieved only +-{err:.2e}")
-    return sum(v for v, _ in parts)
+    val = sum(v for v, _ in parts)
+    if err > max_err or (max_rel is not None
+                         and err > max_rel * max(val, 0.0)):
+        raise ComputationError(f"{what} quadrature achieved only +-{err:.2e} "
+                               f"on {val:.3e}")
+    return val
 
 
 def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
@@ -344,7 +349,8 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
         return snr.eve_pdf(y, lb) * snr.bob_cdf(g * (1.0 + y) - 1.0, lb, ms)
 
     edges = [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves), np.inf]
-    return min(max(_piecewise_quad(f, edges, 1e-10, 1e-7, "SOP"), 0.0), 1.0)
+    sop = _piecewise_quad(f, edges, 1e-10, 1e-7, "SOP", max_rel=1e-6)
+    return min(max(sop, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +450,8 @@ def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,
     for mu in _eve_scales(lb):
         lc = math.log(g * mu)
         log_h = idx * lc + np.logaddexp.accumulate(log_h - idx * lc)
-    return ms.dof, math.exp((float(np.sum(ms.log_sigmas)) - log_h[-1]) / ms.dof)
+    log_prod = float(np.sum(np.log(ms.sigmas)))
+    return ms.dof, math.exp((log_prod - log_h[-1]) / ms.dof)
 
 
 def sop_asymptotic(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sps
@@ -51,8 +51,8 @@ class MoschopoulosSeries:
 
     The density of sum_l sigma_l E_l is written as
     sum_q w_q Gamma(dof + q, scale = gamma_b * sigma_min) with mixture
-    weights w_q = weight_prefix * psi_q, weight_prefix = sigma_min^dof /
-    prod(sigma_l).  `residual` is the truncated tail mass 1 - sum w_q.
+    weights w_q = prefix * psi_q, prefix = sigma_min^dof / prod(sigma_l)
+    (kept as its log).  `residual` is the truncated tail mass 1 - sum w_q.
     """
 
     sigmas: np.ndarray
@@ -61,11 +61,8 @@ class MoschopoulosSeries:
     psis: np.ndarray
     log_psis: np.ndarray
     q_max: int
-    weight_prefix: float
     log_weight_prefix: float
     residual: float
-    series_tol: float
-    log_sigmas: np.ndarray = field(repr=False, default=None)
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -113,22 +110,16 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
     psis = [1.0]
     powers = np.ones_like(ratios)
     b = []  # b[k-1] = sum_l ratios^k
-
-    def extend_to(q_target):
-        nonlocal powers
-        while len(b) < q_target:
-            powers *= ratios
-            b.append(float(np.sum(powers)))
-        while len(psis) <= q_target:
-            q = len(psis)
-            acc = 0.0
-            for k in range(1, q + 1):
-                acc += b[k - 1] * psis[q - k]
-            psis.append(acc / q)
-
     q = q_max
     while True:
-        extend_to(q)
+        while len(psis) <= q:
+            n = len(psis)
+            powers *= ratios
+            b.append(float(np.sum(powers)))
+            acc = 0.0  # in this order: the series' bits depend on it
+            for k in range(1, n + 1):
+                acc += b[k - 1] * psis[n - k]
+            psis.append(acc / n)
         residual = 1.0 - prefix * math.fsum(psis)
         if residual <= series_tol or q >= q_cap:
             break
@@ -137,48 +128,34 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
         raise ComputationError(f"mixture tail {residual:.3g} > series_tol "
                                f"{series_tol:g} at q = {q}")
 
-    psi_arr = np.array(psis[:q + 1])
-    with np.errstate(divide="ignore"):
-        log_psis = np.log(psi_arr)
+    psi_arr = np.array(psis)
+    # a flat spectrum leaves psi_q = 0 for q >= 1: log weight -inf
+    log_psis = np.log(psi_arr, out=np.full_like(psi_arr, -np.inf),
+                      where=psi_arr > 0.0)
     return MoschopoulosSeries(
         sigmas=sigmas, dof=dof, sigma_min=sigma_min, psis=psi_arr,
-        log_psis=log_psis, q_max=q, weight_prefix=prefix,
-        log_weight_prefix=log_prefix, residual=residual,
-        series_tol=series_tol, log_sigmas=np.log(sigmas),
-    )
+        log_psis=log_psis, q_max=q, log_weight_prefix=log_prefix,
+        residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # Bob's SNR (gamma mixture)
 # ---------------------------------------------------------------------------
 
+def _gamma_pdf(a, z):
+    """Unit-scale Gamma(a) density at z >= 0 (1 at z = 0 for a = 1)."""
+    return np.exp(sps.xlogy(a - 1.0, z) - z - sps.gammaln(a))
+
+
 def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """Density of Bob's instantaneous SNR (log-domain mixture sum)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
+    """Mixture density sum_q w_q Gamma(dof+q, theta) at x, 0 below 0."""
     theta = lb.gamma_bar_b * ms.sigma_min
-    shapes = ms.shapes.astype(float)
-    logw = ms.log_weights
-    pos = x > 0.0
-    if np.any(pos):
-        xv = x[pos]
-        log_terms = (
-            logw[None, :]
-            + (shapes[None, :] - 1.0) * np.log(xv[:, None] / theta)
-            - xv[:, None] / theta
-            - sps.gammaln(shapes[None, :])
-            - math.log(theta)
-        )
-        out[pos] = np.exp(sps.logsumexp(log_terms, axis=1))
-    if ms.dof == 1 and np.any(x == 0.0):
-        out[x == 0.0] = ms.weights[0] / theta
-    return float(out[0]) if scalar else out
+    return (np.asarray(x) >= 0.0) * _bob_mixture(_gamma_pdf, x, lb, ms) / theta
 
 
-def _bob_mixture(reg_gamma, x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """sum_q w_q reg_gamma(dof+q, x / (gamma_b sigma_min)), chunked over x."""
+def _bob_mixture(law, x, lb: LinkBudget, ms: MoschopoulosSeries):
+    """sum_q w_q law(dof+q, x / (gamma_b sigma_min)), x clipped at 0,
+    chunked over x."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -190,7 +167,7 @@ def _bob_mixture(reg_gamma, x, lb: LinkBudget, ms: MoschopoulosSeries):
     chunk = max(1, 2_000_000 // (ms.q_max + 1))
     for i in range(0, len(x), chunk):
         zz = z[i:i + chunk, None]
-        out[i:i + chunk] = reg_gamma(shapes[None, :], zz) @ w
+        out[i:i + chunk] = law(shapes[None, :], zz) @ w
     return float(out[0]) if scalar else out
 
 
@@ -217,10 +194,7 @@ def eve_pdf(x, lb: LinkBudget):
     m = x >= 0.0
     xv = x[m]
     if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = ((k - 1) * np.log(xv) - xv / mu
-                    - sps.gammaln(k) - k * math.log(mu))
-        out[m] = np.where(xv > 0, np.exp(logp), 1.0 / mu if k == 1 else 0.0)
+        out[m] = _gamma_pdf(k, xv / mu) / mu
     else:  # max of K exponentials; SE is K = 1
         out[m] = k * (-np.expm1(-xv / mu)) ** (k - 1) * np.exp(-xv / mu) / mu
     return float(out[0]) if scalar else out

@@ -87,8 +87,8 @@ class SweepConfig:
             v = getattr(self, name)
             if not (_number(v, int) and v > 0):
                 bad(name, "must be a positive integer")
-        if not _number(self.seed, int):
-            bad("seed", "must be an integer")
+        if not (_number(self.seed, int) and self.seed >= 0):
+            bad("seed", "must be a nonnegative integer")
         if not isinstance(self.timing, bool):
             bad("timing", "must be true or false")
         if self.axis not in AXES:
@@ -149,6 +149,9 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigError(f"preset: unknown preset {preset!r}")
     cfg = SweepConfig()
     if "aperture_lambdas" in raw:
+        if "aperture_len_m" in raw:
+            raise ConfigError("aperture_lambdas: give it or aperture_len_m, "
+                              "not both")
         lambdas = raw.pop("aperture_lambdas")
         wavelength = raw.get("wavelength_m", cfg.wavelength_m)
         if not (_number(lambdas) and _number(wavelength)):

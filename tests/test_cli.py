@@ -127,6 +127,8 @@ def test_sweep_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
     ({"series_tol": 1e-8}, "series_tol"),
     ({"epsilon_floor": 1e-8}, "epsilon_floor"),
     ({"n_trials": 5000}, "n_trials"),
+    ({"seed": -1}, "seed"),
+    ({"aperture_len_m": 5.0}, "aperture_lambdas"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -195,7 +197,7 @@ def test_sweep_reports_numerical_failures():
                and r["result"] == "error:PrecisionLossError" for r in rows)
 
 
-def test_sweep_cli_overrides(tmp_path):
+def test_sweep_cli_overrides(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     out = str(tmp_path / "o.csv")
     code = cli.main(["sweep", "--config", path, "--out", out,
@@ -205,6 +207,10 @@ def test_sweep_cli_overrides(tmp_path):
     text = open(out).read()
     rows = parse_rows(text)
     assert all(r["evaluator"] == "monte-carlo" for r in rows)
+    # an override is validated like the config field it replaces
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", path, "--seed", "-5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed:")
 
 
 # 74.94 m is 600 wavelengths: dof 1200 needs 2400 quadrature points, so

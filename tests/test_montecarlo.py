@@ -184,7 +184,7 @@ def test_welford_merge_matches_direct():
     acc = mc._Welford()
     for i in range(0, xs.size, 77_777):
         acc.add(xs[i:i + 77_777])
-    est = acc.estimate(0)
+    est = acc.estimate()
     assert est.mean == pytest.approx(float(np.mean(xs)), rel=1e-12)
     want_se = float(np.std(xs, ddof=1)) / math.sqrt(xs.size)
     assert est.std_err == pytest.approx(want_se, rel=1e-12)

@@ -38,14 +38,15 @@ def test_psi_equal_eigenvalues_collapse():
     ms = snr.build_psi(np.array([2.0, 2.0, 2.0]), q_max=8)
     assert ms.psis[0] == 1.0
     assert np.all(ms.psis[1:] == 0.0)
-    assert ms.weight_prefix == pytest.approx(1.0, rel=1e-14)
+    assert math.exp(ms.log_weight_prefix) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_psi_normalization_synthetic(ms_synth):
     # brute-force check that the mixture weights are a probability vector
     assert ms_synth.psis[0] == 1.0
     assert np.all(ms_synth.psis >= 0.0)
-    assert abs(1.0 - ms_synth.weight_prefix * math.fsum(ms_synth.psis)) < 1e-10
+    prefix = math.exp(ms_synth.log_weight_prefix)
+    assert abs(1.0 - prefix * math.fsum(ms_synth.psis)) < 1e-10
 
 
 def test_psi_rejects_bad_eigenvalues():
@@ -91,7 +92,7 @@ def test_bob_cdf_limits(ms4):
     assert snr.bob_cdf(0.0, lb, ms4) == 0.0
     assert snr.bob_cdf(-3.0, lb, ms4) == 0.0
     big = snr.bob_cdf(1e4, lb, ms4)
-    assert big >= 1.0 - 2.0 * ms4.series_tol
+    assert big >= 1.0 - 2.0 * 1e-8  # build_psi's default series_tol
     assert snr.bob_pdf(-1.0, lb, ms4) == 0.0
     assert snr.bob_pdf(0.0, lb, ms4) == 0.0  # dof >= 2
 
@@ -114,6 +115,12 @@ def test_single_mode_reduces_to_exponential():
     assert np.allclose(snr.bob_pdf(xs, lb, ms1), np.exp(-xs / mean) / mean,
                        rtol=1e-12, atol=1e-300)
     assert snr.bob_pdf(0.0, lb, ms1) == pytest.approx(1.0 / mean, rel=1e-12)
+    # one eigenvalue: the first gamma shape is 1, whose density is w_0 / theta
+    # at 0 and nothing below it
+    assert snr.bob_pdf(0.0, lb, ms1) == ms1.weights[0] / mean
+    assert snr.bob_pdf(-1.0, lb, ms1) == 0.0
+    assert np.array_equal(snr.bob_pdf(np.array([-1.0, 0.0]), lb, ms1),
+                          [0.0, ms1.weights[0] / mean])
 
 
 def test_bob_ks_distance_against_sampler(ms4):
@@ -159,6 +166,9 @@ def test_mce_mean_is_k_gamma_e():
     lb = LinkBudget(1.0, 2.0, 5, Scenario.MCE)
     mean = quad(lambda x: x * snr.eve_pdf(x, lb), 0.0, np.inf, limit=300)[0]
     assert mean == pytest.approx(10.0, rel=1e-8)
+    # Gamma(K, gamma_e) at 0: 1 / gamma_e for K = 1, 0 for K > 1
+    assert snr.eve_pdf(0.0, lb) == 0.0
+    assert snr.eve_pdf(0.0, LinkBudget(1.0, 2.0, 1, Scenario.MCE)) == 0.5
 
 
 def test_more_eves_stochastically_larger_max():

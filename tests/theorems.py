@@ -194,7 +194,7 @@ def mc_exact_eve(spec, n_trials: int, seed: int) -> McEstimate:
     ratio = (e @ (sig ** 2)) / (e @ sig) / (0.5 * spec.wavelength_m)
     return McEstimate(float(ratio.mean()),
                       float(ratio.std(ddof=1)) / math.sqrt(n_trials),
-                      n_trials, seed)
+                      n_trials)
 
 
 def coefficient_of_variation(est: McEstimate) -> float:
