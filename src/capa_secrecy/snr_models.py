@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sps
@@ -53,6 +53,12 @@ class MoschopoulosSeries:
     sum_q w_q Gamma(dof + q, scale = gamma_b * sigma_min) with mixture
     weights w_q = prefix * psi_q, prefix = sigma_min^dof / prod(sigma_l)
     (kept as its log).  `residual` is the truncated tail mass 1 - sum w_q.
+
+    Bob's laws are sums over the Poisson index k (see `_poisson_mix`); the
+    tables they read are made once here, for k up to n_top = dof + q_max:
+    `log_factorials[k]` = log k!, `cum_weights[q]` = w_0 + ... + w_q (C_k
+    at k = dof + q) and `tail_weights[k]` = sum of w_q over dof + q > k
+    (W_k for k < n_top).
     """
 
     sigmas: np.ndarray
@@ -63,14 +69,25 @@ class MoschopoulosSeries:
     q_max: int
     log_weight_prefix: float
     residual: float
+    weights: np.ndarray = field(init=False)
+    log_factorials: np.ndarray = field(init=False)
+    cum_weights: np.ndarray = field(init=False)
+    tail_weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):  # dataclasses.replace makes them again
+        put = object.__setattr__
+        w = np.exp(self.log_weights)
+        tail = np.cumsum(w[::-1])[::-1]
+        put(self, "weights", w)
+        put(self, "log_factorials",
+            sps.gammaln(np.arange(1.0, self.dof + self.q_max + 2.0)))
+        put(self, "cum_weights", np.cumsum(w))
+        put(self, "tail_weights",
+            np.concatenate([np.full(self.dof - 1, tail[0]), tail]))
 
     @property
     def log_weights(self) -> np.ndarray:
         return self.log_weight_prefix + self.log_psis
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
 
     @property
     def shapes(self) -> np.ndarray:
@@ -142,43 +159,74 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
 # Bob's SNR (gamma mixture)
 # ---------------------------------------------------------------------------
 
-def _gamma_pdf(a, z):
-    """Unit-scale Gamma(a) density at z >= 0 (1 at z = 0 for a = 1)."""
-    return np.exp(sps.xlogy(a - 1.0, z) - z - sps.gammaln(a))
+_BLOCK = 2_000_000  # terms per block of the array form
+
+
+def _poisson_mix(x, lb: LinkBudget, ms: MoschopoulosSeries, k0: int, table,
+                 top: float = 0.0):
+    """sum_k p_k(z) T_k at z = max(x, 0) / (gamma_b sigma_min), with p_k
+    the Poisson(z) pmf, T_k = table[k - k0] over the table and T_k = top
+    past it (that part is top * P(k0 + len(table), z)).  NaN gives NaN.
+
+    Every term is nonnegative, so nothing cancels.  A float x takes a
+    one-point form (a quadrature asks for one point per call); an array is
+    evaluated in blocks of at most _BLOCK terms.
+    """
+    theta = lb.gamma_bar_b * ms.sigma_min
+    n = k0 + len(table)
+    log_fact = ms.log_factorials[k0:n]
+    if isinstance(x, (float, int)):
+        z = x / theta
+        if not 0.0 < z < math.inf:  # x <= 0, +inf or NaN
+            if z <= 0.0:
+                return float(table[0]) if k0 == 0 else 0.0
+            return top if z == math.inf else math.nan
+        a = np.arange(k0, n, dtype=float) * math.log(z)
+        a -= z
+        a -= log_fact
+        out = float(np.exp(a, out=a) @ table)
+        return out + top * float(sps.gammainc(n, z)) if top else out
+    x = np.asarray(x, dtype=float)
+    z = np.clip(np.atleast_1d(x), 0.0, None) / theta
+    at_inf = z == math.inf  # p_k(inf) = 0: keep inf - inf out of the sum
+    zf = np.where(at_inf, 0.0, z)
+    out = np.empty_like(z)
+    ks = np.arange(k0, n, dtype=float)
+    step = max(1, _BLOCK // len(table))
+    for i in range(0, len(z), step):
+        zz = zf[i:i + step, None]
+        a = sps.xlogy(ks, zz)
+        a -= zz
+        a -= log_fact
+        out[i:i + step] = np.exp(a, out=a) @ table
+    out[at_inf] = 0.0
+    if top:
+        out += top * sps.gammainc(n, z)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """Mixture density sum_q w_q Gamma(dof+q, theta) at x, 0 below 0."""
+    """Mixture density sum_q w_q Gamma(dof+q, theta) at x, 0 below 0:
+    sum_k p_k(x/theta) w_(k-dof+1) / theta."""
     theta = lb.gamma_bar_b * ms.sigma_min
-    return (np.asarray(x) >= 0.0) * _bob_mixture(_gamma_pdf, x, lb, ms) / theta
-
-
-def _bob_mixture(law, x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """sum_q w_q law(dof+q, x / (gamma_b sigma_min)), x clipped at 0,
-    chunked over x."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    theta = lb.gamma_bar_b * ms.sigma_min
-    z = np.clip(x, 0.0, None) / theta
-    out = np.zeros_like(x)
-    w = ms.weights
-    shapes = ms.shapes.astype(float)
-    chunk = max(1, 2_000_000 // (ms.q_max + 1))
-    for i in range(0, len(x), chunk):
-        zz = z[i:i + chunk, None]
-        out[i:i + chunk] = law(shapes[None, :], zz) @ w
-    return float(out[0]) if scalar else out
+    if isinstance(x, (float, int)):
+        return 0.0 if x < 0.0 else _poisson_mix(x, lb, ms, ms.dof - 1,
+                                                ms.weights) / theta
+    return ((np.asarray(x) >= 0.0)
+            * _poisson_mix(x, lb, ms, ms.dof - 1, ms.weights) / theta)
 
 
 def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """Mixture CDF sum_q w_q P(dof+q, x / (gamma_b sigma_min))."""
-    return _bob_mixture(sps.gammainc, x, lb, ms)
+    """Mixture CDF sum_q w_q P(dof+q, x/theta) = sum_k p_k(x/theta) C_k,
+    since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4)."""
+    return _poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
+                        float(ms.cum_weights[-1]))
 
 
 def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
-    """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta); accurate in the far tail."""
-    return _bob_mixture(sps.gammaincc, x, lb, ms)
+    """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta) = sum_k p_k(x/theta) W_k;
+    accurate in the far tail."""
+    return _poisson_mix(x, lb, ms, 0, ms.tail_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +234,47 @@ def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
 # ---------------------------------------------------------------------------
 
 def eve_pdf(x, lb: LinkBudget):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    """Eve's SNR density; 0 below 0 and at +inf, NaN at NaN.  A float takes
+    a one-point form with the array form's functions, so both agree bit for
+    bit."""
     mu, k = lb.gamma_bar_e, lb.k_eves
-    out = np.zeros_like(x)
-    m = x >= 0.0
-    xv = x[m]
-    if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
-        out[m] = _gamma_pdf(k, xv / mu) / mu
-    else:  # max of K exponentials; SE is K = 1
-        out[m] = k * (-np.expm1(-xv / mu)) ** (k - 1) * np.exp(-xv / mu) / mu
-    return float(out[0]) if scalar else out
+    if isinstance(x, (float, int)):
+        if not 0.0 <= x < math.inf:
+            return math.nan if x != x else 0.0
+        z = x / mu
+        if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
+            if z == 0.0:
+                return 1.0 / mu if k == 1 else 0.0
+            return float(np.exp((k - 1) * math.log(z) - z - math.lgamma(k))) / mu
+        # max of K exponentials; SE is K = 1
+        return (k * float(np.power(-float(np.expm1(-z)), k - 1.0))
+                * float(np.exp(-z)) / mu)
+    x = np.asarray(x, dtype=float)
+    xv = np.atleast_1d(x)
+    out = np.where(np.isnan(xv), math.nan, 0.0)
+    m = (xv >= 0.0) & (xv < math.inf)
+    z = xv[m] / mu
+    if lb.scenario == Scenario.MCE:
+        out[m] = np.exp(sps.xlogy(k - 1, z) - z - math.lgamma(k)) / mu
+    else:
+        out[m] = k * np.power(-np.expm1(-z), k - 1) * np.exp(-z) / mu
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def eve_cdf(x, lb: LinkBudget):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    """Eve's SNR CDF; NaN at NaN.  A float takes a one-point form with the
+    array form's functions."""
     mu, k = lb.gamma_bar_e, lb.k_eves
-    xv = np.clip(x, 0.0, None)
+    if isinstance(x, (float, int)):
+        z = max(x, 0.0) / mu  # max keeps a NaN x, as np.clip does
+        if lb.scenario == Scenario.MCE:
+            return float(sps.gammainc(k, z))
+        return float(np.power(-float(np.expm1(-z)), float(k)))  # SE is K = 1
+    x = np.asarray(x, dtype=float)
+    z = np.clip(x, 0.0, None) / mu
     if lb.scenario == Scenario.MCE:
-        out = sps.gammainc(k, xv / mu)
-    else:  # SE is K = 1
-        out = (-np.expm1(-xv / mu)) ** k
-    return float(out[0]) if scalar else out
+        return sps.gammainc(k, z)
+    return np.power(-np.expm1(-z), k)
 
 
 # ---------------------------------------------------------------------------

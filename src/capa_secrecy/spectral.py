@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre as leg
+from scipy import linalg as sla
 
 from .specfun import DomainError
 
@@ -113,15 +115,46 @@ def kernel_value(z, z_prime, geom: ApertureGeometry):
     return float(out) if out.ndim == 0 else out
 
 
+def unit_legendre_rule(t: int):
+    """numpy's leggauss(t) bit for bit: the t-point Gauss-Legendre rule on
+    [-1, 1].
+
+    numpy takes the nodes' first estimate from a dense eigensolve of the
+    symmetric companion matrix, which is tridiagonal: zero diagonal and
+    off-diagonal k s_(k-1) s_k with s_k = 1/sqrt(2k+1).  LAPACK's sterf
+    gives the same eigenvalues from the two diagonals alone; the default
+    stemr driver does not (it moves the weights by 1e-9 at t = 1000).  The
+    remaining steps are numpy's as written: one Newton step, the weights
+    from legval and the symmetrisation.
+    """
+    s = 1.0 / np.sqrt(2 * np.arange(t) + 1)
+    x = sla.eigvalsh_tridiagonal(np.zeros(t), np.arange(1, t) * s[:-1] * s[1:],
+                                 lapack_driver="sterf")
+    c = np.zeros(t + 1)
+    c[-1] = 1.0
+    dy = leg.legval(x, c)
+    df = leg.legval(x, leg.legder(c))
+    x -= dy / df
+    fm = leg.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):
     """t-point Gauss-Legendre nodes/weights on [-L/2, L/2].
 
-    `unit_rule(t)` returns the rule on [-1, 1] (default: numpy's leggauss),
-    so a caller that decomposes several apertures can compute it once.
+    `unit_rule(t)` returns the rule on [-1, 1] (default:
+    `unit_legendre_rule`), so a caller that decomposes several apertures can
+    compute it once.
     """
     if t < 2:
         raise DomainError("need at least 2 quadrature points")
-    x, w = (unit_rule or np.polynomial.legendre.leggauss)(t)
+    x, w = (unit_rule or unit_legendre_rule)(t)
     half = 0.5 * geom.aperture_len_m
     return half * x, half * w
 

@@ -183,7 +183,7 @@ def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     """Each distinct aperture length of the grid, in grid order, mapped to
     (spectrum, series, unit Bob draws or None) or to the exception raised."""
     # one unit Gauss-Legendre rule per sweep, made on the first cache miss
-    unit_rule = functools.cache(np.polynomial.legendre.leggauss)
+    unit_rule = functools.cache(spc.unit_legendre_rule)
     lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
     # only rate and sop rows read the draws
     draw_bob = ("monte-carlo" in cfg.evaluators

@@ -379,13 +379,13 @@ def test_library_ignores_cache_env(tmp_path, monkeypatch):
 
 def test_one_unit_rule_per_sweep(tmp_path, monkeypatch):
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
+    unit_rule = spc.unit_legendre_rule
 
     def counting(t):
         calls.append(t)
-        return leggauss(t)
+        return unit_rule(t)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    monkeypatch.setattr(spc, "unit_legendre_rule", counting)
     path = write_config(tmp_path, small_config(
         axis="aperture_len", values=[0.1249 * 2, 0.1249 * 3],
         evaluators=["asymptotic"], outputs=["rate"], quadrature_order=160))

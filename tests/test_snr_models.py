@@ -1,13 +1,30 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import theorems as thm
 from capa_secrecy import snr_models as snr
 from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import DomainError
 from capa_secrecy.spectral import ComputationError
+from conftest import make_spectrum
+
+BOB_LAWS = {"pdf": snr.bob_pdf, "cdf": snr.bob_cdf,
+            "survival": snr.bob_survival}
+# (aperture in wavelengths, quadrature order) by DoF
+BOB_SPECTRA = {4: (2.0, 120), 6: (3.0, 160), 20: (10.0, 400),
+               80: (40.0, 1000), 100: (50.0, 1000)}
+
+
+@functools.cache
+def bob_series(dof):
+    ms = snr.build_psi(make_spectrum(*BOB_SPECTRA[dof]))
+    assert ms.dof == dof
+    return ms
 
 
 def hypoexp_pdf(x, scales):
@@ -95,6 +112,43 @@ def test_bob_cdf_limits(ms4):
     assert big >= 1.0 - 2.0 * 1e-8  # build_psi's default series_tol
     assert snr.bob_pdf(-1.0, lb, ms4) == 0.0
     assert snr.bob_pdf(0.0, lb, ms4) == 0.0  # dof >= 2
+    # NaN in gives NaN out; at +inf the density and the survival are 0 and
+    # the CDF is the total weight, in both forms and without a warning (the
+    # CDF sums the weights forward, the survival function backward)
+    total, total_back = ms4.cum_weights[-1], ms4.tail_weights[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (math.nan, math.inf, -math.inf):
+            got = {law: (f(x, lb, ms4), f(np.array([x, 1.0]), lb, ms4)[0])
+                   for law, f in BOB_LAWS.items()}
+            if math.isnan(x):
+                assert all(map(math.isnan, sum(got.values(), ())))
+            elif x > 0.0:
+                assert got == {"pdf": (0.0, 0.0), "cdf": (total, total),
+                               "survival": (0.0, 0.0)}
+            else:
+                assert got == {"pdf": (0.0, 0.0), "cdf": (0.0, 0.0),
+                               "survival": (total_back, total_back)}
+    assert total == pytest.approx(1.0 - ms4.residual, rel=1e-14)
+    assert total_back == pytest.approx(total, rel=1e-14)
+
+
+@pytest.mark.parametrize("dof", sorted(BOB_SPECTRA))
+def test_bob_laws_match_per_shape_gamma_mixture(dof):
+    # the Poisson-index sums against one incomplete-gamma call per shape,
+    # below 0, at 0 and from the lower tail through the bulk into the upper
+    ms = bob_series(dof)
+    lb = LinkBudget(100.0, 1.0)
+    mean = lb.gamma_bar_b * float(np.sum(ms.sigmas))
+    xs = np.concatenate([[-2.0, 0.0], mean * np.geomspace(1e-3, 40.0, 600)])
+    want = {law: thm.bob_mixture(law, xs, lb, ms) for law in BOB_LAWS}
+    for law, f in BOB_LAWS.items():
+        for got in (f(xs, lb, ms), np.array([f(float(x), lb, ms) for x in xs])):
+            assert np.all(np.abs(got - want[law])
+                          <= 1e-12 * want[law] + 1e-300), law
+    if dof == 80:  # both tails are covered far out
+        assert 0.0 < np.min(want["cdf"][want["cdf"] > 0.0]) < 1e-200
+        assert 0.0 < np.min(want["survival"][want["survival"] > 0.0]) < 1e-200
 
 
 def test_bob_cdf_monotone_and_consistent_with_pdf(ms4):
@@ -160,6 +214,38 @@ def test_eve_ks_distance_against_sampler(scenario, k):
     ks = max(np.max(np.abs(cdf - emp_hi)),
              np.max(np.abs(cdf - emp_hi + 1.0 / samp.size)))
     assert ks < 0.005
+
+
+@pytest.mark.parametrize("scenario,k", [(Scenario.SE, 1), (Scenario.MIE, 4),
+                                        (Scenario.MCE, 1), (Scenario.MCE, 4)])
+def test_eve_laws_at_nan_and_inf(scenario, k):
+    # NaN in gives NaN out, the density is 0 at +inf and below 0, in both
+    # forms and without a warning
+    lb = LinkBudget(1.0, 2.0, k, scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, at_inf in ((snr.eve_pdf, 0.0), (snr.eve_cdf, 1.0)):
+            for x, want in ((math.nan, math.nan), (math.inf, at_inf),
+                            (-math.inf, 0.0), (-1.0, 0.0)):
+                for got in (f(x, lb), f(np.array([x, 1.0]), lb)[0]):
+                    assert got == want or math.isnan(got) and math.isnan(want)
+
+
+@pytest.mark.parametrize("scenario,k", [(Scenario.SE, 1), (Scenario.MIE, 3),
+                                        (Scenario.MIE, 40), (Scenario.MCE, 3)])
+def test_float_and_one_element_array_agree(ms6, scenario, k):
+    # a quadrature passes floats (the one-point forms); a one-element array
+    # takes the array forms, which must give the same bits
+    lb = LinkBudget(30.0, 2.0, k, scenario)
+    laws = [(f, (lb, ms6)) for f in BOB_LAWS.values()]
+    laws += [(snr.eve_pdf, (lb,)), (snr.eve_cdf, (lb,))]
+    xs = [-1.0, 0.0, 1e-6, 0.3, 2.0, 7.5, 40.0, 150.0, 1e3, 1e5,
+          math.inf, -math.inf, math.nan]
+    for f, args in laws:
+        for x in xs:
+            a, b = f(x, *args), f(np.array([x]), *args)
+            assert type(a) is float and b.shape == (1,)
+            assert a == b[0] or (math.isnan(a) and math.isnan(b[0])), (f, x)
 
 
 def test_mce_mean_is_k_gamma_e():

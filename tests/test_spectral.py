@@ -168,6 +168,14 @@ def test_parity_split_matches_dense_eigensolve(n_lambdas, t):
     assert spec.trace == pytest.approx(np.sum(dense), rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [2, 3, 120, 160, 1000, 1001])
+def test_unit_rule_is_numpys_leggauss_bit_for_bit(t):
+    x, w = spc.unit_legendre_rule(t)
+    x_np, w_np = np.polynomial.legendre.leggauss(t)
+    assert np.array_equal(x, x_np)
+    assert np.array_equal(w, w_np)
+
+
 def test_unit_rule_is_scaled_to_the_aperture(geom):
     calls = []
 

@@ -1,15 +1,17 @@
 """The paper's lemmas as exact rational checks (ordering and identity terms,
 the small-1/SNR outage expansion), the alternating independent-Eves sums
-as references for the library's positive forms, and the
-conditional-variance check behind treating Eve's SNR as independent of
-Bob's channel.  No sweep or CLI path runs them; the acceptance, secrecy and
-Monte Carlo tests import them.
+as references for the library's positive forms, Bob's laws as one
+incomplete-gamma call per mixture shape (the reference for the
+Poisson-index kernel), and the conditional-variance check behind treating
+Eve's SNR as independent of Bob's channel.  No sweep or CLI path runs them;
+the acceptance, secrecy, SNR-law and Monte Carlo tests import them.
 """
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy import special as sps
 
 from capa_secrecy import secrecy as sec
 from capa_secrecy.montecarlo import McEstimate
@@ -173,6 +175,30 @@ def sop_leading_coeff(scenario: Scenario, sigmas, gamma_e, r0: int,
                   * math.comb(n - m + k_eves - 1, k_eves - 1)
                   for m in range(n + 1))
     return s_m * gmu ** n / prod
+
+
+# ---------------------------------------------------------------------------
+# Bob's laws, one gamma law per mixture shape
+# ---------------------------------------------------------------------------
+
+def _gamma_pdf(a, z):
+    """Unit-scale Gamma(a) density at z >= 0 (1 at z = 0 for a = 1)."""
+    return np.exp(sps.xlogy(a - 1.0, z) - z - sps.gammaln(a))
+
+
+BOB_SHAPE_LAWS = {"pdf": _gamma_pdf, "cdf": sps.gammainc,
+                  "survival": sps.gammaincc}
+
+
+def bob_mixture(law: str, x, lb, ms) -> np.ndarray:
+    """sum_q w_q law(dof+q, max(x, 0)/theta) with one call per shape
+    (theta = gamma_b sigma_min); the pdf is divided by theta and is 0
+    below 0."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    theta = lb.gamma_bar_b * ms.sigma_min
+    z = np.clip(x, 0.0, None)[:, None] / theta
+    out = BOB_SHAPE_LAWS[law](ms.shapes[None, :].astype(float), z) @ ms.weights
+    return (x >= 0.0) * out / theta if law == "pdf" else out
 
 
 # ---------------------------------------------------------------------------
