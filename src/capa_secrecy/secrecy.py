@@ -461,19 +461,6 @@ def sop_asymptotic(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     return math.exp(expo) if expo < 700.0 else math.inf
 
 
-# analytic evaluator name -> (rate(lb, ms), sop(lb, ms, r0)).  The entries
-# look the evaluators up at call time, so a module attribute replaced after
-# import (e.g. by a tracer) is the one that runs.
-ANALYTIC_EVALUATORS = {
-    "closed-form": (lambda lb, ms: secrecy_rate_closed(lb, ms),
-                    lambda lb, ms, r0: sop_closed(lb, ms, r0)),
-    "quadrature": (lambda lb, ms: secrecy_rate_quadrature(lb, ms),
-                   lambda lb, ms, r0: sop_quadrature(lb, ms, r0)),
-    "asymptotic": (lambda lb, ms: asymptotic_rate(lb, ms),
-                   lambda lb, ms, r0: min(sop_asymptotic(lb, ms, r0), 1.0)),
-}
-
-
 # ---------------------------------------------------------------------------
 # independent-Eves term of the power offset
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,19 +26,49 @@ from .snr_models import LinkBudget, Scenario
 
 CSV_HEADER = "axis,value,scenario,evaluator,metric,result,std_err,seed,wall_ms"
 
-AXES = ("gamma_b_db", "gamma_e_db", "aperture_len", "k_eves")
+# sweep axis -> the setting its values override at each grid point
+AXES = {"gamma_b_db": "gamma_b_db", "gamma_e_db": "gamma_e_db",
+        "aperture_len": "aperture_len_m", "k_eves": "k_eves"}
 SCENARIOS = ("SE", "MIE", "MCE")
-# sampled evaluators: name -> fn(cfg, lb, bob, aperture_len_m, seed) returning
-# the (rate, sop) Monte Carlo estimates; bob holds the aperture's unit draws
-_SAMPLED = {
-    "monte-carlo": lambda cfg, lb, bob, aperture, seed: mc.mc_secrecy(
-        lb, bob, cfg.target_rate_r0, cfg.n_trials, seed),
-    "spda-mc": lambda cfg, lb, bob, aperture, seed: mc.spda_baseline(
-        lb, spc.ApertureGeometry(cfg.wavelength_m, aperture),
-        cfg.target_rate_r0, cfg.n_trials, seed),
+
+# one grid point: cfg with the axis value applied, the aperture's series and
+# unit Bob draws (None unless monte-carlo reads them), r0 and the seed
+_Point = namedtuple("_Point", "cfg lb ms bob r0 seed")
+
+
+def _monte_carlo(p):
+    return mc.mc_secrecy(p.lb, p.bob, p.r0, p.cfg.n_trials, p.seed)
+
+
+def _spda(p):
+    geom = spc.ApertureGeometry(p.cfg.wavelength_m, p.cfg.aperture_len_m)
+    return mc.spda_baseline(p.lb, geom, p.r0, p.cfg.n_trials, p.seed)
+
+
+# (evaluator, metric) -> (call, i): the row is call(point), or the mean and
+# std_err of call(point)[i].  A point makes each call once, so one sampled
+# loop feeds both its rate and sop rows.  The calls look the library up when
+# they run: a module attribute replaced after import (a tracer) is what runs.
+ROWS = {
+    ("closed-form", "rate"): (lambda p: sec.secrecy_rate_closed(p.lb, p.ms), None),
+    ("closed-form", "sop"): (lambda p: sec.sop_closed(p.lb, p.ms, p.r0), None),
+    ("closed-form", "slope"): (lambda p: sec.high_snr_slope(p.ms), None),
+    ("closed-form", "offset"): (lambda p: sec.high_snr_offset(p.lb, p.ms), None),
+    ("closed-form", "gain"):
+        (lambda p: sec.diversity_and_gain(p.lb, p.ms, p.r0)[1], None),
+    ("quadrature", "rate"):
+        (lambda p: sec.secrecy_rate_quadrature(p.lb, p.ms), None),
+    ("quadrature", "sop"): (lambda p: sec.sop_quadrature(p.lb, p.ms, p.r0), None),
+    ("asymptotic", "rate"): (lambda p: sec.asymptotic_rate(p.lb, p.ms), None),
+    ("asymptotic", "sop"):
+        (lambda p: min(sec.sop_asymptotic(p.lb, p.ms, p.r0), 1.0), None),
+    ("monte-carlo", "rate"): (_monte_carlo, 0),
+    ("monte-carlo", "sop"): (_monte_carlo, 1),
+    ("spda-mc", "rate"): (_spda, 0),
+    ("spda-mc", "sop"): (_spda, 1),
 }
-EVALUATORS = (*sec.ANALYTIC_EVALUATORS, *_SAMPLED)
-OUTPUTS = ("rate", "sop", "slope", "offset", "gain")
+EVALUATORS = tuple(dict.fromkeys(ev for ev, _ in ROWS))
+OUTPUTS = tuple(dict.fromkeys(m for _, m in ROWS))
 
 
 class ConfigError(ValueError):
@@ -92,7 +123,7 @@ class SweepConfig:
         if not isinstance(self.timing, bool):
             bad("timing", "must be true or false")
         if self.axis not in AXES:
-            bad("axis", f"must be one of {AXES}")
+            bad("axis", f"must be one of {tuple(AXES)}")
         if not (isinstance(self.values, list) and self.values
                 and all(_number(v) for v in self.values)):
             bad("values", "must be a nonempty increasing list of finite numbers")
@@ -185,9 +216,8 @@ def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     # one unit Gauss-Legendre rule per sweep, made on the first cache miss
     unit_rule = functools.cache(spc.unit_legendre_rule)
     lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
-    # only rate and sop rows read the draws
-    draw_bob = ("monte-carlo" in cfg.evaluators
-                and not {"rate", "sop"}.isdisjoint(cfg.outputs))
+    draw_bob = any(ROWS.get((ev, m), (None,))[0] is _monte_carlo
+                   for ev in cfg.evaluators for m in cfg.outputs)
     stage = {}
     for ai, length in enumerate(map(float, lengths)):
         try:
@@ -203,51 +233,28 @@ def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     return stage
 
 
-def _point_params(cfg: SweepConfig, value: float):
-    gamma_b = _db_to_lin(cfg.gamma_b_db)
-    gamma_e = _db_to_lin(cfg.gamma_e_db)
-    aperture = cfg.aperture_len_m
-    k = cfg.k_eves
-    if cfg.axis == "gamma_b_db":
-        gamma_b = _db_to_lin(value)
-    elif cfg.axis == "gamma_e_db":
-        gamma_e = _db_to_lin(value)
-    elif cfg.axis == "aperture_len":
-        aperture = value
-    else:
-        k = int(value)
-    return gamma_b, gamma_e, aperture, k
-
-
 def _eval_point(stage: dict, cfg: SweepConfig, value: float, scen_name: str,
                 evaluator: str, point_seed: int):
     """{metric: (result, std_err_or_None)} for one grid point, in the order
     of cfg.outputs."""
-    gamma_b, gamma_e, aperture, k = _point_params(cfg, value)
-    if scen_name == "SE":
-        k = 1
-    lb = LinkBudget(gamma_b, gamma_e, k, Scenario(scen_name))
-    resolved = stage[aperture]
+    at = replace(cfg, **{AXES[cfg.axis]: value})
+    lb = LinkBudget(_db_to_lin(at.gamma_b_db), _db_to_lin(at.gamma_e_db),
+                    1 if scen_name == "SE" else int(at.k_eves),
+                    Scenario(scen_name))
+    resolved = stage[at.aperture_len_m]
     if isinstance(resolved, Exception):
         # each point starts a new traceback; re-raising would extend the old
         raise resolved.with_traceback(None)
-    _, ms, bob = resolved
-    r0 = cfg.target_rate_r0
-    wanted = cfg.outputs
-    if evaluator in _SAMPLED:
-        if "rate" not in wanted and "sop" not in wanted:
-            return {}
-        rate, sop = _SAMPLED[evaluator](cfg, lb, bob, aperture, point_seed)
-        got = {"rate": (rate.mean, rate.std_err), "sop": (sop.mean, sop.std_err)}
-        return {m: got[m] for m in wanted if m in got}
-    rate_fn, sop_fn = sec.ANALYTIC_EVALUATORS[evaluator]
-    fns = {"rate": lambda: rate_fn(lb, ms), "sop": lambda: sop_fn(lb, ms, r0)}
-    if evaluator == "closed-form":
-        # scalar high-SNR characterizations ride with the closed-form rows
-        fns.update(slope=lambda: sec.high_snr_slope(ms),
-                   offset=lambda: sec.high_snr_offset(lb, ms),
-                   gain=lambda: sec.diversity_and_gain(lb, ms, r0)[1])
-    return {m: (fns[m](), None) for m in wanted if m in fns}
+    point = _Point(at, lb, *resolved[1:], at.target_rate_r0, point_seed)
+    runs, rows = {}, {}
+    for m in cfg.outputs:
+        if (evaluator, m) in ROWS:
+            call, i = ROWS[evaluator, m]
+            if call not in runs:
+                runs[call] = call(point)
+            r = runs[call]
+            rows[m] = (r, None) if i is None else (r[i].mean, r[i].std_err)
+    return rows
 
 
 def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,

@@ -471,7 +471,13 @@ def test_sweep_rows_are_the_evaluators(ms4, evaluator):
     out = io.StringIO()
     assert sw.run_sweep(cfg, out, summary_stream=io.StringIO()) == 0
     rows = [ln.split(",") for ln in out.getvalue().splitlines()[1:]]
-    rate_fn, sop_fn = sec.ANALYTIC_EVALUATORS[evaluator]
+    rate_fn, sop_fn = {
+        "closed-form": (sec.secrecy_rate_closed, sec.sop_closed),
+        "quadrature": (sec.secrecy_rate_quadrature, sec.sop_quadrature),
+        "asymptotic": (sec.asymptotic_rate,
+                       lambda lb, ms, r0: min(sec.sop_asymptotic(lb, ms, r0),
+                                              1.0)),
+    }[evaluator]
     for scen in Scenario:
         lb = lb_db(20.0, 0.0, 1 if scen == Scenario.SE else 5, scen)
         want = {"rate": rate_fn(lb, ms4), "sop": sop_fn(lb, ms4, 1.0)}
