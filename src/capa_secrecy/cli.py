@@ -64,6 +64,13 @@ def _cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     cache_dir = os.environ.get("CAPA_CACHE_DIR")
+    if cache_dir:
+        try:  # a regular file there would fail every grid point
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"sweep error: CAPA_CACHE_DIR: cannot use {cache_dir} as a "
+                  f"directory: {exc.strerror}", file=sys.stderr)
+            return 2
     if not args.out:
         return sw.run_sweep(cfg, sys.stdout, cache_dir=cache_dir)
     try:

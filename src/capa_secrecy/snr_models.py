@@ -216,17 +216,22 @@ def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
             * _poisson_mix(x, lb, ms, ms.dof - 1, ms.weights) / theta)
 
 
+def _at_most_one(p):
+    # the weight sums can round a few ulps past 1; NaN stays NaN
+    return min(p, 1.0) if isinstance(p, float) else np.minimum(p, 1.0)
+
+
 def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """Mixture CDF sum_q w_q P(dof+q, x/theta) = sum_k p_k(x/theta) C_k,
-    since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4)."""
-    return _poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
-                        float(ms.cum_weights[-1]))
+    since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4); at most 1."""
+    return _at_most_one(_poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
+                                     float(ms.cum_weights[-1])))
 
 
 def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta) = sum_k p_k(x/theta) W_k;
-    accurate in the far tail."""
-    return _poisson_mix(x, lb, ms, 0, ms.tail_weights)
+    accurate in the far tail and at most 1."""
+    return _at_most_one(_poisson_mix(x, lb, ms, 0, ms.tail_weights))
 
 
 # ---------------------------------------------------------------------------

@@ -275,14 +275,14 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
                 tasks.append((float(value), scen, ev,
                               _seed(cfg.seed, vi, si, ei)))
 
-    def run_one(task):
-        value, scen, ev, point_seed = task
+    def run_one(task):  # task: (value, scenario, evaluator, point seed)
         t0 = time.perf_counter()
         try:
-            res, err = _eval_point(stage, cfg, value, scen, ev, point_seed), None
+            cells = {m: (_fmt(r), "" if se is None else _fmt(se))
+                     for m, (r, se) in _eval_point(stage, cfg, *task).items()}
         except Exception as exc:  # keep sweeping, tag the row
-            res, err = {}, exc
-        return res, err, (time.perf_counter() - t0) * 1e3
+            cells = {"error": (f"error:{type(exc).__name__}", "")}
+        return cells, (time.perf_counter() - t0) * 1e3
 
     if cfg.workers == 1:
         # the builtin map: an executor would finish every queued point
@@ -293,23 +293,12 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_one, tasks))
 
-    rows = []
-    had_error = False
-    for (value, scen, ev, point_seed), (res, err, wall) in zip(tasks, results):
-        wall_s = _fmt(wall) if cfg.timing else ""
-        if err is not None:
-            had_error = True
-            rows.append(f"{cfg.axis},{_fmt(value)},{scen},{ev},"
-                        f"error,error:{type(err).__name__},,"
-                        f"{point_seed},{wall_s}")
-            continue
-        for metric, (r, se) in res.items():
-            se_s = "" if se is None else _fmt(se)
-            rows.append(f"{cfg.axis},{_fmt(value)},{scen},{ev},"
-                        f"{metric},{_fmt(r)},{se_s},{point_seed},{wall_s}")
     out_stream.write(CSV_HEADER + "\n")
-    for row in rows:
-        out_stream.write(row + "\n")
+    for (value, scen, ev, point_seed), (cells, wall) in zip(tasks, results):
+        wall_s = _fmt(wall) if cfg.timing else ""
+        for metric, (r, se) in cells.items():
+            out_stream.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
+                             f"{r},{se},{point_seed},{wall_s}\n")
 
     # the first length of the grid: values[0] on the aperture axis
     summary_len, resolved = next(iter(stage.items()))
@@ -322,7 +311,7 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
                   "landau_counts(eps=0.01/0.5/0.99)="
                   + "/".join(map(str, counts)))
     print(f"spectrum: aperture_len={summary_len:g} {detail}", file=summary)
-    return 1 if had_error else 0
+    return 1 if any("error" in cells for cells, _ in results) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,37 @@ def test_bob_drawn_once_per_aperture(monkeypatch):
         assert drawn == want
 
 
+def test_sampled_loop_runs_once_per_point(monkeypatch):
+    # one loop feeds a point's rate and sop rows; a point without them
+    # runs none
+    calls = []
+
+    def counting(name):
+        loop = getattr(mc, name)
+
+        def wrapper(lb, *args):
+            calls.append((name, lb.gamma_bar_b, lb.scenario.value))
+            return loop(lb, *args)
+        monkeypatch.setattr(mc, name, wrapper)
+
+    counting("mc_secrecy")
+    counting("spda_baseline")
+    points = {(10 ** (v / 10), s) for v in (0.0, 10.0) for s in ("SE", "MIE")}
+    for outputs, per_loop in ((["rate", "sop", "slope"], 1),
+                              (["slope", "gain"], 0)):
+        calls.clear()
+        code, text = run_sweep_to_string(small_config(
+            values=[0.0, 10.0], evaluators=["monte-carlo", "spda-mc",
+                                            "closed-form"], outputs=outputs))
+        assert code == 0
+        for name in ("mc_secrecy", "spda_baseline"):
+            got = [c[1:] for c in calls if c[0] == name]
+            assert sorted(got) == sorted(points) * per_loop, name
+        sampled = [r for r in parse_rows(text) if r["evaluator"] != "closed-form"]
+        # values x scenarios x sampled evaluators x (rate, sop)
+        assert len(sampled) == 2 * 2 * 2 * 2 * per_loop
+
+
 def test_bob_stream_apart_from_point_streams(monkeypatch):
     keys, bob_seeds = {}, []
     seed, draw = sw._seed, mc.unit_bob_draws
@@ -364,6 +395,22 @@ def test_spectrum_cache_env(tmp_path, monkeypatch):
     out = str(tmp_path / "o.csv")
     assert cli.main(["sweep", "--config", path, "--out", out]) == 0
     assert list((tmp_path / "cache").glob("*.npz"))
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_cache_env_not_a_directory_exit_2(tmp_path, monkeypatch, capsys, where):
+    # refused before any grid point runs, instead of an error row per point
+    (tmp_path / "file").write_text("not a cache")
+    monkeypatch.setenv("CAPA_CACHE_DIR", str(tmp_path / where))
+    monkeypatch.setattr(sw, "_eval_point", None)  # any point run would fail
+    path = write_config(tmp_path, small_config(evaluators=["closed-form"],
+                                               outputs=["sop"], values=[10.0]))
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep error: CAPA_CACHE_DIR: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_library_ignores_cache_env(tmp_path, monkeypatch):

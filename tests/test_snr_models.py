@@ -113,9 +113,10 @@ def test_bob_cdf_limits(ms4):
     assert snr.bob_pdf(-1.0, lb, ms4) == 0.0
     assert snr.bob_pdf(0.0, lb, ms4) == 0.0  # dof >= 2
     # NaN in gives NaN out; at +inf the density and the survival are 0 and
-    # the CDF is the total weight, in both forms and without a warning (the
-    # CDF sums the weights forward, the survival function backward)
+    # the CDF is the total weight capped at 1, in both forms and without a
+    # warning (the CDF sums the weights forward, the survival backward)
     total, total_back = ms4.cum_weights[-1], ms4.tail_weights[0]
+    cap, cap_back = min(total, 1.0), min(total_back, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (math.nan, math.inf, -math.inf):
@@ -124,13 +125,27 @@ def test_bob_cdf_limits(ms4):
             if math.isnan(x):
                 assert all(map(math.isnan, sum(got.values(), ())))
             elif x > 0.0:
-                assert got == {"pdf": (0.0, 0.0), "cdf": (total, total),
+                assert got == {"pdf": (0.0, 0.0), "cdf": (cap, cap),
                                "survival": (0.0, 0.0)}
             else:
                 assert got == {"pdf": (0.0, 0.0), "cdf": (0.0, 0.0),
-                               "survival": (total_back, total_back)}
+                               "survival": (cap_back, cap_back)}
     assert total == pytest.approx(1.0 - ms4.residual, rel=1e-14)
     assert total_back == pytest.approx(total, rel=1e-14)
+
+
+@pytest.mark.parametrize("dof", [4, 6, 80])
+def test_bob_probabilities_at_most_one(dof):
+    # the forward and backward weight sums round a few ulps past 1 at some
+    # DoF (dof 6: 1 + 3e-15); the laws are probabilities all the same
+    ms = bob_series(dof)
+    lb = LinkBudget(10.0, 1.0)
+    mean = lb.gamma_bar_b * float(np.sum(ms.sigmas))
+    xs = np.concatenate([[0.0, math.inf], mean * np.geomspace(1e-3, 1e3, 200)])
+    for law in (snr.bob_cdf, snr.bob_survival):
+        assert np.all(law(xs, lb, ms) <= 1.0), law.__name__
+        assert all(law(float(x), lb, ms) <= 1.0 for x in xs), law.__name__
+    assert snr.bob_cdf(math.inf, lb, ms) == snr.bob_survival(0.0, lb, ms) == 1.0
 
 
 @pytest.mark.parametrize("dof", sorted(BOB_SPECTRA))
