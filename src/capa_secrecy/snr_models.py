@@ -102,7 +102,9 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
     psi_q = sum_{k=1}^{q} [sum_l (1 - sigma_min/sigma_l)^k] psi_{q-k} / q,
     psi_0 = 1.  q_max grows adaptively (doubling, up to q_cap) until the
     mixture-weight tail 1 - prefix * sum(psi) drops below series_tol;
-    a tail still above it at q_cap raises ComputationError.
+    a tail still above it at q_cap raises ComputationError.  A flat
+    spectrum (every sigma equal) has psi_q = 0 for q >= 1 and stops at
+    q_max = 0.
 
     Accepts a SpectralDecomposition or a raw eigenvalue array (synthetic
     spectra are used by the verification suite).
@@ -127,7 +129,7 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
     psis = [1.0]
     powers = np.ones_like(ratios)
     b = []  # b[k-1] = sum_l ratios^k
-    q = q_max
+    q = q_max if ratios.any() else 0  # a flat spectrum is one gamma shape
     while True:
         while len(psis) <= q:
             n = len(psis)
@@ -140,13 +142,13 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
         residual = 1.0 - prefix * math.fsum(psis)
         if residual <= series_tol or q >= q_cap:
             break
-        q = min(2 * q, q_cap)
+        q = min(max(2 * q, q_max), q_cap)
     if not residual <= series_tol:
         raise ComputationError(f"mixture tail {residual:.3g} > series_tol "
                                f"{series_tol:g} at q = {q}")
 
     psi_arr = np.array(psis)
-    # a flat spectrum leaves psi_q = 0 for q >= 1: log weight -inf
+    # a nearly flat spectrum can underflow psi_q to 0: log weight -inf
     log_psis = np.log(psi_arr, out=np.full_like(psi_arr, -np.inf),
                       where=psi_arr > 0.0)
     return MoschopoulosSeries(
@@ -159,35 +161,27 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
 # Bob's SNR (gamma mixture)
 # ---------------------------------------------------------------------------
 
-_BLOCK = 2_000_000  # terms per block of the array form
+_BLOCK = 2_000_000  # terms per block of `_poisson_mix`
+
+
+def _shaped(out, x):
+    # out (flat) in x's shape, a float for a float or 0-d x
+    return out.item() if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _poisson_mix(x, lb: LinkBudget, ms: MoschopoulosSeries, k0: int, table,
                  top: float = 0.0):
-    """sum_k p_k(z) T_k at z = max(x, 0) / (gamma_b sigma_min), with p_k
-    the Poisson(z) pmf, T_k = table[k - k0] over the table and T_k = top
+    """sum_k p_k(z) T_k at z = max(x, 0) / (gamma_b sigma_min), flat, with
+    p_k the Poisson(z) pmf, T_k = table[k - k0] over the table and T_k = top
     past it (that part is top * P(k0 + len(table), z)).  NaN gives NaN.
 
-    Every term is nonnegative, so nothing cancels.  A float x takes a
-    one-point form (a quadrature asks for one point per call); an array is
-    evaluated in blocks of at most _BLOCK terms.
+    Every term is nonnegative, so nothing cancels.  The sum runs in blocks
+    of at most _BLOCK terms.
     """
     theta = lb.gamma_bar_b * ms.sigma_min
     n = k0 + len(table)
     log_fact = ms.log_factorials[k0:n]
-    if isinstance(x, (float, int)):
-        z = x / theta
-        if not 0.0 < z < math.inf:  # x <= 0, +inf or NaN
-            if z <= 0.0:
-                return float(table[0]) if k0 == 0 else 0.0
-            return top if z == math.inf else math.nan
-        a = np.arange(k0, n, dtype=float) * math.log(z)
-        a -= z
-        a -= log_fact
-        out = float(np.exp(a, out=a) @ table)
-        return out + top * float(sps.gammainc(n, z)) if top else out
-    x = np.asarray(x, dtype=float)
-    z = np.clip(np.atleast_1d(x), 0.0, None) / theta
+    z = np.clip(x.ravel(), 0.0, None) / theta
     at_inf = z == math.inf  # p_k(inf) = 0: keep inf - inf out of the sum
     zf = np.where(at_inf, 0.0, z)
     out = np.empty_like(z)
@@ -202,36 +196,33 @@ def _poisson_mix(x, lb: LinkBudget, ms: MoschopoulosSeries, k0: int, table,
     out[at_inf] = 0.0
     if top:
         out += top * sps.gammainc(n, z)
-    return float(out[0]) if x.ndim == 0 else out
+    return out
 
 
 def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """Mixture density sum_q w_q Gamma(dof+q, theta) at x, 0 below 0:
     sum_k p_k(x/theta) w_(k-dof+1) / theta."""
     theta = lb.gamma_bar_b * ms.sigma_min
-    if isinstance(x, (float, int)):
-        return 0.0 if x < 0.0 else _poisson_mix(x, lb, ms, ms.dof - 1,
-                                                ms.weights) / theta
-    return ((np.asarray(x) >= 0.0)
-            * _poisson_mix(x, lb, ms, ms.dof - 1, ms.weights) / theta)
-
-
-def _at_most_one(p):
-    # the weight sums can round a few ulps past 1; NaN stays NaN
-    return min(p, 1.0) if isinstance(p, float) else np.minimum(p, 1.0)
+    x = np.asarray(x, dtype=float)
+    return _shaped((x.ravel() >= 0.0)
+                   * _poisson_mix(x, lb, ms, ms.dof - 1, ms.weights) / theta, x)
 
 
 def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """Mixture CDF sum_q w_q P(dof+q, x/theta) = sum_k p_k(x/theta) C_k,
     since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4); at most 1."""
-    return _at_most_one(_poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
-                                     float(ms.cum_weights[-1])))
+    x = np.asarray(x, dtype=float)
+    # the weight sums can round a few ulps past 1; NaN stays NaN
+    return _shaped(np.minimum(_poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
+                                           float(ms.cum_weights[-1])), 1.0), x)
 
 
 def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta) = sum_k p_k(x/theta) W_k;
     accurate in the far tail and at most 1."""
-    return _at_most_one(_poisson_mix(x, lb, ms, 0, ms.tail_weights))
+    x = np.asarray(x, dtype=float)
+    return _shaped(np.minimum(_poisson_mix(x, lb, ms, 0, ms.tail_weights),
+                              1.0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,47 +230,28 @@ def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
 # ---------------------------------------------------------------------------
 
 def eve_pdf(x, lb: LinkBudget):
-    """Eve's SNR density; 0 below 0 and at +inf, NaN at NaN.  A float takes
-    a one-point form with the array form's functions, so both agree bit for
-    bit."""
+    """Eve's SNR density; 0 below 0 and at +inf, NaN at NaN."""
     mu, k = lb.gamma_bar_e, lb.k_eves
-    if isinstance(x, (float, int)):
-        if not 0.0 <= x < math.inf:
-            return math.nan if x != x else 0.0
-        z = x / mu
-        if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
-            if z == 0.0:
-                return 1.0 / mu if k == 1 else 0.0
-            return float(np.exp((k - 1) * math.log(z) - z - math.lgamma(k))) / mu
-        # max of K exponentials; SE is K = 1
-        return (k * float(np.power(-float(np.expm1(-z)), k - 1.0))
-                * float(np.exp(-z)) / mu)
     x = np.asarray(x, dtype=float)
-    xv = np.atleast_1d(x)
+    xv = x.ravel()
     out = np.where(np.isnan(xv), math.nan, 0.0)
     m = (xv >= 0.0) & (xv < math.inf)
     z = xv[m] / mu
-    if lb.scenario == Scenario.MCE:
+    if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
         out[m] = np.exp(sps.xlogy(k - 1, z) - z - math.lgamma(k)) / mu
-    else:
+    else:  # max of K exponentials; SE is K = 1
         out[m] = k * np.power(-np.expm1(-z), k - 1) * np.exp(-z) / mu
-    return float(out[0]) if x.ndim == 0 else out
+    return _shaped(out, x)
 
 
 def eve_cdf(x, lb: LinkBudget):
-    """Eve's SNR CDF; NaN at NaN.  A float takes a one-point form with the
-    array form's functions."""
+    """Eve's SNR CDF; NaN at NaN."""
     mu, k = lb.gamma_bar_e, lb.k_eves
-    if isinstance(x, (float, int)):
-        z = max(x, 0.0) / mu  # max keeps a NaN x, as np.clip does
-        if lb.scenario == Scenario.MCE:
-            return float(sps.gammainc(k, z))
-        return float(np.power(-float(np.expm1(-z)), float(k)))  # SE is K = 1
     x = np.asarray(x, dtype=float)
-    z = np.clip(x, 0.0, None) / mu
+    z = np.clip(x.ravel(), 0.0, None) / mu
     if lb.scenario == Scenario.MCE:
-        return sps.gammainc(k, z)
-    return np.power(-np.expm1(-z), k)
+        return _shaped(sps.gammainc(k, z), x)
+    return _shaped(np.power(-np.expm1(-z), k), x)  # SE is K = 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import csv
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -523,3 +527,98 @@ def test_spectrum_bad_arguments_exit_2(capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("spectrum error: ")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the package in a fresh interpreter: start-up and the CI sweep checks
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_python(args, cwd):
+    """`python *args` in a fresh interpreter that imports this checkout,
+    without a spectrum cache."""
+    env = {k: v for k, v in os.environ.items() if k != "CAPA_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def cli_sweep_rows(tmp_path, cfg):
+    """(exit code, CSV rows) of `python -m capa_secrecy.cli sweep`."""
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out.csv"
+    proc = run_python(["-m", "capa_secrecy.cli", "sweep", "--config", path,
+                       "--out", str(out)], tmp_path)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        return proc.returncode, list(csv.DictReader(fh))
+
+
+def test_cli_import_loads_no_scipy_integrate(tmp_path):
+    proc = run_python(["-c", "import sys, capa_secrecy.cli; print(sorted("
+                       "m for m in sys.modules if m.startswith('scipy.')))"],
+                      tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert any("scipy.special" in m for m in loaded), loaded
+    assert not any("scipy.integrate" in m for m in loaded), loaded
+
+
+def test_many_eve_closed_form_sop_matches_quadrature(tmp_path):
+    # up to 200 independent or collaborating Eves, the closed-form SOP must
+    # match the quadrature route to 1e-9 relative
+    code, csv_rows = cli_sweep_rows(tmp_path, {
+        "aperture_lambdas": 3, "quadrature_order": 160,
+        "gamma_b_db": 20.0, "gamma_e_db": -10.0, "target_rate_r0": 3.0,
+        "axis": "k_eves", "values": [1, 40, 200],
+        "scenarios": ["MIE", "MCE"],
+        "evaluators": ["closed-form", "quadrature"], "outputs": ["sop"]})
+    assert code == 0
+    rows = {(r["value"], r["scenario"], r["evaluator"]): float(r["result"])
+            for r in csv_rows}
+    closed = {k[:2]: v for k, v in rows.items() if k[2] == "closed-form"}
+    assert len(closed) == 6, rows
+    for key, got in closed.items():
+        want = rows[key + ("quadrature",)]
+        assert abs(got - want) <= 1e-9 * want, key
+
+
+def test_deep_tail_quadrature_sop_raises_or_matches(tmp_path):
+    # at 40 wavelengths (dof 80), 10 and 60 independent Eves and 40 dB the
+    # SOP is about 1e-150: the quadrature route must raise ComputationError
+    # (the sweep then exits 1) or match the closed form to 1e-6 relative
+    code, csv_rows = cli_sweep_rows(tmp_path, {
+        "aperture_lambdas": 40, "quadrature_order": 1000,
+        "gamma_b_db": 40.0, "gamma_e_db": 0.0,
+        "axis": "k_eves", "values": [10, 60], "scenarios": ["MIE"],
+        "evaluators": ["closed-form", "quadrature"], "outputs": ["sop"]})
+    assert code <= 1
+    rows = {(r["value"], r["evaluator"]): r["result"] for r in csv_rows}
+    assert len(rows) == 4, rows
+    for k in ("10", "60"):
+        closed, quad = rows[k, "closed-form"], rows[k, "quadrature"]
+        if quad != "error:ComputationError":
+            assert abs(float(quad) - float(closed)) <= 1e-6 * float(closed), k
+
+
+def test_many_eve_high_snr_ordering(tmp_path):
+    # closed-form power offset and array gain at 40 wavelengths (dof 80)
+    # for 2 to 200 Eves: every value finite, and at each K the offset rises
+    # and the gain falls from SE to MIE to MCE
+    code, csv_rows = cli_sweep_rows(tmp_path, {
+        "aperture_lambdas": 40, "quadrature_order": 1000,
+        "axis": "k_eves", "values": [2, 40, 200],
+        "scenarios": ["SE", "MIE", "MCE"],
+        "evaluators": ["closed-form"], "outputs": ["offset", "gain"]})
+    assert code == 0
+    rows = {(r["value"], r["scenario"], r["metric"]): float(r["result"])
+            for r in csv_rows}
+    assert len(rows) == 18, rows
+    assert all(map(math.isfinite, rows.values())), rows
+    for k in ("2", "40", "200"):
+        off, gain = ([rows[k, s, m] for s in ("SE", "MIE", "MCE")]
+                     for m in ("offset", "gain"))
+        assert off[0] < off[1] < off[2], (k, off)
+        assert gain[0] > gain[1] > gain[2], (k, gain)

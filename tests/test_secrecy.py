@@ -18,6 +18,7 @@ from capa_secrecy.specfun import (EXTENDED, STANDARD, DomainError, harmonic_numb
 from capa_secrecy.spectral import ComputationError
 
 import theorems as thm
+from conftest import make_spectrum
 
 
 def lb_db(gb_db, ge_db, k=1, scen=Scenario.SE):
@@ -253,6 +254,95 @@ def test_sop_rejects_nonpositive_target(ms4):
 
 
 # ---------------------------------------------------------------------------
+# the adaptive Gauss-Kronrod rule against scipy's QUADPACK
+# ---------------------------------------------------------------------------
+
+def quadpack_piece(f, a, b, epsabs, epsrel, limit=sec.QUAD_LIMIT):
+    """scipy.integrate.quad on one piece, in the rule's (value, error,
+    panels) form; f gets one float per call."""
+    v, e, info = quad(lambda x: float(f(x)), a, b, limit=limit, epsabs=epsabs,
+                      epsrel=epsrel, full_output=1)[:3]
+    return v, e, info["last"]
+
+
+def rule_and_quadpack(monkeypatch, fn, *args):
+    got = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(sec, "_gk21", quadpack_piece)
+        want = fn(*args)
+    return got, want
+
+
+@pytest.fixture(scope="module")
+def aperture_series(ms6):
+    return {3: ms6, 10: snr.build_psi(make_spectrum(10.0, 1000)),
+            50: snr.build_psi(make_spectrum(50.0, 1000))}
+
+
+def assert_quadratures_match_quadpack(monkeypatch, ms, gb_dbs, first_pass=()):
+    # each piece runs to max(epsabs, 1e-11 |I|): 1e-9 for the rate, 1e-10
+    # for the SOP; rows the first panel settles match to rounding
+    for gb_db in gb_dbs:
+        for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
+            lb = lb_db(gb_db, 20.0, k, scen)
+            for metric, fn, args, epsabs in (
+                    ("rate", sec.secrecy_rate_quadrature, (lb, ms), 1e-9),
+                    ("sop", sec.sop_quadrature, (lb, ms, 3.0), 1e-10)):
+                got, want = rule_and_quadpack(monkeypatch, fn, *args)
+                key = (gb_db, scen.value, metric)
+                assert abs(got - want) <= max(epsabs, 1e-11 * abs(want)), key
+                if key in first_pass:
+                    assert got == pytest.approx(want, rel=1e-14, abs=0), key
+
+
+def test_quadratures_match_quadpack_on_table1_grid(monkeypatch, ms80):
+    # the table1-mc benchmark grid: 40 wavelengths, t = 1000
+    assert_quadratures_match_quadpack(
+        monkeypatch, ms80, (-10.0, 10.0, 30.0),
+        first_pass={(-10.0, "MIE", "rate"), (-10.0, "MCE", "rate")})
+
+
+@pytest.mark.parametrize("n_lambdas", [3, 10, 50])
+def test_quadratures_match_quadpack_across_apertures(monkeypatch,
+                                                     aperture_series, n_lambdas):
+    assert_quadratures_match_quadpack(monkeypatch, aperture_series[n_lambdas],
+                                      (-10.0, 10.0, 20.0))
+
+
+def test_offset_term_matches_quadpack(monkeypatch):
+    # K = 1 makes the first piece [0, 0]; at 60 dB the 1/(1 + x) knee lies
+    # six decades below gamma_e
+    for k in (1, 2, 5, 60, 1000):
+        for ge_db in (-60.0, 0.0, 30.0, 60.0):
+            got, want = rule_and_quadpack(monkeypatch, sec.independent_eve_offset_term,
+                                          k, 10.0 ** (ge_db / 10.0))
+            assert abs(got - want) <= 1e-11 * want, (k, ge_db)
+
+
+def test_rule_on_known_integrals():
+    assert sec._gk21(np.exp, 2.0, 2.0, 0.0, 1e-11) == (0.0, 0.0, 0)
+    val, err, panels = sec._gk21(lambda x: np.exp(-x), 1.0, np.inf, 0.0, 1e-11)
+    assert val == pytest.approx(math.exp(-1.0), rel=1e-14) and err <= 1e-11 * val
+    val, err, panels = sec._gk21(lambda x: 1.0 / (1.0 + x), 0.0, 1e7, 0.0, 1e-11)
+    assert val == pytest.approx(math.log1p(1e7), rel=1e-13)
+    assert panels < sec.QUAD_LIMIT
+
+
+def test_unresolved_integrand_raises():
+    # about 1.6e6 oscillations: 400 panels cannot follow them
+    def f(x):
+        return np.cos(1e5 * x) + 1.0
+    val, err, panels = sec._gk21(f, 0.0, 100.0, 1e-10, 1e-11)
+    assert panels == sec.QUAD_LIMIT and err > 1e-7
+    with pytest.raises(ComputationError, match="test quadrature achieved only"):
+        sec._piecewise_quad(f, [0.0, 100.0], 1e-10, 1e-7, "test")
+    # a NaN error estimate is no estimate
+    with pytest.raises(ComputationError):
+        sec._piecewise_quad(lambda x: np.where(x < 1.0, np.nan, 1.0),
+                            [0.0, 2.0], 1e-10, 1e-7, "test")
+
+
+# ---------------------------------------------------------------------------
 # high-SNR characterization
 # ---------------------------------------------------------------------------
 
@@ -376,8 +466,17 @@ def _collaborative_gain_by_binomials(lb, ms, r0):
             / (g * lb.gamma_bar_e))
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
-def test_independent_eve_terms_stay_exact_for_many_eves():
+def test_independent_eve_terms_stay_exact_for_many_eves(monkeypatch):
+    # every piece of the offset integral must converge before its panel limit
+    panels = []
+    rule = sec._gk21
+
+    def counted(*args):
+        out = rule(*args)
+        panels.append(out[2])
+        return out
+
+    monkeypatch.setattr(sec, "_gk21", counted)
     ms = snr.build_psi(0.0624 * np.linspace(1.0, 0.7, 6))
     for mu in (0.1, 1.0, 100.0):
         ys = []
@@ -398,6 +497,7 @@ def test_independent_eve_terms_stay_exact_for_many_eves():
             ge = 10.0 ** (ge_db / 10.0)
             assert sec.independent_eve_offset_term(k, ge) == pytest.approx(
                 thm.independent_eve_offset_sum(k, ge), rel=1e-12, abs=0)
+    assert len(panels) > 100 and max(panels) < sec.QUAD_LIMIT
     for dof, ks in ((4, (1, 2, 5, 20, 40, 60, 80, 200)),
                     (6, (1, 2, 5, 20, 40, 60, 80, 200)),
                     (20, (1, 2, 5, 60, 200)), (80, (1, 2, 5, 60))):

@@ -1,10 +1,12 @@
 import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 import theorems as thm
 from capa_secrecy import snr_models as snr
@@ -56,6 +58,23 @@ def test_psi_equal_eigenvalues_collapse():
     assert ms.psis[0] == 1.0
     assert np.all(ms.psis[1:] == 0.0)
     assert math.exp(ms.log_weight_prefix) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_flat_spectrum_is_one_gamma_shape():
+    # every ratio is 0: the series stops at q = 0, and the laws are those of
+    # the series padded with the 160 zero psi's it used to carry
+    sigmas = np.full(5, 0.0624)
+    ms = snr.build_psi(sigmas)
+    assert ms.q_max == 0 and ms.psis.tolist() == [1.0]
+    padded = replace(ms, psis=np.append(1.0, np.zeros(160)),
+                     log_psis=np.append(0.0, np.full(160, -np.inf)), q_max=160)
+    lb = LinkBudget(10.0, 1.0)
+    xs = np.array([-1.0, 0.0, 1e-3, 0.2, 0.5, 1.0, 3.0, 10.0, 30.0, np.inf])
+    for law in BOB_LAWS.values():
+        assert np.allclose(law(xs, lb, ms), law(xs, lb, padded), rtol=1e-14,
+                           atol=0.0), law
+    want = gammainc(5, np.maximum(xs, 0.0) / (lb.gamma_bar_b * 0.0624))
+    assert np.allclose(snr.bob_cdf(xs, lb, ms), want, rtol=1e-14, atol=0.0)
 
 
 def test_psi_normalization_synthetic(ms_synth):
@@ -249,8 +268,8 @@ def test_eve_laws_at_nan_and_inf(scenario, k):
 @pytest.mark.parametrize("scenario,k", [(Scenario.SE, 1), (Scenario.MIE, 3),
                                         (Scenario.MIE, 40), (Scenario.MCE, 3)])
 def test_float_and_one_element_array_agree(ms6, scenario, k):
-    # a quadrature passes floats (the one-point forms); a one-element array
-    # takes the array forms, which must give the same bits
+    # a float argument gives a float, a one-element array a one-element
+    # array, and both the same bits
     lb = LinkBudget(30.0, 2.0, k, scenario)
     laws = [(f, (lb, ms6)) for f in BOB_LAWS.values()]
     laws += [(snr.eve_pdf, (lb,)), (snr.eve_cdf, (lb,))]
