@@ -48,7 +48,9 @@ class _Welford:
         self.n = n
 
     def estimate(self) -> McEstimate:
-        var = self.m2 / max(self.n - 1, 1)
+        if self.n < 2:  # no sample variance: the error is unknown, not 0
+            return McEstimate(self.mean, math.inf, self.n)
+        var = self.m2 / (self.n - 1)
         return McEstimate(self.mean, math.sqrt(max(var, 0.0) / self.n), self.n)
 
 
@@ -62,8 +64,9 @@ def unit_bob_draws(ms: MoschopoulosSeries, n_trials: int,
                    seed: int) -> np.ndarray:
     """Read-only draws of Bob's SNR at gamma_b = 1, shared by an aperture's
     points (common random numbers); `seed` differs from every Eve stream."""
-    out = np.concatenate([sample_bob(ms, LinkBudget(1.0, 1.0), rng, size=n)
-                          for rng, _, n in _blocks(seed, n_trials)])
+    out = np.empty(n_trials)
+    for rng, lo, n in _blocks(seed, n_trials):
+        out[lo:lo + n] = sample_bob(ms, LinkBudget(1.0, 1.0), rng, size=n)
     out.flags.writeable = False
     return out
 

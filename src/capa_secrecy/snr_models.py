@@ -258,12 +258,26 @@ def eve_cdf(x, lb: LinkBudget):
 # exact samplers
 # ---------------------------------------------------------------------------
 
+_DRAW_BLOCK = 1 << 18  # exponentials per row block of `sample_bob`
+
+
 def sample_bob(ms: MoschopoulosSeries, lb: LinkBudget,
                rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw gamma_b * sum_l sigma_l |Phi_l|^2 with |Phi_l|^2 ~ Exp(1) over
-    the series' first-dof eigenvalues."""
-    e = rng.standard_exponential((size, len(ms.sigmas)))
-    return lb.gamma_bar_b * (e @ ms.sigmas)
+    the series' first-dof eigenvalues.
+
+    The (size, dof) exponentials are drawn in row blocks of at most
+    _DRAW_BLOCK values, in the generator's row-major order: the same draws
+    and sums as one (size, dof) matrix, in bounded memory.
+    """
+    dof = len(ms.sigmas)
+    rows = max(1, _DRAW_BLOCK // dof)
+    out = np.empty(size)
+    for lo in range(0, size, rows):
+        e = rng.standard_exponential((min(rows, size - lo), dof))
+        np.matmul(e, ms.sigmas, out=out[lo:lo + rows])
+    out *= lb.gamma_bar_b
+    return out
 
 
 def sample_eve(lb: LinkBudget, rng: np.random.Generator,

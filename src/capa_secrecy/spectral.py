@@ -109,9 +109,18 @@ class SpectralDecomposition:
 
 
 def kernel_value(z, z_prime, geom: ApertureGeometry):
-    """Autocorrelation sin(k0 (z-z'))/(k0 (z-z')), exactly 1 on the diagonal."""
-    d = np.asarray(z, dtype=float) - np.asarray(z_prime, dtype=float)
-    out = np.sinc(geom.wavenumber * d / math.pi)
+    """Autocorrelation sin(k0 (z-z'))/(k0 (z-z')), exactly 1 on the diagonal.
+
+    np.sinc(k0 (z-z')/pi) bit for bit, its steps done in place on the one
+    difference buffer: times pi, eps where zero, then sin(y)/y.
+    """
+    y = np.asarray(np.subtract(z, z_prime, dtype=float))
+    y *= geom.wavenumber
+    y /= math.pi  # np.sinc's argument; times pi again is not k0 d in floats
+    y *= math.pi
+    y[y == 0.0] = np.finfo(float).eps
+    out = np.sin(y)
+    out /= y
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,12 +194,18 @@ def decompose(geom: ApertureGeometry, t: int, unit_rule=None) -> SpectralDecompo
     even = np.sqrt(weights[half:])
     even[:centre] *= math.sqrt(0.5)
     odd = even[centre:]
+    # W^(1/2) (direct +- mirror) W^(1/2) with no full-size temporary: the
+    # difference goes to mirror's buffer, and both blocks are scaled in
+    # place by rows, then by columns, as the plain products would be
+    plus = direct + mirror
+    minus = np.subtract(direct, mirror, out=mirror)[centre:, centre:]
+    del direct
+    for block, w in ((plus, even), (minus, odd)):
+        block *= w[:, None]
+        block *= w[None, :]
     try:
-        vals = np.concatenate([
-            np.linalg.eigvalsh(even[:, None] * (direct + mirror) * even[None, :]),
-            np.linalg.eigvalsh(odd[:, None] * (direct - mirror)[centre:, centre:]
-                               * odd[None, :]),
-        ])
+        vals = np.concatenate([np.linalg.eigvalsh(plus),
+                               np.linalg.eigvalsh(minus)])
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigensolve failed for t={t}, L={geom.aperture_len_m}: {exc}"

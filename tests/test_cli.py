@@ -384,6 +384,16 @@ def test_spda_alone_keeps_its_trial_count():
     assert {r["metric"] for r in parse_rows(text)} == {"rate", "sop"}
 
 
+def test_one_trial_reports_no_error_estimate():
+    # one trial has no sample variance: std_err inf, not a false 0
+    code, text = run_sweep_to_string(small_config(
+        n_trials=1, values=[10.0], scenarios=["SE"], evaluators=["spda-mc"]))
+    assert code == 0
+    rows = parse_rows(text)
+    assert [(r["metric"], r["std_err"]) for r in rows] == [("rate", "inf"),
+                                                          ("sop", "inf")]
+
+
 def test_wall_ms_only_with_timing_flag():
     _, text = run_sweep_to_string(small_config(evaluators=["quadrature"]))
     assert all(r["wall"] == "" for r in parse_rows(text))
@@ -536,11 +546,15 @@ def test_spectrum_bad_arguments_exit_2(capsys, args):
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def run_python(args, cwd):
+TABLE1_CONFIG = os.path.join(os.path.dirname(SRC), "configs", "table1_sweep.json")
+
+
+def run_python(args, cwd, **extra_env):
     """`python *args` in a fresh interpreter that imports this checkout,
-    without a spectrum cache."""
+    without a spectrum cache unless `extra_env` names one."""
     env = {k: v for k, v in os.environ.items() if k != "CAPA_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(extra_env)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=600)
 
@@ -622,3 +636,33 @@ def test_many_eve_high_snr_ordering(tmp_path):
                      for m in ("offset", "gain"))
         assert off[0] < off[1] < off[2], (k, off)
         assert gain[0] > gain[1] > gain[2], (k, gain)
+
+
+def test_cache_path_that_is_no_directory_exit_2(tmp_path):
+    # a regular file as CAPA_CACHE_DIR is refused before any grid point
+    # runs: exit 2, not an error row per point
+    (tmp_path / "not-a-dir").touch()
+    proc = run_python(["-m", "capa_secrecy.cli", "sweep", "--config",
+                       TABLE1_CONFIG, "--trials", "20000",
+                       "--out", str(tmp_path / "refused.csv")], tmp_path,
+                      CAPA_CACHE_DIR=str(tmp_path / "not-a-dir"))
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_plotdata_twice_on_one_sweep_csv(tmp_path):
+    # plot data from the same CSV twice: byte-identical files
+    sweep_csv = tmp_path / "table1.csv"
+    proc = run_python(["-m", "capa_secrecy.cli", "sweep", "--config",
+                       TABLE1_CONFIG, "--trials", "20000",
+                       "--out", str(sweep_csv)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for run in "ab":
+        proc = run_python(["-m", "capa_secrecy.cli", "plotdata", str(sweep_csv),
+                           "--outdir", str(tmp_path / f"plots-{run}")], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(tmp_path / "plots-a"))
+    assert names and names == sorted(os.listdir(tmp_path / "plots-b"))
+    for name in names:
+        if name.endswith(".csv"):
+            assert ((tmp_path / "plots-a" / name).read_bytes()
+                    == (tmp_path / "plots-b" / name).read_bytes()), name

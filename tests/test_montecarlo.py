@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,3 +189,16 @@ def test_welford_merge_matches_direct():
     assert est.mean == pytest.approx(float(np.mean(xs)), rel=1e-12)
     want_se = float(np.std(xs, ddof=1)) / math.sqrt(xs.size)
     assert est.std_err == pytest.approx(want_se, rel=1e-12)
+
+
+def test_bob_draws_peak_memory(ms80):
+    # the output and one row block of exponentials, not a (131072, dof)
+    # matrix per trial block (84 MB at dof 80)
+    tracemalloc.start()
+    try:
+        bob = mc.unit_bob_draws(ms80, 200_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bob.shape == (200_000,)
+    assert peak <= 8 << 20, peak

@@ -322,3 +322,17 @@ def test_sampler_means(ms4):
     lbc = LinkBudget(100.0, 3.0, 4, Scenario.MCE)
     ce = snr.sample_eve(lbc, rng, size=n)
     assert abs(np.mean(ce) - 12.0) <= 3.0 * np.std(ce) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("dof", [4, 80])
+def test_sample_bob_blocks_match_one_matrix(dof):
+    # the row blocks draw and sum exactly what one (n, dof) matrix would
+    ms = bob_series(dof)
+    lb = LinkBudget(3.7, 1.0)
+    block = snr._DRAW_BLOCK // dof
+    for n in (1, block - 1, block, block + 1, 131072):
+        got = snr.sample_bob(ms, lb, np.random.default_rng(n), size=n)
+        rng = np.random.default_rng(n)
+        want = lb.gamma_bar_b * (rng.standard_exponential((n, dof)) @ ms.sigmas)
+        assert got.shape == (n,)
+        assert np.array_equal(got, want), n

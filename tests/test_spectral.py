@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,3 +261,28 @@ def test_entry_for_other_geometry_is_recomputed(tmp_path, caplog, spec4, spec6):
     assert got.dof == 6
     _assert_same_spectrum(got, spec6)
 
+
+def test_kernel_value_is_numpy_sinc_bit_for_bit(geom):
+    k0 = geom.wavenumber
+    z = np.linspace(-0.3, 0.3, 41)
+    want = np.sinc(k0 * (z[:, None] - z[None, :]) / math.pi)
+    got = spc.kernel_value(z[:, None], z[None, :], geom)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.all(np.diag(got) == 1.0)
+    for a, b in ((0.07, 0.0), (0.0, 0.0), (-0.1, -0.1), (1, 0)):
+        got = spc.kernel_value(a, b, geom)
+        assert isinstance(got, float)
+        assert got == float(np.sinc(k0 * (a - b) / math.pi))
+
+
+def test_decompose_peak_memory():
+    # the Nystrom blocks are filled and scaled in place: a few (t/2)^2
+    # matrices at most (2 MB each at t = 1000), not a temporary per step
+    geom40 = spc.ApertureGeometry(LAMBDA, 40 * LAMBDA)
+    tracemalloc.start()
+    try:
+        spc.decompose(geom40, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
