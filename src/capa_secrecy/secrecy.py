@@ -24,7 +24,7 @@ from . import snr_models as snr
 from .snr_models import LinkBudget, MoschopoulosSeries, Scenario
 from .specfun import (EXTENDED, STANDARD, DomainError, EvalPrecision,
                       EULER_GAMMA, SignedLog, exp_e1_log, harmonic_number,
-                      log_binomial, scaled_e1)
+                      log_binomial, scaled_e1, signed_log_dot)
 from .spectral import ComputationError
 
 LN2 = math.log(2.0)
@@ -74,11 +74,21 @@ class _FloatBackend:
     def comb(self, n, k):
         return SignedLog.from_log(1, log_binomial(n, k))
 
+    def alt_binomials(self, n, base=1.0):
+        # C(n, k) (-1)^(n-k) base^(k+1), k = 0..n, from its log: the same float
+        # as comb * (+-1) * pow, whose +-1 factor adds exactly 0.0
+        ln_base = math.log(base)
+        return [SignedLog.from_log(1 - 2 * ((n - k) & 1),
+                                   log_binomial(n, k) + (k + 1) * ln_base)
+                for k in range(n + 1)]
+
     def lnS(self, x):
         return SignedLog.from_float(math.log(x))
 
     def e1(self, x):
         return SignedLog.from_log(1, exp_e1_log(float(x)))
+
+    dot = staticmethod(signed_log_dot)
 
 
 class _MPBackend:
@@ -105,11 +115,18 @@ class _MPBackend:
     def comb(self, n, k):
         return mpmath.binomial(n, k)
 
+    def alt_binomials(self, n, base=1):
+        return [mpmath.binomial(n, k) * ((-1) ** (n - k)) * self.pow(base, k + 1)
+                for k in range(n + 1)]
+
     def lnS(self, x):
         return mpmath.log(x)
 
     def e1(self, x):
         return mpmath.e1(x)
+
+    def dot(self, xs, ys):
+        return sum((x * y for x, y in zip(xs, ys)), self.zero())
 
 
 _FLOAT_BACKEND = _FloatBackend()
@@ -152,10 +169,10 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
         F[j] = j * F[j - 1] + bk.lnS(beta) * pw + G[j - 1]
 
     # alternating gamma-order coefficients C(K-1,c)(-1)^(K-1-c) c1^(c+1)
-    KA = [bk.comb(K - 1, c) * ((-1) ** (K - 1 - c)) * bk.pow(c1, c + 1)
-          for c in range(K)]
+    KA = bk.alt_binomials(K - 1, c1)
 
-    A = e_mu * sum((KA[c] * (F[c] + ln_rmu * G[c]) for c in range(K)), bk.zero())
+    FG = [f + ln_rmu * g for f, g in zip(F, G)]
+    A = e_mu * bk.dot(KA, FG)
 
     B = bk.factorial(K - 1) * bk.pow(mu, K) * bk.e1(1 / sth)
     for j in range(K):
@@ -168,13 +185,13 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
     SV = [bk.zero()] * (n_hi + 2)
     for j in range(1, n_hi + 2):
         r = j - 1
-        blk = sum((KA[c] * G[r + c] for c in range(K)), bk.zero())
+        blk = bk.dot(KA, G[r:])
         SV[j] = SV[j - 1] + (bk.pow(rmu, r) if r else bk.wrap(1)) / bk.factorial(r) * blk
 
     # PS[k] = sum_{j=1..k} (U_j + V_j)/j!
     PS = [bk.zero()] * (n_hi + 1)
     for j in range(1, n_hi + 1):
-        ub = sum((KA[b] * (F[j + b] + ln_rmu * G[j + b]) for b in range(K)), bk.zero())
+        ub = bk.dot(KA, FG[j:])
         u = e_mu * bk.pow(rmu, j) * ub
         v = bk.factorial(j - 1) * e_mu * SV[j]
         PS[j] = PS[j - 1] + (u + v) / bk.factorial(j)
@@ -192,9 +209,8 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
         n = K + m - 1
         row = tau_rows.get(n)
         if row is None:
-            row = tau_rows[n] = [bk.comb(n, f) * ((-1) ** (n - f))
-                                 for f in range(n + 1)]
-        s = sum((c * w for c, w in zip(row, W2)), bk.zero())
+            row = tau_rows[n] = bk.alt_binomials(n)
+        s = bk.dot(row, W2)
         tau = e_beta / gamma_k_mu / (bk.pow(theta, m) if m else bk.wrap(1)) \
             / bk.factorial(m) * s
         tau_prefix[m + 1] = tau_prefix[m] + tau
@@ -205,11 +221,8 @@ def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
         n = dof + q
         row = ksum_rows.get(n)
         if row is None:
-            row = ksum_rows[n] = [bk.comb(n - 1, k) * ((-1) ** (n - 1 - k))
-                                  * bk.pow(theta, k + 1) for k in range(n)]
-        ksum = bk.zero()
-        for c, b in zip(row, bracket):
-            ksum = ksum + c * b
+            row = ksum_rows[n] = bk.alt_binomials(n - 1, theta)
+        ksum = bk.dot(row, bracket)
         term1 = ksum * e_th / (bk.factorial(n - 1) * bk.pow(theta, n) * gamma_k_mu)
         total = total + bk.efrom(lw) * (term1 - tau_prefix[n])
     return total / bk.wrap(LN2)
@@ -256,6 +269,8 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
     PrecisionLossError when its conditioning estimate says the alternating
     sums left fewer than ~3 significant digits, or when the value falls
     outside [0, log2(1 + gamma_b sum(sigma))], the range of the true rate.
+    The extended path raises it when its value is not positive or exceeds
+    that bound: a positive rate it returns as 0 would be silently wrong.
 
     The mixture is cut where its tail provably adds under 2^-60 of the
     result; should the result be too small for that, the full series runs.
@@ -287,6 +302,8 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
                 out = float(_rate_closed_dispatch(_MPBackend(), lb, ms, n_terms))
         if dropped <= _TAIL_REL * abs(out):
             break
+    if prec.mode != "standard-float" and not 0.0 < out <= jensen * (1.0 + 1e-6):
+        raise PrecisionLossError(math.inf)
     return max(out, 0.0)
 
 

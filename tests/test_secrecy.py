@@ -120,6 +120,17 @@ def test_rate_closed_precision_loss_signals(ms4):
     assert abs(ext - rq) <= 1e-6 * rq + 1e-15
 
 
+@pytest.mark.parametrize("series", ["ms4", "ms6"])
+def test_rate_closed_extended_refuses_a_rate_it_cannot_resolve(series):
+    # the rate is 5.6e-21 (dof 4) and 5.7e-20 (dof 6) bits by quadrature;
+    # the mpmath sum gives -1.2e-18 and -2.4e-18 at 50, 100 and 200 digits
+    # alike, which must raise, not come back as 0
+    lb = lb_db(0.0, 20.0, 8, Scenario.MIE)
+    with pytest.raises(sec.PrecisionLossError) as err:
+        sec.secrecy_rate_closed(lb, pinned_series(series), EXTENDED)
+    assert err.value.estimated_rel_error == math.inf
+
+
 def test_rate_closed_extended_agrees_with_standard(ms4):
     lb = lb_db(20.0, 10.0, 5, Scenario.MCE)
     a = sec.secrecy_rate_closed(lb, ms4, STANDARD)

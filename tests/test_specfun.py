@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from capa_secrecy import secrecy as sec
 from capa_secrecy import specfun as sf
 
 
@@ -82,3 +84,69 @@ def test_signed_log_arithmetic():
     # cancellation is visible in the condition estimate (factor ~2e7 here)
     c = sf.SignedLog.from_log(1, 300.0) - sf.SignedLog.from_log(1, 299.9999999)
     assert c.log_condition() > 15.0
+
+
+def _fold(zero, xs, ys):
+    # the per-term arithmetic that each closed-rate backend's dot fuses
+    acc = zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _signed_log_pairs(rng, n):
+    """Factors whose products include zeros (some with a finite mass), ties
+    in magnitude, exact cancellations and masses of -inf."""
+    mags = (-2.0, 0.0, 0.5, 3.0, math.nextafter(3.0, 4.0))
+    xs, ys = [], []
+    while len(xs) < n:
+        sign = int(rng.choice((-1, 1)))
+        mag = float(rng.choice(mags))
+        kind = int(rng.integers(6))
+        if kind == 0:
+            x = sf.SignedLog(0, -math.inf)
+        elif kind == 1:
+            x = sf.SignedLog(0, -math.inf, float(rng.normal()))
+        elif kind == 2:
+            x = sf.SignedLog(sign, mag, -math.inf)
+        elif kind == 3:
+            x = sf.SignedLog(sign, float(rng.normal(0.0, 5.0)))
+        else:
+            x = sf.SignedLog(sign, mag, mag + float(rng.exponential()))
+        y = sf.SignedLog(int(rng.choice((-1, 1))), float(rng.choice(mags)))
+        xs.append(x)
+        ys.append(y)
+        if kind == 5:  # the next product cancels this one exactly
+            xs.append(-x)
+            ys.append(y)
+    return xs, ys
+
+
+def test_float_dot_is_the_fold_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    bk = sec._FloatBackend()
+    for n in list(range(6)) + [12, 40, 200] * 30:
+        xs, ys = _signed_log_pairs(rng, n)
+        got, want = bk.dot(xs, ys), _fold(bk.zero(), xs, ys)
+        assert (got.sign, got.mag, got.mass) == (want.sign, want.mag, want.mass)
+    # a product that cancels a nonzero partial sum exactly, mid-sum
+    one, a, b = (sf.SignedLog.from_float(v) for v in (1.0, 3.0, -0.7))
+    xs, ys = [a, b, -(a + b), a], [one, one, one, b]
+    assert _fold(bk.zero(), xs[:3], ys[:3]).sign == 0
+    got, want = bk.dot(xs, ys), _fold(bk.zero(), xs, ys)
+    assert (got.sign, got.mag, got.mass) == (want.sign, want.mag, want.mass)
+    assert got.to_float() == pytest.approx(-2.1, rel=1e-14)
+    assert bk.dot([], []).sign == 0
+
+
+def test_mp_dot_is_the_fold():
+    rng = np.random.default_rng(7)
+    bk = sec._MPBackend()
+    with mpmath.workdps(50):
+        for n in (0, 1, 5, 40):
+            # full-precision factors over 40 decades, so the sum rounds
+            xs = [mpmath.mpf(v) * mpmath.mpf(10) ** int(d) / 7 for v, d in
+                  zip(rng.normal(size=n), rng.integers(-20, 20, size=n))]
+            ys = [mpmath.mpf(v) if k else mpmath.mpf(0)
+                  for v, k in zip(rng.normal(size=n), rng.integers(4, size=n))]
+            assert bk.dot(xs, ys) == _fold(bk.zero(), xs, ys)
