@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
-from scipy import special as sps
 
 from . import snr_models as snr
 from .snr_models import LinkBudget, MoschopoulosSeries, Scenario
 from .specfun import (EXTENDED, STANDARD, DomainError, EvalPrecision,
                       EULER_GAMMA, SignedLog, exp_e1_log, harmonic_number,
-                      log_binomial, scaled_e1, signed_log_dot)
+                      log_binomial, poisson_tails, scaled_e1, signed_log_dot,
+                      xlogy)
 from .spectral import ComputationError
 
 LN2 = math.log(2.0)
@@ -92,38 +91,45 @@ class _FloatBackend:
 
 
 class _MPBackend:
-    """Plain mpmath arithmetic at the ambient working precision."""
+    """Plain mpmath arithmetic at the ambient working precision.
+
+    mpmath is imported here, so only the extended path loads it.
+    """
+
+    def __init__(self):
+        import mpmath
+        self.mp = mpmath
 
     def scalar(self, x):
-        return mpmath.mpf(x)
+        return self.mp.mpf(x)
 
     def zero(self):
-        return mpmath.mpf(0)
+        return self.mp.mpf(0)
 
     def wrap(self, x):
-        return mpmath.mpf(x)
+        return self.mp.mpf(x)
 
     def efrom(self, exponent):
-        return mpmath.exp(mpmath.mpf(exponent))
+        return self.mp.exp(self.mp.mpf(exponent))
 
     def pow(self, base, k):
-        return mpmath.mpf(base) ** k
+        return self.mp.mpf(base) ** k
 
     def factorial(self, n):
-        return mpmath.factorial(n)
+        return self.mp.factorial(n)
 
     def comb(self, n, k):
-        return mpmath.binomial(n, k)
+        return self.mp.binomial(n, k)
 
     def alt_binomials(self, n, base=1):
-        return [mpmath.binomial(n, k) * ((-1) ** (n - k)) * self.pow(base, k + 1)
+        return [self.mp.binomial(n, k) * ((-1) ** (n - k)) * self.pow(base, k + 1)
                 for k in range(n + 1)]
 
     def lnS(self, x):
-        return mpmath.log(x)
+        return self.mp.log(x)
 
     def e1(self, x):
-        return mpmath.e1(x)
+        return self.mp.e1(x)
 
     def dot(self, xs, ys):
         return sum((x * y for x, y in zip(xs, ys)), self.zero())
@@ -298,8 +304,9 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
             mag = val.mag if val.sign != 0 and math.isfinite(val.mag) else 0.0
             digits = (val.mass - min(mag, 0.0)) / math.log(10.0) + 30.0
             dps = int(min(max(50.0, digits), 6000.0))
-            with mpmath.workdps(dps):
-                out = float(_rate_closed_dispatch(_MPBackend(), lb, ms, n_terms))
+            bk = _MPBackend()
+            with bk.mp.workdps(dps):
+                out = float(_rate_closed_dispatch(bk, lb, ms, n_terms))
         if dropped <= _TAIL_REL * abs(out):
             break
     if prec.mode != "standard-float" and not 0.0 < out <= jensen * (1.0 + 1e-6):
@@ -488,9 +495,11 @@ def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     g = 2.0 ** r0
     theta = lb.gamma_bar_b * ms.sigma_min
     lam = (g - 1.0) / theta
-    idx = np.arange(ms.dof + ms.q_max + 1, dtype=float)
-    pmf = np.exp(sps.xlogy(idx, lam) - lam - sps.gammaln(idx + 1.0))
-    tail = sps.gammainc(idx, lam)            # tail[n] = P(count >= n)
+    n = ms.dof + ms.q_max + 1
+    idx = np.arange(len(ms.log_factorials), dtype=float)
+    pmf = np.exp(xlogy(idx, lam) - lam - ms.log_factorials)
+    tail = poisson_tails(pmf, lam)[:n]       # tail[n] = P(count >= n)
+    idx, pmf = idx[:n], pmf[:n]
     for mu in _eve_scales(lb):
         log_r = -math.log1p(theta / (g * mu))
         # v[n] = sum_{i<=n} pmf[i] r^(n-i): P(count >= n+1) gains r v[n]
@@ -551,7 +560,7 @@ def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,
         raise DomainError("target secrecy rate must be positive")
     g = 2.0 ** r0
     idx = np.arange(ms.dof + 1, dtype=float)
-    log_h = sps.xlogy(idx, g - 1.0) - sps.gammaln(idx + 1.0)
+    log_h = xlogy(idx, g - 1.0) - ms.log_factorials[:ms.dof + 1]
     for mu in _eve_scales(lb):
         lc = math.log(g * mu)
         log_h = idx * lc + np.logaddexp.accumulate(log_h - idx * lc)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sps
 
-from .specfun import DomainError
+from .specfun import (DomainError, log_factorials, poisson_mix,
+                      poisson_series_terms, poisson_tail, xlogy)
 from .spectral import ComputationError, SpectralDecomposition
 
 
@@ -55,10 +55,10 @@ class MoschopoulosSeries:
     (kept as its log).  `residual` is the truncated tail mass 1 - sum w_q.
 
     Bob's laws are sums over the Poisson index k (see `_poisson_mix`); the
-    tables they read are made once here, for k up to n_top = dof + q_max:
-    `log_factorials[k]` = log k!, `cum_weights[q]` = w_0 + ... + w_q (C_k
-    at k = dof + q) and `tail_weights[k]` = sum of w_q over dof + q > k
-    (W_k for k < n_top).
+    tables they read are made once here: `cum_weights[q]` = w_0 + ... + w_q
+    (C_k at k = dof + q), `tail_weights[k]` = sum of w_q over dof + q > k
+    (W_k for k < n_top = dof + q_max) and `log_factorials[k]` = log k!, for
+    k up to n_top and as far past it as the CDF's Poisson tail reaches.
     """
 
     sigmas: np.ndarray
@@ -79,8 +79,8 @@ class MoschopoulosSeries:
         w = np.exp(self.log_weights)
         tail = np.cumsum(w[::-1])[::-1]
         put(self, "weights", w)
-        put(self, "log_factorials",
-            sps.gammaln(np.arange(1.0, self.dof + self.q_max + 2.0)))
+        n = self.dof + self.q_max + 1
+        put(self, "log_factorials", log_factorials(n + poisson_series_terms(n)))
         put(self, "cum_weights", np.cumsum(w))
         put(self, "tail_weights",
             np.concatenate([np.full(self.dof - 1, tail[0]), tail]))
@@ -161,9 +161,6 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
 # Bob's SNR (gamma mixture)
 # ---------------------------------------------------------------------------
 
-_BLOCK = 2_000_000  # terms per block of `_poisson_mix`
-
-
 def _shaped(out, x):
     # out (flat) in x's shape, a float for a float or 0-d x
     return out.item() if x.ndim == 0 else out.reshape(x.shape)
@@ -171,32 +168,9 @@ def _shaped(out, x):
 
 def _poisson_mix(x, lb: LinkBudget, ms: MoschopoulosSeries, k0: int, table,
                  top: float = 0.0):
-    """sum_k p_k(z) T_k at z = max(x, 0) / (gamma_b sigma_min), flat, with
-    p_k the Poisson(z) pmf, T_k = table[k - k0] over the table and T_k = top
-    past it (that part is top * P(k0 + len(table), z)).  NaN gives NaN.
-
-    Every term is nonnegative, so nothing cancels.  The sum runs in blocks
-    of at most _BLOCK terms.
-    """
-    theta = lb.gamma_bar_b * ms.sigma_min
-    n = k0 + len(table)
-    log_fact = ms.log_factorials[k0:n]
-    z = np.clip(x.ravel(), 0.0, None) / theta
-    at_inf = z == math.inf  # p_k(inf) = 0: keep inf - inf out of the sum
-    zf = np.where(at_inf, 0.0, z)
-    out = np.empty_like(z)
-    ks = np.arange(k0, n, dtype=float)
-    step = max(1, _BLOCK // len(table))
-    for i in range(0, len(z), step):
-        zz = zf[i:i + step, None]
-        a = sps.xlogy(ks, zz)
-        a -= zz
-        a -= log_fact
-        out[i:i + step] = np.exp(a, out=a) @ table
-    out[at_inf] = 0.0
-    if top:
-        out += top * sps.gammainc(n, z)
-    return out
+    """`poisson_mix` at z = max(x, 0) / (gamma_b sigma_min), flat."""
+    z = np.clip(x.ravel(), 0.0, None) / (lb.gamma_bar_b * ms.sigma_min)
+    return poisson_mix(z, table, k0, top, ms.log_factorials)
 
 
 def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
@@ -238,7 +212,7 @@ def eve_pdf(x, lb: LinkBudget):
     m = (xv >= 0.0) & (xv < math.inf)
     z = xv[m] / mu
     if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
-        out[m] = np.exp(sps.xlogy(k - 1, z) - z - math.lgamma(k)) / mu
+        out[m] = np.exp(xlogy(k - 1, z) - z - math.lgamma(k)) / mu
     else:  # max of K exponentials; SE is K = 1
         out[m] = k * np.power(-np.expm1(-z), k - 1) * np.exp(-z) / mu
     return _shaped(out, x)
@@ -250,7 +224,7 @@ def eve_cdf(x, lb: LinkBudget):
     x = np.asarray(x, dtype=float)
     z = np.clip(x.ravel(), 0.0, None) / mu
     if lb.scenario == Scenario.MCE:
-        return _shaped(sps.gammainc(k, z), x)
+        return _shaped(poisson_tail(k, z), x)
     return _shaped(np.power(-np.expm1(-z), k), x)  # SE is K = 1
 
 

@@ -1,14 +1,19 @@
 """Special functions for the secrecy analytics.
 
 The exponential integral E1 (scaled and logarithmic), log-domain
-combinatorics and harmonic numbers.  All functions here are pure and operate
-on plain floats; a signed log-domain value type (`SignedLog`) is provided for
+combinatorics, harmonic numbers and the Poisson tails that are every
+integer-shape incomplete gamma the laws need.  All functions here are pure;
+the E1 and combinatorial ones operate on plain floats, the Poisson ones on
+numpy arrays.  A signed log-domain value type (`SignedLog`) is provided for
 summations whose terms overflow or cancel.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -114,6 +119,141 @@ def log_binomial(n: int, k: int) -> float:
 def harmonic_number(n: int) -> float:
     """H_n = sum_{s=1}^{n} 1/s (H_0 = 0)."""
     return math.fsum(1.0 / s for s in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Poisson tails: the regularised incomplete gamma at integer shapes
+# ---------------------------------------------------------------------------
+
+def xlogy(x, y):
+    """x ln y elementwise, 0 where x = 0 and y is not NaN (0 ln 0 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.multiply(x, np.log(y))
+    if np.ndim(x) == 0 and x != 0:
+        return out
+    nan = np.isnan(out)  # 0 ln 0 and 0 ln inf among them
+    if nan.any():
+        out = np.where(nan & np.equal(x, 0.0) & ~np.isnan(y), 0.0, out)
+    return out
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n-1."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+
+
+@functools.lru_cache(maxsize=256)
+def poisson_series_terms(n: int) -> int:
+    """How many pmf terms from p_n(z) on reach one below e^-40 of p_n for
+    every z <= n: one more than the least j with
+    ln(p_(n+j) / p_n) = j ln z - ln((n+j)!/n!) at most -40 at z = n, where
+    the terms fall slowest.  Past it each term is at most n/(n+j+1) times
+    the one before, so the terms left add under 1e-16 of the sum for n up
+    to 10^4."""
+    def log_ratio(j):
+        return j * math.log(n) - math.lgamma(n + j + 1.0) + math.lgamma(n + 1.0)
+
+    hi = 1
+    while log_ratio(hi) > -40.0:
+        hi *= 2
+    lo = hi // 2
+    while lo < hi:  # log_ratio falls with j, since n < n + j + 1
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if log_ratio(mid) <= -40.0 else (mid + 1, hi)
+    return lo + 1
+
+
+_BLOCK = 2_000_000  # pmf terms per block of `poisson_mix`
+_LOG_NORMAL = -708.39  # ln of a little more than the smallest normal double
+
+
+def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
+    """sum_k p_k(z) T_k for each z >= 0 of a flat array, with p_k the
+    Poisson(z) pmf and T_k = 0 below k0, table[k - k0] for k0 <= k < n,
+    n = k0 + len(table), and top from n on.  log_fact[k] = ln k! must reach
+    n - 1, and n - 1 + poisson_series_terms(n) when top is set.  NaN gives
+    NaN.
+
+    Every term is nonnegative, so nothing cancels.  The log pmf is
+    k ln z - z - ln k!, with ln 0 taken as -1e300 (so k ln z is 0 at k = 0
+    and p_k(0) is 0 above), and each point's terms are the same whatever
+    else is in the array.  A point whose terms are all below the smallest
+    normal double gets 0 for them.  The part past the table is top P(n, z),
+    P(n, z) = P(Pois(z) >= n) (DLMF 8.4), and comes from the same pmf: below
+    n the terms k = n, n + 1, ... go on as far as `poisson_series_terms`
+    asks; from n on, where P(n, z) is at least about 1/2, it is
+    1 - sum_(k<n) p_k.  The part of that sum below k0 is at most
+    p_k0 k0 / (z - k0), and is added through `poisson_tail` where that bound
+    is not below 1e-17.  The sum runs in blocks of at most _BLOCK terms.
+    """
+    n = k0 + len(table)
+    at_inf = z == math.inf  # p_k(inf) = 0: keep inf - inf out of the sum
+    zf = np.where(at_inf, 0.0, z)
+    with np.errstate(divide="ignore"):
+        log_z = np.maximum(np.log(zf), -1e300)
+    up = z < n
+    m = n + poisson_series_terms(n) if top and up.any() else n
+    ks = np.arange(k0, m, dtype=float)
+    # the table, sum_(k0 <= k < n) p_k and sum_(k >= n) p_k as far as it goes
+    weights = np.zeros((m - k0, 3))
+    weights[:n - k0, 0] = table
+    weights[:n - k0, 1] = 1.0
+    weights[n - k0:, 2] = 1.0
+    # a point whose largest term (at k = z, kept within the range) is below
+    # the smallest normal double adds nothing: leaving it out spares exp its
+    # slow path on underflow
+    k_peak = np.fmin(np.fmax(np.floor(zf), k0), m - 1)  # k0 at NaN
+    peak = k_peak * log_z - zf - log_fact[k_peak.astype(int)]
+    live = np.flatnonzero(~(peak < _LOG_NORMAL))
+    sums = np.zeros((len(z), 3))
+    p_k0 = np.zeros_like(z)
+    log_fact = log_fact[k0:m]
+    step = max(1, _BLOCK // (m - k0))
+    for i in range(0, len(live), step):
+        rows = live[i:i + step]
+        a = np.multiply.outer(log_z[rows], ks)
+        a -= zf[rows, None]
+        a -= log_fact
+        np.exp(a, out=a)
+        p_k0[rows] = a[:, 0]
+        sums[rows] = a @ weights
+    out = sums[:, 0]
+    out[at_inf] = 0.0
+    if top:
+        tail = np.where(up, sums[:, 2], 1.0 - sums[:, 1])
+        tail[at_inf] = 1.0
+        below = np.flatnonzero(~up & (p_k0 * k0 > 1e-17 * (z - k0)))
+        if below.size:  # P(n, z) = P(k0, z) - sum_(k0 <= k < n) p_k
+            tail[below] = poisson_tail(k0, z[below]) - sums[below, 1]
+        out += top * tail
+    return out
+
+
+def poisson_tail(n: int, z):
+    """P(n, z) = P(Pois(z) >= n) = sum_(k >= n) p_k(z), the regularised lower
+    incomplete gamma at an integer shape n >= 1 (DLMF 8.4), for z >= 0:
+    `poisson_mix` with T_k = 0 below n and 1 from n on.  0 at z = 0, 1 at
+    z = inf, NaN at NaN; a float or 0-d z gives a 0-d array.
+    """
+    z = np.asarray(z, dtype=float)
+    lf = log_factorials(n + poisson_series_terms(n))
+    return poisson_mix(z.reshape(-1), np.zeros(n), 0, 1.0, lf).reshape(z.shape)
+
+
+def poisson_tails(pmf, z: float) -> np.ndarray:
+    """P(Pois(z) >= k) for every k < len(pmf), from the pmf p_0(z), p_1(z),
+    ...  At k <= z it is 1 minus the forward sum of the pmf below k (at
+    least about 1/2 there), above z the reverse cumulative sum of the pmf
+    from k, so the tails for k < n are complete when the pmf runs on to
+    n - 1 + poisson_series_terms(n).
+    """
+    n = len(pmf)
+    m = min(n, math.floor(z) + 1)  # k <= z for k < m
+    tail = np.empty(n)
+    tail[0] = 1.0
+    tail[1:m] = 1.0 - np.cumsum(pmf[:m - 1])
+    tail[m:] = np.cumsum(pmf[m:][::-1])[::-1]
+    return tail
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as leg
-from scipy import linalg as sla
 
 from .specfun import DomainError
 
@@ -134,8 +133,12 @@ def unit_legendre_rule(t: int):
     gives the same eigenvalues from the two diagonals alone; the default
     stemr driver does not (it moves the weights by 1e-9 at t = 1000).  The
     remaining steps are numpy's as written: one Newton step, the weights
-    from legval and the symmetrisation.
+    from legval and the symmetrisation.  scipy.linalg is imported here: the
+    rule runs only on a spectrum-cache miss, so a sweep served from the
+    cache never loads scipy.
     """
+    from scipy import linalg as sla
+
     s = 1.0 / np.sqrt(2 * np.arange(t) + 1)
     x = sla.eigvalsh_tridiagonal(np.zeros(t), np.arange(1, t) * s[:-1] * s[1:],
                                  lapack_driver="sterf")

@@ -570,14 +570,47 @@ def cli_sweep_rows(tmp_path, cfg):
         return proc.returncode, list(csv.DictReader(fh))
 
 
-def test_cli_import_loads_no_scipy_integrate(tmp_path):
-    proc = run_python(["-c", "import sys, capa_secrecy.cli; print(sorted("
-                       "m for m in sys.modules if m.startswith('scipy.')))"],
-                      tmp_path)
+def loaded_after(code, cwd, **extra_env):
+    """The scipy and mpmath modules loaded in a fresh interpreter after each
+    `code` statement: one sorted list per statement."""
+    probe = ("import json, sys\n"
+             "def show(): print(json.dumps(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'mpmath'))))\n")
+    proc = run_python(["-c", probe + "".join(f"{c}\nshow()\n" for c in code)],
+                      cwd, **extra_env)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert any("scipy.special" in m for m in loaded), loaded
-    assert not any("scipy.integrate" in m for m in loaded), loaded
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_cli_import_loads_no_scipy_or_mpmath(tmp_path):
+    # numpy and the package load at start; scipy.linalg only once a
+    # spectrum is computed (the control: the probe does see scipy)
+    at_import, after_decompose = loaded_after([
+        "import capa_secrecy.cli",
+        "from capa_secrecy import spectral as spc; "
+        "spc.decompose(spc.ApertureGeometry(0.1249, 0.3747), 160)"], tmp_path)
+    assert at_import == [], at_import
+    assert "scipy.linalg" in after_decompose, after_decompose
+    assert not any(m.startswith("mpmath") for m in after_decompose)
+
+
+def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
+    # a sweep whose spectrum comes from the cache never loads scipy, and
+    # without the extended closed rate it never loads mpmath
+    path = write_config(tmp_path, {
+        "aperture_lambdas": 3, "quadrature_order": 160, "n_trials": 10000,
+        "axis": "gamma_b_db", "values": [10.0, 20.0],
+        "scenarios": ["SE", "MIE", "MCE"],
+        "evaluators": ["closed-form", "quadrature", "asymptotic",
+                       "monte-carlo", "spda-mc"],
+        "outputs": ["rate", "sop", "offset", "gain"]})
+    sweep = (f"from capa_secrecy import cli; assert cli.main(['sweep', "
+             f"'--config', {path!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0")
+    cache = str(tmp_path / "spectra")
+    cold, = loaded_after([sweep], tmp_path, CAPA_CACHE_DIR=cache)
+    assert "scipy.linalg" in cold, cold
+    warm, = loaded_after([sweep], tmp_path, CAPA_CACHE_DIR=cache)
+    assert warm == [], warm
 
 
 def test_many_eve_closed_form_sop_matches_quadrature(tmp_path):

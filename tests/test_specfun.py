@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 
 from capa_secrecy import secrecy as sec
 from capa_secrecy import specfun as sf
@@ -150,3 +151,79 @@ def test_mp_dot_is_the_fold():
             ys = [mpmath.mpf(v) if k else mpmath.mpf(0)
                   for v, k in zip(rng.normal(size=n), rng.integers(4, size=n))]
             assert bk.dot(xs, ys) == _fold(bk.zero(), xs, ys)
+
+
+# ---------------------------------------------------------------------------
+# Poisson tails against scipy.special, which the package no longer imports
+# ---------------------------------------------------------------------------
+
+def assert_tails_match(got, want, where):
+    # <= 1e-12 relative wherever scipy's value is a normal double well above
+    # underflow; below that both are 0 or subnormal
+    big = want > 1e-290
+    rel = np.abs(got[big] - want[big]) / want[big]
+    assert rel.max(initial=0.0) <= 1e-12, (where, rel.max())
+    assert np.all(got[~big] <= 1e-280), where
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 181, 241, 261, 500])
+def test_poisson_tail_matches_gammainc(n):
+    rng = np.random.default_rng(n)
+    z = np.concatenate([rng.uniform(0.0, 3.0 * n + 10.0, 400),
+                        np.geomspace(1e-6, 5.0 * n + 50.0, 400),
+                        np.arange(max(n - 3, 0), n + 4, dtype=float)])
+    assert_tails_match(sf.poisson_tail(n, z), gammainc(n, z), n)
+    # the edges, also for one point at a time
+    assert sf.poisson_tail(n, 0.0) == 0.0 and sf.poisson_tail(n, np.inf) == 1.0
+    assert np.isnan(sf.poisson_tail(n, np.nan))
+    assert sf.poisson_tail(n, 0.0).shape == ()
+    edges = sf.poisson_tail(n, np.array([0.0, np.inf, np.nan, float(n)]))
+    assert edges[:2].tolist() == [0.0, 1.0] and np.isnan(edges[2])
+    assert abs(edges[3] - gammainc(n, n)) <= 1e-12 * gammainc(n, n)
+
+
+def test_poisson_tail_at_zero_for_small_shapes():
+    # p_(n-1)(0) is 1 for n = 1 and 0 above: both give P(n, 0) = 0
+    for n in (1, 2):
+        assert sf.poisson_tail(n, np.array([0.0, 1e-300, 1e-3])).tolist() == \
+            pytest.approx([0.0, gammainc(n, 1e-300), gammainc(n, 1e-3)],
+                          rel=1e-14, abs=0.0)
+
+
+def test_poisson_tail_is_the_same_point_by_point():
+    # a point's terms do not depend on the other points of the array; only
+    # the order in which BLAS sums them may, a few ulps
+    z = np.geomspace(1e-3, 2e3, 60)
+    for n in (5, 241):
+        together = sf.poisson_tail(n, z)
+        alone = np.array([sf.poisson_tail(n, v) for v in z])
+        assert np.allclose(together, alone, rtol=1e-15, atol=0.0), n
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 3.0, 37.0, 150.0, 240.0, 1000.0])
+def test_sop_closed_tail_vector_matches_gammainc(lam):
+    # sop_closed's tails P(count >= k), k < 261 (dof 100, q_max 160), from a
+    # pmf that goes on poisson_series_terms(261) terms past them
+    n = 261
+    k = np.arange(n + sf.poisson_series_terms(n), dtype=float)
+    pmf = np.exp(sf.xlogy(k, lam) - lam - sf.log_factorials(k.size))
+    got = sf.poisson_tails(pmf, lam)[:n]
+    assert got[0] == 1.0
+    assert_tails_match(got, gammainc(k[:n], lam), lam)
+
+
+def test_log_factorials_match_gammaln():
+    got = sf.log_factorials(3000)
+    want = gammaln(np.arange(1.0, 3001.0))
+    assert got[:2].tolist() == [0.0, 0.0]
+    ulps = np.abs(got - want)[2:] / np.spacing(want[2:])
+    assert ulps.max() <= 4.0
+
+
+def test_xlogy_edges():
+    assert sf.xlogy(0, 0.0) == 0.0 and sf.xlogy(0, np.inf) == 0.0
+    assert sf.xlogy(3, 0.0) == -np.inf
+    assert np.isnan(sf.xlogy(0, np.nan)) and np.isnan(sf.xlogy(np.nan, 2.0))
+    got = sf.xlogy(np.arange(3.0), np.array([0.0, 0.0, np.nan]))
+    assert got[0] == 0.0 and got[1] == -np.inf and np.isnan(got[2])
+    assert sf.xlogy(2, np.e) == pytest.approx(2.0, rel=1e-15)
