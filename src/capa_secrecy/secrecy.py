@@ -5,12 +5,13 @@ are evaluated three ways that must agree: term-by-term closed forms, a
 single-integral quadrature route, and the Monte Carlo module.  The closed
 rate forms are alternating binomial sums that overflow and cancel, so the
 standard path runs in signed log-domain arithmetic with a running
-conditioning estimate, and an extended wide-float path (mpmath) takes over
-past a configurable DoF cap.
+conditioning estimate.  Past a configurable DoF cap the extended path
+integrates the secure probability P(C_s > r) over r instead.
 
-Everything else sums nonnegative terms: the closed-form SOP and the array
-gain, its gamma_b -> inf limit, fold in one geometric count per Eve scale
-(`_eve_scales`), and the independent Eves' offset term integrates a survival.
+Everything else sums nonnegative terms: the closed-form SOP, the extended
+rate's secure probability and the array gain, its gamma_b -> inf limit, fold
+in one geometric count per Eve scale (`_eve_scales`), and the independent
+Eves' offset term integrates a survival.
 """
 from __future__ import annotations
 
@@ -46,192 +47,133 @@ class PrecisionLossError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# numeric backends for the closed-form rate
+# the closed-form rate in signed log-domain floats
 # ---------------------------------------------------------------------------
 
-class _FloatBackend:
-    """Signed log-domain float arithmetic with mass (conditioning) tracking."""
-
-    def scalar(self, x):
-        return float(x)
-
-    def zero(self):
-        return SignedLog(0, -math.inf)
-
-    def wrap(self, x):
-        return SignedLog.from_float(float(x))
-
-    def efrom(self, exponent):
-        return SignedLog.from_log(1, float(exponent))
-
-    def pow(self, base, k):
-        return SignedLog.from_log(1, k * math.log(base))
-
-    def factorial(self, n):
-        return SignedLog.from_log(1, math.lgamma(n + 1))
-
-    def comb(self, n, k):
-        return SignedLog.from_log(1, log_binomial(n, k))
-
-    def alt_binomials(self, n, base=1.0):
-        # C(n, k) (-1)^(n-k) base^(k+1), k = 0..n, from its log: the same float
-        # as comb * (+-1) * pow, whose +-1 factor adds exactly 0.0
-        ln_base = math.log(base)
-        return [SignedLog.from_log(1 - 2 * ((n - k) & 1),
-                                   log_binomial(n, k) + (k + 1) * ln_base)
-                for k in range(n + 1)]
-
-    def lnS(self, x):
-        return SignedLog.from_float(math.log(x))
-
-    def e1(self, x):
-        return SignedLog.from_log(1, exp_e1_log(float(x)))
-
-    dot = staticmethod(signed_log_dot)
+_ZERO = SignedLog(0, -math.inf)
 
 
-class _MPBackend:
-    """Plain mpmath arithmetic at the ambient working precision.
-
-    mpmath is imported here, so only the extended path loads it.
-    """
-
-    def __init__(self):
-        import mpmath
-        self.mp = mpmath
-
-    def scalar(self, x):
-        return self.mp.mpf(x)
-
-    def zero(self):
-        return self.mp.mpf(0)
-
-    def wrap(self, x):
-        return self.mp.mpf(x)
-
-    def efrom(self, exponent):
-        return self.mp.exp(self.mp.mpf(exponent))
-
-    def pow(self, base, k):
-        return self.mp.mpf(base) ** k
-
-    def factorial(self, n):
-        return self.mp.factorial(n)
-
-    def comb(self, n, k):
-        return self.mp.binomial(n, k)
-
-    def alt_binomials(self, n, base=1):
-        return [self.mp.binomial(n, k) * ((-1) ** (n - k)) * self.pow(base, k + 1)
-                for k in range(n + 1)]
-
-    def lnS(self, x):
-        return self.mp.log(x)
-
-    def e1(self, x):
-        return self.mp.e1(x)
-
-    def dot(self, xs, ys):
-        return sum((x * y for x, y in zip(xs, ys)), self.zero())
+def _exp(x):
+    """e^x as a SignedLog."""
+    return SignedLog.from_log(1, x)
 
 
-_FLOAT_BACKEND = _FloatBackend()
+def _pow(base, k):
+    return SignedLog.from_log(1, k * math.log(base))
 
 
-def _closed_rate_kernel(bk, theta, mu, k_gamma, dof, log_weights, memo):
+def _factorial(n):
+    return SignedLog.from_log(1, math.lgamma(n + 1))
+
+
+def _ln(x):
+    return SignedLog.from_float(math.log(x))
+
+
+def _alt_binomials(n, base=1.0):
+    """C(n, k) (-1)^(n-k) base^(k+1), k = 0..n, each from its log."""
+    ln_base = math.log(base)
+    return [SignedLog.from_log(1 - 2 * ((n - k) & 1),
+                               log_binomial(n, k) + (k + 1) * ln_base)
+            for k in range(n + 1)]
+
+
+def _closed_rate_kernel(theta, mu, k_gamma, dof, log_weights, memo):
     """Mixture secrecy rate for Eve ~ Gamma(k_gamma, mu), Bob the gamma
     mixture with scale theta and shapes dof + q.
 
     k_gamma = 1 covers the single-Eve expression; the collaborative form is
     the same structure with the gamma-order sums carried along.  `memo`
     holds the mu-free binomial coefficient rows, shared by the calls of one
-    dispatch.  Returns a backend value (bits).
+    dispatch.  Returns a SignedLog (bits).
     """
     K = k_gamma
-    sth = bk.scalar(theta)
-    smu = bk.scalar(mu)
-    beta = 1 / smu + 1 / sth
-    c1 = sth * smu / (sth + smu)      # = 1/beta
-    rmu = smu / (sth + smu)
+    theta, mu = float(theta), float(mu)
+    beta = 1 / mu + 1 / theta
+    c1 = theta * mu / (theta + mu)    # = 1/beta
+    rmu = mu / (theta + mu)
     n_hi = dof + len(log_weights) - 1
     n_arr = n_hi + K                  # F/G orders up to n_hi + K - 1
 
-    e_mu = bk.efrom(1 / smu)
-    e_th = bk.efrom(1 / sth)
-    e_mbeta = bk.efrom(-beta)
-    ln_theta = bk.lnS(theta)
-    ln_rmu = bk.lnS(rmu)
-    ln_c1 = bk.lnS(c1)
-    e1_beta = bk.e1(beta)
+    e_mu = _exp(1 / mu)
+    e_th = _exp(1 / theta)
+    e_mbeta = _exp(-beta)
+    ln_theta = _ln(theta)
+    ln_rmu = _ln(rmu)
+    ln_c1 = _ln(c1)
+    ln_beta = _ln(beta)
+    e1_beta = _exp(exp_e1_log(beta))
 
     # G[j] = Gamma(j+1, beta), F[j] = F(j+1, beta), upward recurrences.
     G = [None] * n_arr
     F = [None] * n_arr
     G[0] = e_mbeta
-    F[0] = bk.lnS(beta) * e_mbeta + e1_beta
+    F[0] = ln_beta * e_mbeta + e1_beta
     for j in range(1, n_arr):
-        pw = bk.pow(beta, j) * e_mbeta
+        pw = _pow(beta, j) * e_mbeta
         G[j] = j * G[j - 1] + pw
-        F[j] = j * F[j - 1] + bk.lnS(beta) * pw + G[j - 1]
+        F[j] = j * F[j - 1] + ln_beta * pw + G[j - 1]
 
     # alternating gamma-order coefficients C(K-1,c)(-1)^(K-1-c) c1^(c+1)
-    KA = bk.alt_binomials(K - 1, c1)
+    KA = _alt_binomials(K - 1, c1)
 
     FG = [f + ln_rmu * g for f, g in zip(F, G)]
-    A = e_mu * bk.dot(KA, FG)
+    A = e_mu * signed_log_dot(KA, FG)
 
-    B = bk.factorial(K - 1) * bk.pow(mu, K) * bk.e1(1 / sth)
+    B = _factorial(K - 1) * _pow(mu, K) * _exp(exp_e1_log(1 / theta))
     for j in range(K):
         inner = ((-1) ** j) * e1_beta
         for t in range(1, j + 1):
-            inner = inner + bk.comb(j, t) * ((-1) ** (j - t)) * bk.pow(c1, t) * G[t - 1]
-        B = B - e_mu * (bk.factorial(K - 1) / bk.factorial(j)) * bk.pow(mu, K - j) * inner
+            inner = inner + (_exp(log_binomial(j, t)) * ((-1) ** (j - t))
+                             * _pow(c1, t) * G[t - 1])
+        B = B - e_mu * (_factorial(K - 1) / _factorial(j)) * _pow(mu, K - j) * inner
 
     # SV[j] = sum_{r<j} rmu^r / r! * sum_c KA[c] G[r+c]   (no e^(1/mu) folded)
-    SV = [bk.zero()] * (n_hi + 2)
+    one = SignedLog.from_float(1.0)
+    SV = [_ZERO] * (n_hi + 2)
     for j in range(1, n_hi + 2):
         r = j - 1
-        blk = bk.dot(KA, G[r:])
-        SV[j] = SV[j - 1] + (bk.pow(rmu, r) if r else bk.wrap(1)) / bk.factorial(r) * blk
+        blk = signed_log_dot(KA, G[r:])
+        SV[j] = SV[j - 1] + (_pow(rmu, r) if r else one) / _factorial(r) * blk
 
     # PS[k] = sum_{j=1..k} (U_j + V_j)/j!
-    PS = [bk.zero()] * (n_hi + 1)
+    PS = [_ZERO] * (n_hi + 1)
     for j in range(1, n_hi + 1):
-        ub = bk.dot(KA, FG[j:])
-        u = e_mu * bk.pow(rmu, j) * ub
-        v = bk.factorial(j - 1) * e_mu * SV[j]
-        PS[j] = PS[j - 1] + (u + v) / bk.factorial(j)
+        ub = signed_log_dot(KA, FG[j:])
+        u = e_mu * _pow(rmu, j) * ub
+        v = _factorial(j - 1) * e_mu * SV[j]
+        PS[j] = PS[j - 1] + (u + v) / _factorial(j)
 
-    bracket = [bk.factorial(k) * (A + B + PS[k] + ln_theta * e_mu * SV[k + 1])
+    bracket = [_factorial(k) * (A + B + PS[k] + ln_theta * e_mu * SV[k + 1])
                for k in range(n_hi)]
 
     # W2[f] = c1^(f+1) (F[f] + ln(c1) G[f]) feeds the log(1+rho_e) term.
-    W2 = [bk.pow(c1, f + 1) * (F[f] + ln_c1 * G[f]) for f in range(n_arr)]
-    gamma_k_mu = bk.factorial(K - 1) * bk.pow(mu, K)
-    tau_prefix = [bk.zero()] * (n_hi + 1)
-    e_beta = bk.efrom(beta)
+    W2 = [_pow(c1, f + 1) * (F[f] + ln_c1 * G[f]) for f in range(n_arr)]
+    gamma_k_mu = _factorial(K - 1) * _pow(mu, K)
+    tau_prefix = [_ZERO] * (n_hi + 1)
+    e_beta = _exp(beta)
     tau_rows = memo.setdefault("tau", {})
     for m in range(n_hi):
         n = K + m - 1
         row = tau_rows.get(n)
         if row is None:
-            row = tau_rows[n] = bk.alt_binomials(n)
-        s = bk.dot(row, W2)
-        tau = e_beta / gamma_k_mu / (bk.pow(theta, m) if m else bk.wrap(1)) \
-            / bk.factorial(m) * s
+            row = tau_rows[n] = _alt_binomials(n)
+        s = signed_log_dot(row, W2)
+        tau = e_beta / gamma_k_mu / (_pow(theta, m) if m else one) \
+            / _factorial(m) * s
         tau_prefix[m + 1] = tau_prefix[m] + tau
 
     ksum_rows = memo.setdefault("ksum", {})
-    total = bk.zero()
+    total = _ZERO
     for q, lw in enumerate(log_weights):
         n = dof + q
         row = ksum_rows.get(n)
         if row is None:
-            row = ksum_rows[n] = bk.alt_binomials(n - 1, theta)
-        ksum = bk.dot(row, bracket)
-        term1 = ksum * e_th / (bk.factorial(n - 1) * bk.pow(theta, n) * gamma_k_mu)
-        total = total + bk.efrom(lw) * (term1 - tau_prefix[n])
-    return total / bk.wrap(LN2)
+            row = ksum_rows[n] = _alt_binomials(n - 1, theta)
+        ksum = signed_log_dot(row, bracket)
+        term1 = ksum * e_th / (_factorial(n - 1) * _pow(theta, n) * gamma_k_mu)
+        total = total + _exp(float(lw)) * (term1 - tau_prefix[n])
+    return total / SignedLog.from_float(LN2)
 
 
 def _mixture_cut(lb: LinkBudget, ms: MoschopoulosSeries):
@@ -249,19 +191,20 @@ def _mixture_cut(lb: LinkBudget, ms: MoschopoulosSeries):
     return q_stop + 1, math.exp(tails[q_stop])
 
 
-def _rate_closed_dispatch(bk, lb: LinkBudget, ms: MoschopoulosSeries, n_terms):
+def _rate_closed_dispatch(lb: LinkBudget, ms: MoschopoulosSeries, n_terms):
     theta = lb.gamma_bar_b * ms.sigma_min
     logw = ms.log_weights[:n_terms]
     memo = {}
     if lb.scenario != Scenario.MIE:  # SE is the K = 1 collaborative case
-        return _closed_rate_kernel(bk, theta, lb.gamma_bar_e, lb.k_eves, ms.dof,
+        return _closed_rate_kernel(theta, lb.gamma_bar_e, lb.k_eves, ms.dof,
                                    logw, memo)
     K = lb.k_eves
-    total = bk.zero()
+    total = _ZERO
     for a in range(K):
-        coeff = bk.wrap(K) * bk.comb(K - 1, a) * ((-1) ** a) / bk.wrap(a + 1)
+        coeff = (SignedLog.from_float(float(K)) * _exp(log_binomial(K - 1, a))
+                 * ((-1) ** a) / SignedLog.from_float(float(a + 1)))
         total = total + coeff * _closed_rate_kernel(
-            bk, theta, lb.gamma_bar_e / (a + 1), 1, ms.dof, logw, memo)
+            theta, lb.gamma_bar_e / (a + 1), 1, ms.dof, logw, memo)
     return total
 
 
@@ -271,47 +214,68 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
     """Term-by-term closed-form secrecy rate in bits/channel use.
 
     With prec=None the standard float path is used up to `dof_cap` spatial
-    DoF and the extended wide-float path beyond.  The standard path raises
-    PrecisionLossError when its conditioning estimate says the alternating
-    sums left fewer than ~3 significant digits, or when the value falls
-    outside [0, log2(1 + gamma_b sum(sigma))], the range of the true rate.
-    The extended path raises it when its value is not positive or exceeds
-    that bound: a positive rate it returns as 0 would be silently wrong.
+    DoF and the extended path (`_rate_by_secure_probability`) beyond.  The
+    standard path raises PrecisionLossError when its conditioning estimate
+    says the alternating sums left fewer than ~3 significant digits, or
+    when the value falls outside [0, log2(1 + gamma_b sum(sigma))], the
+    range of the true rate.
 
     The mixture is cut where its tail provably adds under 2^-60 of the
     result; should the result be too small for that, the full series runs.
     """
     if prec is None:
         prec = STANDARD if ms.dof <= dof_cap else EXTENDED
+    if prec.mode != "standard-float":
+        return _rate_by_secure_probability(lb, ms)
     jensen = math.log2(1.0 + _bob_spread(lb, ms)[0])
     n_cut, tail = _mixture_cut(lb, ms)
     # MIE weighs its K kernels by +-K C(K-1,a)/(a+1), of total magnitude 2^K - 1
     if lb.scenario == Scenario.MIE:
         tail *= 2.0 ** lb.k_eves - 1.0
     for n_terms, dropped in ((n_cut, tail), (ms.q_max + 1, 0.0)):
-        val = _rate_closed_dispatch(_FLOAT_BACKEND, lb, ms, n_terms)
-        if prec.mode == "standard-float":
-            cond = val.log_condition()
-            est_rel = 2.3e-16 * math.exp(min(cond, 700.0))
-            if est_rel > _PRECISION_LOSS_THRESHOLD:
-                raise PrecisionLossError(est_rel)
-            out = val.to_float()
-            if (out > jensen * (1.0 + 1e-6)
-                    or out < -2.3e-16 * math.exp(min(val.mass, 700.0))):
-                raise PrecisionLossError(math.inf)
-        else:
-            # size the working precision from the mass bound of the float dry run
-            mag = val.mag if val.sign != 0 and math.isfinite(val.mag) else 0.0
-            digits = (val.mass - min(mag, 0.0)) / math.log(10.0) + 30.0
-            dps = int(min(max(50.0, digits), 6000.0))
-            bk = _MPBackend()
-            with bk.mp.workdps(dps):
-                out = float(_rate_closed_dispatch(bk, lb, ms, n_terms))
+        val = _rate_closed_dispatch(lb, ms, n_terms)
+        est_rel = 2.3e-16 * math.exp(min(val.log_condition(), 700.0))
+        if est_rel > _PRECISION_LOSS_THRESHOLD:
+            raise PrecisionLossError(est_rel)
+        out = val.to_float()
+        if (out > jensen * (1.0 + 1e-6)
+                or out < -2.3e-16 * math.exp(min(val.mass, 700.0))):
+            raise PrecisionLossError(math.inf)
         if dropped <= _TAIL_REL * abs(out):
             break
-    if prec.mode != "standard-float" and not 0.0 < out <= jensen * (1.0 + 1e-6):
-        raise PrecisionLossError(math.inf)
     return max(out, 0.0)
+
+
+def _rate_by_secure_probability(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
+    """The closed-form rate as E[C_s^+] = int_0^inf P(C_s > r) dr, C_s =
+    log2(1 + rho_b) - log2(1 + rho_e).
+
+    P(C_s > r) = sum_q w_q P(count < dof + q) with `sop_closed`'s count at
+    r0 = r (`_outage_count`): head sums of a nonnegative pmf, so nothing
+    cancels in any scenario or for any K.  The pieces end at 0, at
+    r* = log2((1 + E rho_b)/(1 + E rho_e)) where Eve's mass moves the knee
+    (if r* lies inside), at log2(2 + mean + 12 std) past Bob's bulk, and
+    at inf.  Raises ComputationError when the error estimate exceeds 1e-10
+    of the rate.
+    """
+    theta = lb.gamma_bar_b * ms.sigma_min
+
+    def f(rs):
+        out = np.zeros(rs.size)
+        for i, r in enumerate(rs):
+            g = 2.0 ** r if r < 1024.0 else math.inf
+            if (g - 1.0) / theta < math.inf:  # else every pmf term is 0
+                pmf = _outage_count(lb, ms, g)[0]
+                out[i] = ms.weights @ np.cumsum(pmf)[ms.dof - 1:-1]
+        return out
+
+    mean, std = _bob_spread(lb, ms)
+    r_hi = math.log2(2.0 + mean + 12.0 * std)
+    r_star = math.log2((1.0 + mean) / (1.0 + float(np.sum(_eve_scales(lb)))))
+    edges = [0.0, r_star, r_hi, math.inf] if 0.0 < r_star < r_hi \
+        else [0.0, r_hi, math.inf]
+    return _piecewise_quad(f, edges, 0.0, math.inf, "closed rate",
+                           max_rel=1e-10, epsrel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +378,15 @@ def _gk21(f, a, b, epsabs, epsrel, limit=QUAD_LIMIT):
 
 
 def _piecewise_quad(f, edges, epsabs: float, max_err: float, what: str,
-                    max_rel: float | None = None) -> float:
+                    max_rel: float | None = None, epsrel: float = 1e-11) -> float:
     """int_{edges[0]}^{edges[-1]} f (the last edge may be inf), one adaptive
-    rule per piece between consecutive edges.
+    rule per piece between consecutive edges, each to max(epsabs, epsrel |I|).
 
     Raises ComputationError when the summed error estimates exceed max_err
     (or are NaN), or max_rel times the result clamped at 0 when max_rel is
     given.
     """
-    parts = [_gk21(f, a, b, epsabs, 1e-11) for a, b in zip(edges, edges[1:])]
+    parts = [_gk21(f, a, b, epsabs, epsrel) for a, b in zip(edges, edges[1:])]
     err = sum(e for _, e, _ in parts)
     val = sum(v for v, _, _ in parts)
     if not (err <= max_err and (max_rel is None
@@ -479,20 +443,17 @@ def _eve_scales(lb: LinkBudget) -> np.ndarray:
     return lb.gamma_bar_e / j
 
 
-def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
-    """Closed-form secrecy outage probability at target rate r0 (bits).
+def _outage_count(lb: LinkBudget, ms: MoschopoulosSeries, g: float):
+    """The outage count at 2^r0 = g: (its pmf, P(count >= k)) for
+    k < dof + q_max + 1.
 
     Eve's SNR is sum_j mu_j E_j (`_eve_scales`).  Bob's per-shape CDF is a
     Poisson tail, so the outage of shape n is
-    P(Pois(lambda) + sum_j Geom(r_j) >= n), lambda = (2^r0 - 1)/theta and
+    P(Pois(lambda) + sum_j Geom(r_j) >= n), lambda = (g - 1)/theta and
     r_j = g mu_j / (theta + g mu_j).  One pass per Eve convolves the count's
     pmf with Geom(r_j) and adds its tail increment, both truncated at the
-    largest shape.  Every term is nonnegative, so nothing cancels even when
-    the outage probability is ~1e-200 or K is in the hundreds.
+    largest shape.  Every term is nonnegative.
     """
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
-    g = 2.0 ** r0
     theta = lb.gamma_bar_b * ms.sigma_min
     lam = (g - 1.0) / theta
     n = ms.dof + ms.q_max + 1
@@ -506,6 +467,18 @@ def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
         v = np.convolve(pmf, np.exp(log_r * idx))[:idx.size]
         tail[1:] += math.exp(log_r) * v[:-1]
         pmf = -math.expm1(log_r) * v
+    return pmf, tail
+
+
+def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
+    """Closed-form secrecy outage probability at target rate r0 (bits):
+    sum_q w_q P(count >= dof + q) over `_outage_count`'s tails.  Nothing
+    cancels even when the outage probability is ~1e-200 or K is in the
+    hundreds.
+    """
+    if r0 <= 0.0:
+        raise DomainError("target secrecy rate must be positive")
+    tail = _outage_count(lb, ms, 2.0 ** r0)[1]
     return min(float(ms.weights @ tail[ms.dof:]), 1.0)
 
 

@@ -184,19 +184,23 @@ def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
 
 def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """Mixture CDF sum_q w_q P(dof+q, x/theta) = sum_k p_k(x/theta) C_k,
-    since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4); at most 1."""
+    since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4); at most 1, and 1 at
+    x = inf."""
     x = np.asarray(x, dtype=float)
-    # the weight sums can round a few ulps past 1; NaN stays NaN
-    return _shaped(np.minimum(_poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
-                                           float(ms.cum_weights[-1])), 1.0), x)
+    # the weight sums round a few ulps off 1; NaN stays NaN
+    out = np.minimum(_poisson_mix(x, lb, ms, ms.dof, ms.cum_weights,
+                                  float(ms.cum_weights[-1])), 1.0)
+    out[x.ravel() == math.inf] = 1.0
+    return _shaped(out, x)
 
 
 def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
     """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta) = sum_k p_k(x/theta) W_k;
-    accurate in the far tail and at most 1."""
+    accurate in the far tail, at most 1, and 1 at x <= 0."""
     x = np.asarray(x, dtype=float)
-    return _shaped(np.minimum(_poisson_mix(x, lb, ms, 0, ms.tail_weights),
-                              1.0), x)
+    out = np.minimum(_poisson_mix(x, lb, ms, 0, ms.tail_weights), 1.0)
+    out[x.ravel() <= 0.0] = 1.0
+    return _shaped(out, x)
 
 
 # ---------------------------------------------------------------------------

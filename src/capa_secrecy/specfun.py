@@ -26,9 +26,9 @@ class DomainError(ValueError):
 class EvalPrecision:
     """Evaluation-precision request for the closed-form analytics.
 
-    ``extended`` switches the evaluators to a software wide-float mode
-    (mpmath, >= 50 decimal digits, i.e. more than twice the float64
-    significand) for sums that cancel catastrophically at large spatial DoF.
+    ``extended`` switches the closed-form rate from its alternating sums,
+    which cancel catastrophically at large spatial DoF, to the integral of
+    the secure probability, a sum of nonnegative terms.
     """
 
     mode: str = "standard-float"
@@ -268,7 +268,7 @@ class SignedLog:
     is an estimate, not a bound: a product rounds ln|x|, so it carries a
     relative error of about eps * |ln x| on top.  For the collaborative
     closed-form rate at dof 6, K = 8, 20/20 dB the float value is 3.0e-7
-    off mpmath while the estimate says 6.6e-8.
+    off the 30-digit rate while the estimate says 6.6e-8.
     Used by the closed-form evaluators whose alternating binomial sums both
     overflow and cancel.
     """

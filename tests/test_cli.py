@@ -595,22 +595,29 @@ def test_cli_import_loads_no_scipy_or_mpmath(tmp_path):
 
 
 def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
-    # a sweep whose spectrum comes from the cache never loads scipy, and
-    # without the extended closed rate it never loads mpmath
-    path = write_config(tmp_path, {
-        "aperture_lambdas": 3, "quadrature_order": 160, "n_trials": 10000,
-        "axis": "gamma_b_db", "values": [10.0, 20.0],
-        "scenarios": ["SE", "MIE", "MCE"],
-        "evaluators": ["closed-form", "quadrature", "asymptotic",
-                       "monte-carlo", "spda-mc"],
-        "outputs": ["rate", "sop", "offset", "gain"]})
-    sweep = (f"from capa_secrecy import cli; assert cli.main(['sweep', "
-             f"'--config', {path!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0")
+    # a sweep whose spectrum comes from the cache never loads scipy, and no
+    # sweep loads mpmath, not even the closed-form rate past the DoF cap
+    # (10 wavelengths: dof 20)
+    paths = [write_config(tmp_path, cfg, f"{name}.json") for name, cfg in (
+        ("small", {"aperture_lambdas": 3, "quadrature_order": 160,
+                   "n_trials": 10000, "axis": "gamma_b_db",
+                   "values": [10.0, 20.0], "scenarios": ["SE", "MIE", "MCE"],
+                   "evaluators": ["closed-form", "quadrature", "asymptotic",
+                                  "monte-carlo", "spda-mc"],
+                   "outputs": ["rate", "sop", "offset", "gain"]}),
+        ("past-cap", {"aperture_lambdas": 10, "quadrature_order": 400,
+                      "axis": "gamma_b_db", "values": [20.0],
+                      "scenarios": ["SE", "MIE", "MCE"],
+                      "evaluators": ["closed-form"], "outputs": ["rate"]}))]
+    sweeps = [f"from capa_secrecy import cli; assert cli.main(['sweep', "
+              f"'--config', {p!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0"
+              for p in paths]
     cache = str(tmp_path / "spectra")
-    cold, = loaded_after([sweep], tmp_path, CAPA_CACHE_DIR=cache)
-    assert "scipy.linalg" in cold, cold
-    warm, = loaded_after([sweep], tmp_path, CAPA_CACHE_DIR=cache)
-    assert warm == [], warm
+    cold = loaded_after(sweeps, tmp_path, CAPA_CACHE_DIR=cache)
+    assert "scipy.linalg" in cold[0], cold
+    assert not any(m.startswith("mpmath") for m in cold[1]), cold
+    warm = loaded_after(sweeps, tmp_path, CAPA_CACHE_DIR=cache)
+    assert warm == [[], []], warm
 
 
 def test_many_eve_closed_form_sop_matches_quadrature(tmp_path):

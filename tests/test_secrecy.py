@@ -120,15 +120,26 @@ def test_rate_closed_precision_loss_signals(ms4):
     assert abs(ext - rq) <= 1e-6 * rq + 1e-15
 
 
+@pytest.mark.parametrize("gb_db", [0.0, 20.0], ids=["0dB", "20dB"])
+@pytest.mark.parametrize("scen", [Scenario.MIE, Scenario.MCE], ids=["MIE", "MCE"])
 @pytest.mark.parametrize("series", ["ms4", "ms6"])
-def test_rate_closed_extended_refuses_a_rate_it_cannot_resolve(series):
-    # the rate is 5.6e-21 (dof 4) and 5.7e-20 (dof 6) bits by quadrature;
-    # the mpmath sum gives -1.2e-18 and -2.4e-18 at 50, 100 and 200 digits
-    # alike, which must raise, not come back as 0
-    lb = lb_db(0.0, 20.0, 8, Scenario.MIE)
-    with pytest.raises(sec.PrecisionLossError) as err:
-        sec.secrecy_rate_closed(lb, pinned_series(series), EXTENDED)
-    assert err.value.estimated_rel_error == math.inf
+def test_rate_closed_extended_matches_30_digit_reference(series, scen, gb_db):
+    # 8 Eves at 20 dB; at 0 dB the rates are 5.6e-21 to 1.4e-24 bits, far
+    # below what the alternating sums of the float path can resolve
+    lb = lb_db(gb_db, 20.0, 8, scen)
+    ms = pinned_series(series)
+    want = thm.secrecy_rate_reference(lb, ms)
+    got = sec.secrecy_rate_closed(lb, ms, EXTENDED)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_rate_closed_extended_many_eves_matches_quadrature(ms80):
+    # the secure probability's count carries one geometric law per Eve
+    for scen in (Scenario.MIE, Scenario.MCE):
+        lb = lb_db(20.0, 0.0, 40, scen)
+        want = sec.secrecy_rate_quadrature(lb, ms80)
+        got = sec.secrecy_rate_closed(lb, ms80, EXTENDED)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), scen
 
 
 def test_rate_closed_extended_agrees_with_standard(ms4):

@@ -1,12 +1,10 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
-from capa_secrecy import secrecy as sec
 from capa_secrecy import specfun as sf
 
 
@@ -88,7 +86,7 @@ def test_signed_log_arithmetic():
 
 
 def _fold(zero, xs, ys):
-    # the per-term arithmetic that each closed-rate backend's dot fuses
+    # the per-term arithmetic that signed_log_dot fuses
     acc = zero
     for x, y in zip(xs, ys):
         acc = acc + x * y
@@ -125,32 +123,19 @@ def _signed_log_pairs(rng, n):
 
 def test_float_dot_is_the_fold_bit_for_bit():
     rng = np.random.default_rng(20261019)
-    bk = sec._FloatBackend()
+    zero = sf.SignedLog(0, -math.inf)
     for n in list(range(6)) + [12, 40, 200] * 30:
         xs, ys = _signed_log_pairs(rng, n)
-        got, want = bk.dot(xs, ys), _fold(bk.zero(), xs, ys)
+        got, want = sf.signed_log_dot(xs, ys), _fold(zero, xs, ys)
         assert (got.sign, got.mag, got.mass) == (want.sign, want.mag, want.mass)
     # a product that cancels a nonzero partial sum exactly, mid-sum
     one, a, b = (sf.SignedLog.from_float(v) for v in (1.0, 3.0, -0.7))
     xs, ys = [a, b, -(a + b), a], [one, one, one, b]
-    assert _fold(bk.zero(), xs[:3], ys[:3]).sign == 0
-    got, want = bk.dot(xs, ys), _fold(bk.zero(), xs, ys)
+    assert _fold(zero, xs[:3], ys[:3]).sign == 0
+    got, want = sf.signed_log_dot(xs, ys), _fold(zero, xs, ys)
     assert (got.sign, got.mag, got.mass) == (want.sign, want.mag, want.mass)
     assert got.to_float() == pytest.approx(-2.1, rel=1e-14)
-    assert bk.dot([], []).sign == 0
-
-
-def test_mp_dot_is_the_fold():
-    rng = np.random.default_rng(7)
-    bk = sec._MPBackend()
-    with mpmath.workdps(50):
-        for n in (0, 1, 5, 40):
-            # full-precision factors over 40 decades, so the sum rounds
-            xs = [mpmath.mpf(v) * mpmath.mpf(10) ** int(d) / 7 for v, d in
-                  zip(rng.normal(size=n), rng.integers(-20, 20, size=n))]
-            ys = [mpmath.mpf(v) if k else mpmath.mpf(0)
-                  for v, k in zip(rng.normal(size=n), rng.integers(4, size=n))]
-            assert bk.dot(xs, ys) == _fold(bk.zero(), xs, ys)
+    assert sf.signed_log_dot([], []).sign == 0
 
 
 # ---------------------------------------------------------------------------

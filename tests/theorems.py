@@ -2,8 +2,9 @@
 the small-1/SNR outage expansion), the alternating independent-Eves sums
 as references for the library's positive forms, Bob's laws as one
 incomplete-gamma call per mixture shape (the reference for the
-Poisson-index kernel), and the conditional-variance check behind treating
-Eve's SNR as independent of Bob's channel.  No sweep or CLI path runs them;
+Poisson-index kernel), the secrecy rate as a 30-digit integral, and the
+conditional-variance check behind treating Eve's SNR as independent of
+Bob's channel.  No sweep or CLI path runs them;
 the acceptance, secrecy, SNR-law and Monte Carlo tests import them.
 """
 import math
@@ -199,6 +200,36 @@ def bob_mixture(law: str, x, lb, ms) -> np.ndarray:
     z = np.clip(x, 0.0, None)[:, None] / theta
     out = BOB_SHAPE_LAWS[law](ms.shapes[None, :].astype(float), z) @ ms.weights
     return (x >= 0.0) * out / theta if law == "pdf" else out
+
+
+def secrecy_rate_reference(lb, ms) -> float:
+    """(1/ln 2) int_0^inf S_b(x) F_e(x) / (1 + x) dx in mpmath at 30
+    digits, for the series' float weights.
+
+    S_b(x) = e^-z sum_k W_k z^k / k!, z = x/theta, is Bob's Poisson-sum
+    survival (W_k = ms.tail_weights); F_e is Eve's CDF, the regularised
+    gamma for collaborating Eves.  The integrand can be a narrow peak
+    anywhere from 1e-4 to 1e4, so `mpmath.quad` gets 64 breakpoints on a
+    log grid there; with only a few it can step over such a peak.
+    """
+    with mpmath.workdps(30):
+        theta = mpmath.mpf(lb.gamma_bar_b) * mpmath.mpf(ms.sigma_min)
+        mu, k = mpmath.mpf(lb.gamma_bar_e), lb.k_eves
+        coeffs = [mpmath.mpf(float(w)) / mpmath.factorial(i)
+                  for i, w in enumerate(ms.tail_weights)][::-1]
+
+        def f(x):
+            z = x / theta
+            s_b = mpmath.exp(-z) * mpmath.polyval(coeffs, z)
+            if lb.scenario == Scenario.MCE:
+                f_e = mpmath.gammainc(k, 0, x / mu, regularized=True)
+            else:  # the max of K exponentials; SE is K = 1
+                f_e = (-mpmath.expm1(-x / mu)) ** k
+            return s_b * f_e / (1 + x)
+
+        edges = ([0] + [mpmath.mpf(float(b)) for b in np.geomspace(1e-4, 1e4, 64)]
+                 + [mpmath.inf])
+        return float(mpmath.quad(f, edges) / mpmath.log(2))
 
 
 # ---------------------------------------------------------------------------
