@@ -37,8 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="Wavelength in meters")
     sp.add_argument("--length", dest="aperture_len_m", type=float, required=True,
                     help="Aperture length in meters")
-    sp.add_argument("--t", dest="t", type=int, required=True,
-                    help="Quadrature order")
+    sp.add_argument("--t", dest="t", type=int, default=None,
+                    help="Quadrature order (default 2 dof + 32, where the "
+                         "spectrum has converged)")
 
     pd = sub.add_parser("plotdata", help="Split a sweep CSV into plot files.")
     pd.add_argument("csv", help="Sweep CSV produced by `sweep`")
@@ -89,7 +90,8 @@ def _cmd_spectrum(args) -> int:
     except spc.DomainError as exc:
         print(f"spectrum error: {exc}", file=sys.stderr)
         return 2
-    print(f"dof={spec.dof} trace_residual={spec.trace_residual:.3e} "
+    t = args.t if args.t is not None else spc.nystrom_order(spec)
+    print(f"dof={spec.dof} t={t} trace_residual={spec.trace_residual:.3e} "
           f"sigma_min={spec.sigma_min:.6e}")
     for eps in (0.9, 0.5, 0.1):
         print(f"landau_count(eps={eps}) = {spc.landau_count(spec, eps)}   "

@@ -5,6 +5,11 @@ kernel sin(k0 d)/(k0 d).  Its eigenvalues are obtained by a Gauss-Legendre
 Nystrom discretization followed by a symmetric eigenvalue solve, and follow
 the Landau step profile: eigenvalues near lambda/2 on a plateau of width
 2L/lambda, then a rapid drop over a ~ln(dof) wide transition.
+
+Unless a quadrature order t is given, the rule has `nystrom_order(geom)` =
+2 dof + 32 points.  The Nystrom eigenvalues have converged to the prolate
+ones well before that order (by 2 dof + 16 at every aperture tested, 1.5
+to 200 wavelengths); more points only add rounding, and cost grows as t^3.
 """
 from __future__ import annotations
 
@@ -171,8 +176,17 @@ def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):
     return half * x, half * w
 
 
-def decompose(geom: ApertureGeometry, t: int, unit_rule=None) -> SpectralDecomposition:
-    """Nystrom eigenvalues of the sinc kernel.
+def nystrom_order(geom: ApertureGeometry | SpectralDecomposition) -> int:
+    """The default quadrature order 2 dof + 32 of an aperture (or of its
+    spectrum): even, so no centre node, and twice the margin past 2 dof at
+    which the spectrum has converged."""
+    return 2 * geom.dof + 32
+
+
+def decompose(geom: ApertureGeometry, t: int | None = None,
+              unit_rule=None) -> SpectralDecomposition:
+    """Nystrom eigenvalues of the sinc kernel with a t-point rule
+    (default `nystrom_order(geom)`).
 
     The quadrature-weighted kernel matrix is symmetrized as
     W^(1/2) R W^(1/2) (same spectrum as the plain Nystrom matrix, but a
@@ -187,6 +201,8 @@ def decompose(geom: ApertureGeometry, t: int, unit_rule=None) -> SpectralDecompo
     dof = geom.dof
     if dof < 1:
         raise DomainError("aperture shorter than lambda/4 has dof = 0")
+    if t is None:
+        t = nystrom_order(geom)
     if t < 2 * dof:
         raise DomainError(f"need t >= 2*dof = {2 * dof} quadrature points, got {t}")
     nodes, weights = gauss_legendre_rule(t, geom, unit_rule)
@@ -259,7 +275,7 @@ def save_decomposition(spec: SpectralDecomposition, path: str) -> None:
     renamed over `path`, so a concurrent reader sees either no entry or a
     complete one.  The entry gets the mode a plain file would (0666 less
     the umask), so a shared cache directory stays readable.  It holds only
-    the kept eigenvalues (1.4 KB at dof 80), so it is stored uncompressed.
+    the kept eigenvalues (1.2 KB at dof 80), so it is stored uncompressed.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -286,14 +302,19 @@ def load_decomposition(path: str, geom: ApertureGeometry) -> SpectralDecompositi
                                      data["sigmas"], geom.dof, float(data["trace"]))
 
 
-def cached_decompose(geom: ApertureGeometry, t: int, cache_dir: str | None = None,
+def cached_decompose(geom: ApertureGeometry, t: int | None = None,
+                     cache_dir: str | None = None,
                      unit_rule=None) -> SpectralDecomposition:
     """decompose() with an optional .npz cache in `cache_dir`.
 
-    `unit_rule` is passed to decompose() and only called on a cache miss.
+    The entry is keyed by the order that runs (t, or `nystrom_order(geom)`
+    when t is None).  `unit_rule` is passed to decompose() and only called
+    on a cache miss.
     """
     if not cache_dir:
         return decompose(geom, t, unit_rule)
+    if t is None:
+        t = nystrom_order(geom)
     os.makedirs(cache_dir, exist_ok=True)
     key = cache_key(geom.wavelength_m, geom.aperture_len_m, t)
     path = os.path.join(cache_dir, key + ".npz")

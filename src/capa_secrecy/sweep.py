@@ -92,7 +92,8 @@ class SweepConfig:
     gamma_e_db: float = 20.0
     k_eves: int = 5
     target_rate_r0: float = 3.0
-    quadrature_order: int = 1000
+    # Nystrom order; None is each aperture's converged spectral.nystrom_order
+    quadrature_order: int | None = None
     n_trials: int = 200_000
     seed: int = 20260810
     workers: int = 1
@@ -116,6 +117,8 @@ class SweepConfig:
                 bad(name, "must be a finite number")
         for name in ("k_eves", "quadrature_order", "n_trials", "workers"):
             v = getattr(self, name)
+            if name == "quadrature_order" and v is None:
+                continue
             if not (_number(v, int) and v > 0):
                 bad(name, "must be a positive integer")
         if not (_number(self.seed, int) and self.seed >= 0):
@@ -213,7 +216,8 @@ def _seed(root: int, *key: int) -> int:
 def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     """Each distinct aperture length of the grid, in grid order, mapped to
     (spectrum, series, unit Bob draws or None) or to the exception raised."""
-    # one unit Gauss-Legendre rule per sweep, made on the first cache miss
+    # one unit Gauss-Legendre rule per distinct order, made on its first
+    # cache miss
     unit_rule = functools.cache(spc.unit_legendre_rule)
     lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
     draw_bob = any(ROWS.get((ev, m), (None,))[0] is _monte_carlo
@@ -306,8 +310,10 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
         detail = f"error:{type(resolved).__name__}: {resolved}"
     else:
         spec = resolved[0]
+        t = cfg.quadrature_order or spc.nystrom_order(spec)
         counts = [spc.landau_count(spec, e) for e in (0.01, 0.5, 0.99)]
-        detail = (f"dof={spec.dof} trace_residual={spec.trace_residual:.3e} "
+        detail = (f"dof={spec.dof} t={t} "
+                  f"trace_residual={spec.trace_residual:.3e} "
                   "landau_counts(eps=0.01/0.5/0.99)="
                   + "/".join(map(str, counts)))
     print(f"spectrum: aperture_len={summary_len:g} {detail}", file=summary)

@@ -133,6 +133,7 @@ def test_sweep_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
     ({"n_trials": 5000}, "n_trials"),
     ({"seed": -1}, "seed"),
     ({"aperture_len_m": 5.0}, "aperture_lambdas"),
+    ({"quadrature_order": 0}, "quadrature_order"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -146,8 +147,10 @@ def test_table1_preset():
     assert cfg.gamma_e_db == 20.0
     assert cfg.k_eves == 5
     assert cfg.target_rate_r0 == 3.0
-    assert cfg.quadrature_order == 1000
+    assert cfg.quadrature_order is None
     assert cfg.aperture_len_m == pytest.approx(40 * 0.1249)
+    geom = spc.ApertureGeometry(cfg.wavelength_m, cfg.aperture_len_m)
+    assert spc.nystrom_order(geom) == 192
     with pytest.raises(sw.ConfigError, match="preset"):
         sw.config_from_dict({"preset": "table2"})
 
@@ -267,6 +270,18 @@ def test_each_aperture_resolved_once(monkeypatch):
     assert calls == {"cached_decompose": [74.94, 149.88], "build_psi": []}
     assert summary == ("spectrum: aperture_len=74.94 error:DomainError: "
                        "need t >= 2*dof = 2400 quadrature points, got 120\n")
+
+
+@pytest.mark.parametrize("order,shown", [(None, 40), (120, 120)])
+def test_summary_names_the_order_that_ran(order, shown):
+    # JSON null is the default: the aperture's converged order
+    summary = io.StringIO()
+    code = sw.run_sweep(sw.config_from_dict(small_config(
+        quadrature_order=order, evaluators=["asymptotic"])),
+        io.StringIO(), summary_stream=summary)
+    assert code == 0
+    assert summary.getvalue().startswith(
+        f"spectrum: aperture_len=0.2498 dof=4 t={shown} trace_residual=")
 
 
 def test_monte_carlo_rows_replay_from_shared_bob_draws():
@@ -521,8 +536,14 @@ def test_spectrum_subcommand(capsys):
                      "--length", str(0.1249 * 2), "--t", "60"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "dof=4" in out
+    assert out.startswith("dof=4 t=60 ")
     assert "l,sigma_m,epsilon" in out
+
+
+def test_spectrum_subcommand_default_order(capsys):
+    # without --t the aperture's converged order runs, and the head names it
+    assert cli.main(["spectrum", "--lambda", "0.1249", "--length", "0.4996"]) == 0
+    assert capsys.readouterr().out.startswith("dof=8 t=48 ")
 
 
 @pytest.mark.parametrize("args", [

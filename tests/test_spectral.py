@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
 from capa_secrecy.specfun import DomainError
 
 from conftest import LAMBDA, make_spectrum
+from theorems import prolate_epsilons
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,46 @@ def test_decompose_small_aperture(spec4):
 def test_decompose_requires_enough_points(geom):
     with pytest.raises(DomainError):
         spc.decompose(geom, 6)
+
+
+def _geometry(n_lambdas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return spc.ApertureGeometry(LAMBDA, n_lambdas * LAMBDA)
+
+
+def _oracle_error(spec, n_lambdas):
+    """Largest |epsilon - lambda_n(c)| over the kept eigenvalues."""
+    want = prolate_epsilons(math.pi * n_lambdas, len(spec.sigmas))
+    return np.max(np.abs(spec.epsilons - np.minimum(want, 1.0)))
+
+
+@pytest.mark.parametrize("n_lambdas,tol", [
+    (1.5, 1e-12), (2.0, 1e-12), (3.0, 1e-12), (10.0, 1e-12), (40.0, 1e-12),
+    (50.0, 1e-12), (100.0, 1e-11), (200.0, 1e-11)])
+def test_default_order_matches_prolate_eigenvalues(n_lambdas, tol):
+    geom = _geometry(n_lambdas)
+    assert spc.nystrom_order(geom) == 2 * geom.dof + 32
+    assert _oracle_error(spc.decompose(geom), n_lambdas) <= tol
+
+
+@pytest.mark.parametrize("n_lambdas", [10.0, 40.0, 50.0])
+def test_default_order_is_closer_to_prolate_than_1000(n_lambdas):
+    # past convergence, more nodes only add rounding
+    geom = _geometry(n_lambdas)
+    assert (_oracle_error(spc.decompose(geom), n_lambdas)
+            < _oracle_error(spc.decompose(geom, 1000), n_lambdas))
+
+
+def test_large_aperture_with_default_order():
+    # 300 wavelengths: dof 600 needs t >= 1200, past the old fixed 1000
+    geom = _geometry(300.0)
+    assert (geom.dof, spc.nystrom_order(geom)) == (600, 1232)
+    spec = spc.decompose(geom)
+    assert spec.dof == 600 and len(spec.sigmas) >= 600
+    assert snr.build_psi(spec).sigma_min == spec.sigma_min
+    with pytest.raises(DomainError, match="need t >= 2\\*dof = 1200"):
+        spc.decompose(geom, 1000)
 
 
 def test_landau_structure(spec80):
@@ -126,6 +168,18 @@ def test_cached_decompose_uses_directory(tmp_path):
         assert len(files) == 1
         again = spc.cached_decompose(geom, 100, cache_dir=str(tmp_path))
     assert np.array_equal(first.sigmas, again.sigmas)
+
+
+def test_default_order_is_cached_under_its_resolved_order(tmp_path, geom):
+    first = spc.cached_decompose(geom, cache_dir=str(tmp_path))
+    (entry,) = tmp_path.glob("*.npz")
+    order = spc.nystrom_order(geom)
+    assert entry.name == spc.cache_key(geom.wavelength_m, geom.aperture_len_m,
+                                       order) + ".npz"
+    again = spc.cached_decompose(geom, order, cache_dir=str(tmp_path))
+    assert len(list(tmp_path.glob("*.npz"))) == 1
+    _assert_same_spectrum(first, again)
+    _assert_same_spectrum(first, spc.decompose(geom))
 
 
 def test_truncated_cache_entry_is_recomputed(tmp_path, caplog, geom):

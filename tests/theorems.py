@@ -2,7 +2,8 @@
 the small-1/SNR outage expansion), the alternating independent-Eves sums
 as references for the library's positive forms, Bob's laws as one
 incomplete-gamma call per mixture shape (the reference for the
-Poisson-index kernel), the secrecy rate as a 30-digit integral, and the
+Poisson-index kernel), the secrecy rate as a 30-digit integral, the
+prolate eigenvalues as an oracle for the Nystrom spectrum, and the
 conditional-variance check behind treating Eve's SNR as independent of
 Bob's channel.  No sweep or CLI path runs them;
 the acceptance, secrecy, SNR-law and Monte Carlo tests import them.
@@ -230,6 +231,51 @@ def secrecy_rate_reference(lb, ms) -> float:
         edges = ([0] + [mpmath.mpf(float(b)) for b in np.geomspace(1e-4, 1e4, 64)]
                  + [mpmath.inf])
         return float(mpmath.quad(f, edges) / mpmath.log(2))
+
+
+# ---------------------------------------------------------------------------
+# the sinc kernel's eigenvalues from the prolate matrix
+# ---------------------------------------------------------------------------
+
+def prolate_epsilons(c: float, count: int) -> np.ndarray:
+    """The first `count` eigenvalues lambda_n(c) of the sinc kernel
+    sin(c(x-y))/(pi(x-y)) on [-1, 1], descending; an aperture of length L
+    at wavelength lambda has c = pi L/lambda and epsilon_n = lambda_n(c).
+
+    The prolate functions psi_n are the eigenvectors of the Legendre-basis
+    matrix of the prolate differential operator, which only couples degrees
+    k and k+2: one symmetric tridiagonal matrix per parity in the
+    normalised Legendre basis sqrt(k + 1/2) P_k, each solved by dense eigh
+    (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 2001).  With psi_n =
+    sum_k beta_k Pbar_k of unit norm, the Fourier integral of psi_n at 0
+    gives mu_n = sqrt(2) beta_0/psi_n(0) for even n and c sqrt(2/3)
+    beta_1/psi_n'(0) for odd n, and lambda_n = (c/2 pi) mu_n^2.
+
+    The basis runs to degree count + c + 100, past which no psi_n with
+    n < count has weight above rounding.  A larger basis is no better: the
+    eigenvector error grows like eps degree^2/gap.  Against 40-digit
+    mpmath eigenvectors of the prolate matrix this is 2.3e-15, 1.4e-14 and
+    7.9e-14 off in epsilon at c = 3 pi, 10 pi and 40 pi.
+    """
+    size = count // 2 + int(c) // 2 + 50  # per parity
+    out = np.empty(2 * size)
+    for parity in (0, 1):
+        k = np.arange(parity, 2 * size, 2, dtype=float)
+        diag = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / (
+            (2 * k + 3) * (2 * k - 1))
+        kk = k[:-1]
+        off = c * c * (kk + 1) * (kk + 2) / (
+            (2 * kk + 3) * np.sqrt((2 * kk + 1) * (2 * kk + 5)))
+        _, beta = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+        # P_k(0) for even k and P_k'(0) = k P_(k-1)(0) for odd k
+        p0 = np.cumprod(np.concatenate(
+            [[1.0], -(k[1:] - 1 - parity) / (k[1:] - parity)]))
+        at0 = np.sqrt(k + 0.5) * p0 * (k if parity else 1.0)
+        scale = math.sqrt(2.0) if parity == 0 else c * math.sqrt(2.0 / 3.0)
+        mu = scale * beta[0] / (at0 @ beta)
+        out[parity::2] = c / (2 * math.pi) * mu ** 2
+    return out[:count]
 
 
 # ---------------------------------------------------------------------------
