@@ -2,7 +2,8 @@
 
 The channel autocorrelation over a linear aperture of length L is the sinc
 kernel sin(k0 d)/(k0 d).  Its eigenvalues are obtained by a Gauss-Legendre
-Nystrom discretization followed by a symmetric eigenvalue solve, and follow
+Nystrom discretization followed by a symmetric eigenvalue solve, both from
+numpy alone (`leggauss` for the rule, `eigvalsh` for the solve), and follow
 the Landau step profile: eigenvalues near lambda/2 on a plateau of width
 2L/lambda, then a rapid drop over a ~ln(dof) wide transition.
 
@@ -129,37 +130,16 @@ def kernel_value(z, z_prime, geom: ApertureGeometry):
 
 
 def unit_legendre_rule(t: int):
-    """numpy's leggauss(t) bit for bit: the t-point Gauss-Legendre rule on
-    [-1, 1].
+    """The t-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss(t).
 
-    numpy takes the nodes' first estimate from a dense eigensolve of the
-    symmetric companion matrix, which is tridiagonal: zero diagonal and
-    off-diagonal k s_(k-1) s_k with s_k = 1/sqrt(2k+1).  LAPACK's sterf
-    gives the same eigenvalues from the two diagonals alone; the default
-    stemr driver does not (it moves the weights by 1e-9 at t = 1000).  The
-    remaining steps are numpy's as written: one Newton step, the weights
-    from legval and the symmetrisation.  scipy.linalg is imported here: the
-    rule runs only on a spectrum-cache miss, so a sweep served from the
-    cache never loads scipy.
+    numpy takes the nodes' first estimate as Golub and Welsch do (Math.
+    Comp. 23, 1969), as the eigenvalues of the symmetric companion matrix,
+    here by a dense eigensolve; then one Newton step, the weights from
+    legval and a symmetrisation.  At the default orders (2 dof + 32, 232
+    at 50 wavelengths) the dense t x t solve takes 0.2-2.8 ms; at t = 1000
+    the rule takes about 0.1 s.
     """
-    from scipy import linalg as sla
-
-    s = 1.0 / np.sqrt(2 * np.arange(t) + 1)
-    x = sla.eigvalsh_tridiagonal(np.zeros(t), np.arange(1, t) * s[:-1] * s[1:],
-                                 lapack_driver="sterf")
-    c = np.zeros(t + 1)
-    c[-1] = 1.0
-    dy = leg.legval(x, c)
-    df = leg.legval(x, leg.legder(c))
-    x -= dy / df
-    fm = leg.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    return x, w
+    return leg.leggauss(t)
 
 
 def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):

@@ -604,21 +604,24 @@ def loaded_after(code, cwd, **extra_env):
 
 
 def test_cli_import_loads_no_scipy_or_mpmath(tmp_path):
-    # numpy and the package load at start; scipy.linalg only once a
-    # spectrum is computed (the control: the probe does see scipy)
-    at_import, after_decompose = loaded_after([
+    # numpy and the package load at start, and computing a spectrum (the
+    # Gauss-Legendre rule included) adds nothing; the control: the probe
+    # does see scipy once it is imported
+    at_import, after_decompose, control = loaded_after([
         "import capa_secrecy.cli",
         "from capa_secrecy import spectral as spc; "
-        "spc.decompose(spc.ApertureGeometry(0.1249, 0.3747), 160)"], tmp_path)
+        "spc.decompose(spc.ApertureGeometry(0.1249, 0.3747), 160)",
+        "import scipy.linalg"], tmp_path)
     assert at_import == [], at_import
-    assert "scipy.linalg" in after_decompose, after_decompose
-    assert not any(m.startswith("mpmath") for m in after_decompose)
+    assert after_decompose == [], after_decompose
+    assert "scipy.linalg" in control, control
 
 
 def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
-    # a sweep whose spectrum comes from the cache never loads scipy, and no
-    # sweep loads mpmath, not even the closed-form rate past the DoF cap
-    # (10 wavelengths: dof 20)
+    # no sweep loads scipy, whether its spectrum is computed or comes from
+    # the cache, and none loads mpmath, not even the closed-form rate past
+    # the DoF cap (10 wavelengths: dof 20); the `spectrum` subcommand loads
+    # neither.  The control: the probe does see scipy once it is imported
     paths = [write_config(tmp_path, cfg, f"{name}.json") for name, cfg in (
         ("small", {"aperture_lambdas": 3, "quadrature_order": 160,
                    "n_trials": 10000, "axis": "gamma_b_db",
@@ -633,12 +636,47 @@ def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
     sweeps = [f"from capa_secrecy import cli; assert cli.main(['sweep', "
               f"'--config', {p!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0"
               for p in paths]
+    spectrum = ("import contextlib, io; from capa_secrecy import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()): "
+                "assert cli.main(['spectrum', '--lambda', '0.1249', "
+                "'--length', '0.4996', '--t', '40']) == 0")
     cache = str(tmp_path / "spectra")
-    cold = loaded_after(sweeps, tmp_path, CAPA_CACHE_DIR=cache)
-    assert "scipy.linalg" in cold[0], cold
-    assert not any(m.startswith("mpmath") for m in cold[1]), cold
+    cold = loaded_after(sweeps + [spectrum, "import scipy.linalg"], tmp_path,
+                        CAPA_CACHE_DIR=cache)
+    assert cold[:3] == [[], [], []], cold
+    assert "scipy.linalg" in cold[3], cold
     warm = loaded_after(sweeps, tmp_path, CAPA_CACHE_DIR=cache)
     assert warm == [[], []], warm
+
+
+def test_sweep_and_spectrum_run_with_scipy_blocked(tmp_path):
+    # with scipy made unimportable before the package loads, a cold sweep
+    # over every evaluator and output, and `spectrum`, still run; the CSV
+    # and the printed spectrum are the bytes of the unblocked run
+    path = write_config(tmp_path, {
+        "aperture_lambdas": 3, "quadrature_order": 160, "n_trials": 10000,
+        "axis": "gamma_b_db", "values": [10.0, 20.0],
+        "scenarios": ["SE", "MIE", "MCE"], "evaluators": list(sw.EVALUATORS),
+        "outputs": list(sw.OUTPUTS)})
+    runs = {}
+    for block in (True, False):
+        out = tmp_path / f"block-{block}.csv"
+        code = ("import sys\n"
+                + ("sys.modules['scipy'] = None\n" if block else "")
+                + "from capa_secrecy import cli\n"
+                f"assert cli.main(['sweep', '--config', {path!r}, "
+                f"'--out', {str(out)!r}]) == 0\n"
+                "assert cli.main(['spectrum', '--lambda', '0.1249', "
+                "'--length', '0.4996', '--t', '40']) == 0\n"
+                "try:\n    import scipy.linalg\nexcept ImportError:\n"
+                "    print('blocked')\n")
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        runs[block] = (out.read_bytes(), proc.stdout)
+    assert runs[True][1].endswith("blocked\n")
+    assert "blocked" not in runs[False][1]
+    assert runs[True][0] == runs[False][0]
+    assert runs[True][1][:-len("blocked\n")] == runs[False][1]
 
 
 def test_many_eve_closed_form_sop_matches_quadrature(tmp_path):

@@ -127,10 +127,18 @@ def test_rate_closed_extended_matches_30_digit_reference(series, scen, gb_db):
     # 8 Eves at 20 dB; at 0 dB the rates are 5.6e-21 to 1.4e-24 bits, far
     # below what the alternating sums of the float path can resolve
     lb = lb_db(gb_db, 20.0, 8, scen)
-    ms = pinned_series(series)
-    want = thm.secrecy_rate_reference(lb, ms)
-    got = sec.secrecy_rate_closed(lb, ms, EXTENDED)
+    want = thm.RATE_REFERENCES[series, scen.name, gb_db]
+    got = sec.secrecy_rate_closed(lb, pinned_series(series), EXTENDED)
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_rate_reference_recomputes_a_recorded_value():
+    # the cheapest recorded reference, live at the oracle's default 30
+    # digits on 64 breakpoints, so the oracle code stays exercised
+    lb = lb_db(0.0, 20.0, 8, Scenario.MIE)
+    got = thm.secrecy_rate_reference(lb, pinned_series("ms6"))
+    want = thm.RATE_REFERENCES["ms6", "MIE", 0.0]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_rate_closed_extended_many_eves_matches_quadrature(ms80):

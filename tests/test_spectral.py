@@ -12,7 +12,7 @@ from capa_secrecy import spectral as spc
 from capa_secrecy.specfun import DomainError
 
 from conftest import LAMBDA, make_spectrum
-from theorems import prolate_epsilons
+from theorems import prolate_epsilons, sterf_legendre_rule
 
 
 @pytest.fixture(scope="module")
@@ -223,10 +223,13 @@ def test_parity_split_matches_dense_eigensolve(n_lambdas, t):
     assert spec.trace == pytest.approx(np.sum(dense), rel=1e-14)
 
 
-@pytest.mark.parametrize("t", [2, 3, 120, 160, 1000, 1001])
+@pytest.mark.parametrize("t", [2, 3, 72, 120, 160, 192, 232, 1000, 1001])
 def test_unit_rule_is_numpys_leggauss_bit_for_bit(t):
+    # the rule is numpy's leggauss; the sterf construction it replaced is
+    # the oracle, so no spectrum moved (t = 72, 192 and 232 are the
+    # default orders at 10, 40 and 50 wavelengths)
     x, w = spc.unit_legendre_rule(t)
-    x_np, w_np = np.polynomial.legendre.leggauss(t)
+    x_np, w_np = sterf_legendre_rule(t)
     assert np.array_equal(x, x_np)
     assert np.array_equal(w, w_np)
 

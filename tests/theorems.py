@@ -2,17 +2,20 @@
 the small-1/SNR outage expansion), the alternating independent-Eves sums
 as references for the library's positive forms, Bob's laws as one
 incomplete-gamma call per mixture shape (the reference for the
-Poisson-index kernel), the secrecy rate as a 30-digit integral, the
-prolate eigenvalues as an oracle for the Nystrom spectrum, and the
-conditional-variance check behind treating Eve's SNR as independent of
-Bob's channel.  No sweep or CLI path runs them;
-the acceptance, secrecy, SNR-law and Monte Carlo tests import them.
+Poisson-index kernel), the secrecy rate as a 30-digit integral with
+recorded higher-precision values, the Gauss-Legendre rule from LAPACK's
+sterf, the prolate eigenvalues as an oracle for the Nystrom spectrum, and
+the conditional-variance check behind treating Eve's SNR as independent of
+Bob's channel.  No sweep or CLI path runs them; the acceptance, secrecy,
+SNR-law, spectral and Monte Carlo tests import them.
 """
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+from numpy.polynomial import legendre as leg
+from scipy import linalg as sla
 from scipy import special as sps
 
 from capa_secrecy import secrecy as sec
@@ -203,17 +206,17 @@ def bob_mixture(law: str, x, lb, ms) -> np.ndarray:
     return (x >= 0.0) * out / theta if law == "pdf" else out
 
 
-def secrecy_rate_reference(lb, ms) -> float:
-    """(1/ln 2) int_0^inf S_b(x) F_e(x) / (1 + x) dx in mpmath at 30
+def secrecy_rate_reference(lb, ms, dps: int = 30, breakpoints: int = 64) -> float:
+    """(1/ln 2) int_0^inf S_b(x) F_e(x) / (1 + x) dx in mpmath at `dps`
     digits, for the series' float weights.
 
     S_b(x) = e^-z sum_k W_k z^k / k!, z = x/theta, is Bob's Poisson-sum
     survival (W_k = ms.tail_weights); F_e is Eve's CDF, the regularised
     gamma for collaborating Eves.  The integrand can be a narrow peak
-    anywhere from 1e-4 to 1e4, so `mpmath.quad` gets 64 breakpoints on a
-    log grid there; with only a few it can step over such a peak.
+    anywhere from 1e-4 to 1e4, so `mpmath.quad` gets `breakpoints` edges on
+    a log grid there; with only a few it can step over such a peak.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         theta = mpmath.mpf(lb.gamma_bar_b) * mpmath.mpf(ms.sigma_min)
         mu, k = mpmath.mpf(lb.gamma_bar_e), lb.k_eves
         coeffs = [mpmath.mpf(float(w)) / mpmath.factorial(i)
@@ -228,9 +231,77 @@ def secrecy_rate_reference(lb, ms) -> float:
                 f_e = (-mpmath.expm1(-x / mu)) ** k
             return s_b * f_e / (1 + x)
 
-        edges = ([0] + [mpmath.mpf(float(b)) for b in np.geomspace(1e-4, 1e4, 64)]
+        edges = ([0] + [mpmath.mpf(float(b))
+                        for b in np.geomspace(1e-4, 1e4, breakpoints)]
                  + [mpmath.inf])
         return float(mpmath.quad(f, edges) / mpmath.log(2))
+
+
+# secrecy_rate_reference for the pinned series of tests/test_secrecy.py
+# with 8 Eves at 20 dB, by (series, scenario, gamma_b in dB).  Recorded at
+# 50 digits on 256 breakpoints; 40 digits on 128 give the same floats.
+# The default 30 digits on 64 breakpoints are within 1.4e-13 (ms4) and
+# 7.1e-13 (ms6) of them at MCE 0 dB and within 1.4e-16 elsewhere.
+# Regenerate with
+#   PYTHONPATH=src:tests python -c "import theorems; theorems.print_rate_references()"
+RATE_REFERENCES = {
+    ("ms4", "MIE", 0.0): 5.628062015783539e-21,
+    ("ms4", "MIE", 20.0): 1.767962435955132e-05,
+    ("ms4", "MCE", 0.0): 1.4248856926183063e-25,
+    ("ms4", "MCE", 20.0): 2.1821965352221213e-09,
+    ("ms6", "MIE", 0.0): 5.650289030205371e-20,
+    ("ms6", "MIE", 20.0): 0.0001118334912410194,
+    ("ms6", "MCE", 0.0): 1.4355733752685533e-24,
+    ("ms6", "MCE", 20.0): 1.805351655313882e-08,
+}
+
+
+def print_rate_references(dps: int = 50, breakpoints: int = 256) -> None:
+    """Print RATE_REFERENCES recomputed at `dps` digits on `breakpoints`
+    edges, in the dict's own layout (about 20 s a value)."""
+    from test_secrecy import lb_db, pinned_series
+
+    for series, scen, gb_db in RATE_REFERENCES:
+        lb = lb_db(gb_db, 20.0, 8, Scenario[scen])
+        value = secrecy_rate_reference(lb, pinned_series(series), dps,
+                                       breakpoints)
+        print(f"    ({series!r}, {scen!r}, {gb_db!r}): {value!r},")
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule with LAPACK's sterf
+# ---------------------------------------------------------------------------
+
+def sterf_legendre_rule(t: int):
+    """The t-point Gauss-Legendre rule on [-1, 1] as numpy's leggauss
+    builds it, with its dense companion eigensolve replaced by LAPACK's
+    sterf.
+
+    The symmetric companion matrix is tridiagonal: zero diagonal and
+    off-diagonal k s_(k-1) s_k with s_k = 1/sqrt(2k+1).  sterf gives the
+    same eigenvalues from the two diagonals alone (the default stemr
+    driver does not: it moves the weights by 1e-9 at t = 1000).  The
+    remaining steps are numpy's as written: one Newton step, the weights
+    from legval and the symmetrisation.  The package's rule (numpy's
+    leggauss) must equal it bit for bit, so that no spectrum, CSV or cache
+    entry moves.
+    """
+    s = 1.0 / np.sqrt(2 * np.arange(t) + 1)
+    x = sla.eigvalsh_tridiagonal(np.zeros(t), np.arange(1, t) * s[:-1] * s[1:],
+                                 lapack_driver="sterf")
+    c = np.zeros(t + 1)
+    c[-1] = 1.0
+    dy = leg.legval(x, c)
+    df = leg.legval(x, leg.legder(c))
+    x -= dy / df
+    fm = leg.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
 
 
 # ---------------------------------------------------------------------------
