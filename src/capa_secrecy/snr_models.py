@@ -236,7 +236,7 @@ def eve_cdf(x, lb: LinkBudget):
 # exact samplers
 # ---------------------------------------------------------------------------
 
-_DRAW_BLOCK = 1 << 18  # exponentials per row block of `sample_bob`
+_DRAW_BLOCK = 1 << 16  # exponentials per row block of `sample_bob`
 
 
 def sample_bob(ms: MoschopoulosSeries, lb: LinkBudget,

@@ -8,6 +8,7 @@ is only recorded when explicitly requested since it breaks determinism.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -31,18 +32,30 @@ AXES = {"gamma_b_db": "gamma_b_db", "gamma_e_db": "gamma_e_db",
         "aperture_len": "aperture_len_m", "k_eves": "k_eves"}
 SCENARIOS = ("SE", "MIE", "MCE")
 
-# one grid point: cfg with the axis value applied, the aperture's series and
-# unit Bob draws (None unless monte-carlo reads them), r0 and the seed
-_Point = namedtuple("_Point", "cfg lb ms bob r0 seed")
+# one grid point: cfg with the axis value applied, its link budget, the
+# aperture's series, the shared unit draws (Bob's and the array's at the
+# aperture, Eve's at the point's scenario and K; None where no row reads
+# them, the exception where drawing them failed) and r0
+_Point = namedtuple("_Point", "cfg lb ms bob spda eve r0")
+
+
+def _shared(draws):
+    """A point's shared draws, or the exception that drawing them raised."""
+    if isinstance(draws, Exception):
+        # each point starts a new traceback; re-raising would extend the old
+        raise draws.with_traceback(None)
+    return draws
 
 
 def _monte_carlo(p):
-    return mc.mc_secrecy(p.lb, p.bob, p.r0, p.cfg.n_trials, p.seed)
+    return mc.mc_secrecy(p.lb, _shared(p.bob), _shared(p.eve), p.r0,
+                         p.cfg.n_trials)
 
 
 def _spda(p):
     geom = spc.ApertureGeometry(p.cfg.wavelength_m, p.cfg.aperture_len_m)
-    return mc.spda_baseline(p.lb, geom, p.r0, p.cfg.n_trials, p.seed)
+    return mc.spda_baseline(p.lb, geom, _shared(p.spda), _shared(p.eve),
+                            p.r0, p.cfg.n_trials)
 
 
 # (evaluator, metric) -> (call, i): the row is call(point), or the mean and
@@ -209,47 +222,88 @@ def _db_to_lin(db: float) -> float:
 
 
 def _seed(root: int, *key: int) -> int:
-    # a grid point's key is (vi, si, ei); Bob's at aperture index ai is (ai,)
+    # the streams under the root seed: a grid point's key is (vi, si, ei);
+    # the shared draws' are (ai,) for Bob's and (ai, 0) for the array's at
+    # aperture index ai, and (SCENARIOS.index(scenario), K) for Eve's, K >= 1
     return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1)[0])
+
+
+def _draw(fn, *args):
+    """fn(*args), or the exception it raised: then only the rows that read
+    these draws report it."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _sampled_calls(cfg: SweepConfig) -> set:
+    """The sampled evaluators' calls that some row of the sweep makes."""
+    return {ROWS[ev, m][0] for ev in cfg.evaluators for m in cfg.outputs
+            if (ev, m) in ROWS} & {_monte_carlo, _spda}
+
+
+def _eve_key(scen_name: str, k_eves) -> tuple[str, int]:
+    """(scenario, K) of a point: SE has one eavesdropper at any k_eves."""
+    return scen_name, 1 if scen_name == "SE" else int(k_eves)
 
 
 def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
     """Each distinct aperture length of the grid, in grid order, mapped to
-    (spectrum, series, unit Bob draws or None) or to the exception raised."""
+    (spectrum, series, unit Bob draws, unit array draws) or to the exception
+    raised; draws that no row reads are None."""
     # one unit Gauss-Legendre rule per distinct order, made on its first
     # cache miss
     unit_rule = functools.cache(spc.unit_legendre_rule)
     lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
-    draw_bob = any(ROWS.get((ev, m), (None,))[0] is _monte_carlo
-                   for ev in cfg.evaluators for m in cfg.outputs)
+    calls = _sampled_calls(cfg)
     stage = {}
     for ai, length in enumerate(map(float, lengths)):
         try:
-            spec = spc.cached_decompose(
-                spc.ApertureGeometry(cfg.wavelength_m, length),
-                cfg.quadrature_order, cache_dir=cache_dir, unit_rule=unit_rule)
+            geom = spc.ApertureGeometry(cfg.wavelength_m, length)
+            spec = spc.cached_decompose(geom, cfg.quadrature_order,
+                                        cache_dir=cache_dir, unit_rule=unit_rule)
             ms = snr.build_psi(spec)
-            bob = (mc.unit_bob_draws(ms, cfg.n_trials, _seed(cfg.seed, ai))
-                   if draw_bob else None)
-            stage[length] = spec, ms, bob
         except Exception as exc:  # every point at this length reports it
             stage[length] = exc
+            continue
+        bob = (_draw(mc.unit_bob_draws, ms, cfg.n_trials, _seed(cfg.seed, ai))
+               if _monte_carlo in calls else None)
+        spda = (_draw(mc.unit_spda_draws, geom, cfg.n_trials,
+                      _seed(cfg.seed, ai, 0)) if _spda in calls else None)
+        stage[length] = spec, ms, bob, spda
     return stage
 
 
-def _eval_point(stage: dict, cfg: SweepConfig, value: float, scen_name: str,
-                evaluator: str, point_seed: int):
+def _resolve_eves(cfg: SweepConfig, value: float, kept: dict) -> dict:
+    """(scenario, K) -> unit Eve draws for every scenario at grid value
+    `value`: the draws in `kept` that it reads, and new ones for the rest
+    (made after the others are let go, so on the k_eves axis one value's
+    sets are held at a time)."""
+    if not _sampled_calls(cfg):
+        return {}
+    k_eves = value if cfg.axis == "k_eves" else cfg.k_eves
+    keys = [_eve_key(scen, k_eves) for scen in cfg.scenarios]
+    eves = {key: kept[key] for key in keys if key in kept}
+    kept.clear()
+    for scen, k in keys:
+        if (scen, k) not in eves:
+            eves[scen, k] = _draw(mc.unit_eve_draws, Scenario(scen), k,
+                                  cfg.n_trials,
+                                  _seed(cfg.seed, SCENARIOS.index(scen), k))
+    return eves
+
+
+def _eval_point(stage: dict, eves: dict, cfg: SweepConfig, value: float,
+                scen_name: str, evaluator: str):
     """{metric: (result, std_err_or_None)} for one grid point, in the order
     of cfg.outputs."""
     at = replace(cfg, **{AXES[cfg.axis]: value})
+    eve_key = _eve_key(scen_name, at.k_eves)
     lb = LinkBudget(_db_to_lin(at.gamma_b_db), _db_to_lin(at.gamma_e_db),
-                    1 if scen_name == "SE" else int(at.k_eves),
-                    Scenario(scen_name))
-    resolved = stage[at.aperture_len_m]
-    if isinstance(resolved, Exception):
-        # each point starts a new traceback; re-raising would extend the old
-        raise resolved.with_traceback(None)
-    point = _Point(at, lb, *resolved[1:], at.target_rate_r0, point_seed)
+                    eve_key[1], Scenario(scen_name))
+    _, ms, bob, spda = _shared(stage[at.aperture_len_m])
+    point = _Point(at, lb, ms, bob, spda, eves.get(eve_key), at.target_rate_r0)
     runs, rows = {}, {}
     for m in cfg.outputs:
         if (evaluator, m) in ROWS:
@@ -265,37 +319,43 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
               summary_stream=None) -> int:
     """Execute the sweep; returns the process exit code (0 ok, 1 point errors).
 
-    Every aperture length is resolved once before any grid point runs; the
-    points then run on a worker pool (cfg.workers > 1) or in turn.  Per-point
-    seeds are derived from the root seed and the grid index, and rows are
-    emitted in grid order, so output is identical for any worker count.
+    Every aperture length is resolved once, with its shared Bob and array
+    draws, before any grid point runs; each value's shared Eve draws are
+    made before its points run, and kept for the next value while it reads
+    them.  The points of a value then run on a worker pool (cfg.workers > 1)
+    or in turn.  Every stream's seed is derived from the root seed and a
+    grid index, and rows are emitted in grid order, so output is identical
+    for any worker count.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
     stage = _resolve_apertures(cfg, cache_dir)
-    tasks = []
-    for vi, value in enumerate(cfg.values):
-        for si, scen in enumerate(cfg.scenarios):
-            for ei, ev in enumerate(cfg.evaluators):
-                tasks.append((float(value), scen, ev,
-                              _seed(cfg.seed, vi, si, ei)))
 
-    def run_one(task):  # task: (value, scenario, evaluator, point seed)
+    def run_one(eves, task):  # task: (value, scenario, evaluator, point seed)
         t0 = time.perf_counter()
         try:
             cells = {m: (_fmt(r), "" if se is None else _fmt(se))
-                     for m, (r, se) in _eval_point(stage, cfg, *task).items()}
+                     for m, (r, se) in _eval_point(stage, eves, cfg,
+                                                   *task[:3]).items()}
         except Exception as exc:  # keep sweeping, tag the row
             cells = {"error": (f"error:{type(exc).__name__}", "")}
         return cells, (time.perf_counter() - t0) * 1e3
 
-    if cfg.workers == 1:
-        # the builtin map: an executor would finish every queued point
-        # before Ctrl-C could stop the sweep
-        results = list(map(run_one, tasks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_one, tasks))
+    tasks, results, eves = [], [], {}
+    with contextlib.ExitStack() as stack:
+        # the builtin map without workers: an executor would finish every
+        # queued point before Ctrl-C could stop the sweep
+        run = map
+        if cfg.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            run = stack.enter_context(
+                ThreadPoolExecutor(max_workers=cfg.workers)).map
+        for vi, value in enumerate(map(float, cfg.values)):
+            group = [(value, scen, ev, _seed(cfg.seed, vi, si, ei))
+                     for si, scen in enumerate(cfg.scenarios)
+                     for ei, ev in enumerate(cfg.evaluators)]
+            eves = _resolve_eves(cfg, value, eves)
+            results += run(functools.partial(run_one, eves), group)
+            tasks += group
 
     out_stream.write(CSV_HEADER + "\n")
     for (value, scen, ev, point_seed), (cells, wall) in zip(tasks, results):

@@ -6,6 +6,7 @@ import pytest
 from capa_secrecy import montecarlo as mc
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
+from capa_secrecy import sweep as sw
 
 LAMBDA = 0.1249
 
@@ -17,13 +18,27 @@ def make_spectrum(n_lambdas: float, t: int) -> spc.SpectralDecomposition:
         return spc.decompose(geom, t)
 
 
+def eve_draws(lb, n_trials, seed):
+    """Eve's unit draws on the stream a sweep with root `seed` gives lb's
+    scenario and K."""
+    key = (sw.SCENARIOS.index(lb.scenario.value), lb.k_eves)
+    return mc.unit_eve_draws(lb.scenario, lb.k_eves, n_trials,
+                             sw._seed(seed, *key))
+
+
 def mc_point(lb, ms, r0, n_trials, seed):
-    """mc_secrecy at one point: Bob's unit draws on the stream a sweep with
-    root `seed` gives its first aperture, Eve's on `seed` itself."""
-    bob_seed = int(np.random.SeedSequence(
-        seed, spawn_key=(0,)).generate_state(1)[0])
-    return mc.mc_secrecy(lb, mc.unit_bob_draws(ms, n_trials, bob_seed), r0,
-                         n_trials, seed)
+    """mc_secrecy at one point of a sweep with root `seed`: Bob's unit draws
+    on its first aperture's stream, Eve's on lb's (scenario, K) stream."""
+    return mc.mc_secrecy(lb, mc.unit_bob_draws(ms, n_trials, sw._seed(seed, 0)),
+                         eve_draws(lb, n_trials, seed), r0, n_trials)
+
+
+def spda_point(lb, geom, r0, n_trials, seed):
+    """spda_baseline at one point of a sweep with root `seed`: the array's
+    unit draws on its first aperture's stream, Eve's as in `mc_point`."""
+    bob = mc.unit_spda_draws(geom, n_trials, sw._seed(seed, 0, 0))
+    return mc.spda_baseline(lb, geom, bob, eve_draws(lb, n_trials, seed), r0,
+                            n_trials)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from capa_secrecy import montecarlo as mc
 from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
@@ -17,7 +16,7 @@ from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import EXTENDED, scaled_e1
 
 import theorems as thm
-from conftest import LAMBDA, make_spectrum, mc_point
+from conftest import LAMBDA, make_spectrum, mc_point, spda_point
 
 R0 = 1.0
 SEED = 20260810
@@ -214,7 +213,7 @@ def test_criterion_8_capa_vs_spda(spec80, ms80):
     for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
         lb = LinkBudget(db(20.0), db(20.0), k, scen)
         cr, cs = mc_point(lb, ms80, r0, n_trials, SEED)
-        sr, ss = mc.spda_baseline(lb, geom, r0, n_trials, SEED)
+        sr, ss = spda_point(lb, geom, r0, n_trials, SEED)
         assert cr.mean >= sr.mean, (scen, cr.mean, sr.mean)
         assert cs.mean <= ss.mean, (scen, cs.mean, ss.mean)
         gaps[scen.value] = cr.mean - sr.mean
@@ -224,7 +223,7 @@ def test_criterion_8_capa_vs_spda(spec80, ms80):
         lb = LinkBudget(db(20.0), db(20.0), k,
                         Scenario.MIE if k > 1 else Scenario.SE)
         cr, _ = mc_point(lb, ms80, r0, n_trials, SEED + 1)
-        sr, _ = mc.spda_baseline(lb, geom, r0, n_trials, SEED + 1)
+        sr, _ = spda_point(lb, geom, r0, n_trials, SEED + 1)
         shrink.append(cr.mean - sr.mean)
     assert shrink[1] < shrink[0]
     print(f"\nACCEPTANCE 8 PASS: rate gaps {gaps} (all >= 0), SOP ordered; "

@@ -285,24 +285,66 @@ def test_summary_names_the_order_that_ran(order, shown):
 
 
 def test_monte_carlo_rows_replay_from_shared_bob_draws():
-    raw = small_config(values=[0.0, 20.0])
+    # and the spda-mc rows from the array's: each sampled row is its loop
+    # over the shared unit draws, Eve's on the (scenario, K) stream
+    raw = small_config(values=[0.0, 20.0], scenarios=["SE", "MIE", "MCE"],
+                       evaluators=["monte-carlo", "spda-mc"])
     code, text = run_sweep_to_string(raw)
     assert code == 0
     cfg = sw.config_from_dict(raw)
-    _, _, bob = sw._resolve_apertures(cfg, None)[cfg.aperture_len_m]
-    assert not bob.flags.writeable
-    rows = [r for r in parse_rows(text) if r["evaluator"] == "monte-carlo"]
-    assert len(rows) == 8  # 2 SNRs x 2 scenarios x (rate, sop)
+    geom = spc.ApertureGeometry(cfg.wavelength_m, cfg.aperture_len_m)
+    _, _, bob, spda = sw._resolve_apertures(cfg, None)[cfg.aperture_len_m]
+    assert not bob.flags.writeable and not spda.flags.writeable
+    rows = parse_rows(text)
+    assert len(rows) == 24  # 2 SNRs x 3 scenarios x 2 evaluators x 2 metrics
     for r in rows:
         k = 1 if r["scenario"] == "SE" else cfg.k_eves
+        scen = snr.Scenario(r["scenario"])
+        eve = mc.unit_eve_draws(scen, k, cfg.n_trials, sw._seed(
+            cfg.seed, sw.SCENARIOS.index(r["scenario"]), k))
         lb = snr.LinkBudget(10 ** (r["value"] / 10),
-                            10 ** (cfg.gamma_e_db / 10), k,
-                            snr.Scenario(r["scenario"]))
-        rate, sop = mc.mc_secrecy(lb, bob, cfg.target_rate_r0, cfg.n_trials,
-                                  int(r["seed"]))
+                            10 ** (cfg.gamma_e_db / 10), k, scen)
+        if r["evaluator"] == "monte-carlo":
+            rate, sop = mc.mc_secrecy(lb, bob, eve, cfg.target_rate_r0,
+                                      cfg.n_trials)
+        else:
+            rate, sop = mc.spda_baseline(lb, geom, spda, eve,
+                                         cfg.target_rate_r0, cfg.n_trials)
         est = rate if r["metric"] == "rate" else sop
         assert (r["result"], r["std_err"]) == (sw._fmt(est.mean),
                                                sw._fmt(est.std_err))
+
+
+def test_sampled_evaluators_read_one_eve_array(monkeypatch):
+    # monte-carlo and spda-mc at a point, and every point of the scenario
+    # and K, read the same unit Eve draws; on the k_eves axis each K has
+    # its own, and SE (K = 1 throughout) keeps one
+    read, arrays = {}, {}
+
+    def recording(name):
+        loop = getattr(mc, name)
+
+        def wrapper(lb, *args):
+            eve = args[-3]  # both loops end with (eve, r0, n_trials)
+            read.setdefault((lb.scenario.value, lb.k_eves), set()).add(id(eve))
+            arrays[id(eve)] = eve
+            return loop(lb, *args)
+        monkeypatch.setattr(mc, name, wrapper)
+
+    recording("mc_secrecy")
+    recording("spda_baseline")
+    for axis, values, keys in (
+            ("gamma_b_db", [0.0, 10.0, 20.0], {("SE", 1), ("MIE", 3)}),
+            ("k_eves", [2, 4], {("SE", 1), ("MIE", 2), ("MIE", 4)})):
+        read.clear()
+        arrays.clear()
+        code, _ = run_sweep_to_string(small_config(
+            axis=axis, values=values, evaluators=["monte-carlo", "spda-mc"]))
+        assert code == 0
+        assert set(read) == keys
+        assert all(len(ids) == 1 for ids in read.values()), read
+        assert len(arrays) == len(keys)
+        assert not any(a.flags.writeable for a in arrays.values())
 
 
 def test_bob_drawn_once_per_aperture(monkeypatch):
@@ -358,26 +400,55 @@ def test_sampled_loop_runs_once_per_point(monkeypatch):
 
 
 def test_bob_stream_apart_from_point_streams(monkeypatch):
-    keys, bob_seeds = {}, []
-    seed, draw = sw._seed, mc.unit_bob_draws
+    # Bob's, the array's, Eve's and every point's seeds and keys are
+    # pairwise distinct
+    keys, seeds = {}, {"bob": [], "spda": [], "eve": []}
+    seed = sw._seed
 
     def keyed(root, *key):
         keys[key] = seed(root, *key)
         return keys[key]
 
-    def recorded(ms, n_trials, s):
-        bob_seeds.append(s)
-        return draw(ms, n_trials, s)
+    def recorded(stream, name):
+        draw = getattr(mc, name)
+
+        def wrapper(*args):
+            seeds[stream].append(args[-1])
+            return draw(*args)
+        monkeypatch.setattr(mc, name, wrapper)
     monkeypatch.setattr(sw, "_seed", keyed)
-    monkeypatch.setattr(mc, "unit_bob_draws", recorded)
+    recorded("bob", "unit_bob_draws")
+    recorded("spda", "unit_spda_draws")
+    recorded("eve", "unit_eve_draws")
     code, text = run_sweep_to_string(small_config(
-        axis="aperture_len", values=[0.2498, 0.4996]))
+        axis="aperture_len", values=[0.2498, 0.4996],
+        scenarios=["SE", "MIE", "MCE"],
+        evaluators=["quadrature", "monte-carlo", "spda-mc"]))
     assert code == 0
-    point_seeds = {int(r["seed"]) for r in parse_rows(text)}
-    bob_keys = {k for k, s in keys.items() if s in bob_seeds}
-    assert len(bob_keys) == len(bob_seeds) == 2
-    assert point_seeds and not point_seeds & set(bob_seeds)
-    assert not bob_keys & {k for k, s in keys.items() if s in point_seeds}
+    seeds["point"] = [int(r["seed"]) for r in parse_rows(text)]
+    assert [len(set(s)) for s in seeds.values()] == [2, 2, 3, 2 * 3 * 3]
+    assert len(set().union(*map(set, seeds.values()))) == 2 + 2 + 3 + 18
+    stream_keys = [{k for k, s in keys.items() if s in set(ss)}
+                   for ss in seeds.values()]
+    assert [len(k) for k in stream_keys] == [2, 2, 3, 18]
+    assert len(set().union(*stream_keys)) == len(keys) == 2 + 2 + 3 + 18
+
+
+def test_array_failure_stays_on_its_rows():
+    # 0.1 m is 1.6 wavelengths: dof 2 but one array element, so only the
+    # spda-mc rows at that length fail; its other rows are numbers
+    code, text = run_sweep_to_string(small_config(
+        axis="aperture_len", values=[0.1, 0.4996], scenarios=["SE", "MCE"],
+        evaluators=["quadrature", "monte-carlo", "spda-mc"]))
+    assert code == 1
+    rows = parse_rows(text)
+    for r in rows:
+        if r["value"] == 0.1 and r["evaluator"] == "spda-mc":
+            assert (r["metric"], r["result"]) == ("error", "error:DomainError")
+        else:
+            assert r["metric"] in ("rate", "sop"), r
+            assert math.isfinite(float(r["result"])), r
+    assert sum(r["metric"] == "error" for r in rows) == 2
 
 
 def test_zero_dof_aperture_rows_are_domain_errors():

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -10,11 +11,12 @@ from capa_secrecy import montecarlo as mc
 from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
+from capa_secrecy import sweep as sw
 from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import DomainError
 
 import theorems as thm
-from conftest import LAMBDA, make_spectrum, mc_point
+from conftest import LAMBDA, make_spectrum, mc_point, spda_point
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,57 @@ def test_trial_floor_enforced(ms4):
 
 
 def test_bob_draws_are_shared_read_only_and_sized(ms4):
+    # and so are Eve's and the array's
+    geom = spc.ApertureGeometry(LAMBDA, 2 * LAMBDA)
+    lb = LinkBudget(10.0, 1.0, 3, Scenario.MIE)
     bob = mc.unit_bob_draws(ms4, 20_000, 1)
-    assert not bob.flags.writeable
-    assert np.array_equal(bob, mc.unit_bob_draws(ms4, 20_000, 1))
+    spda = mc.unit_spda_draws(geom, 20_000, 1)
+    eve = mc.unit_eve_draws(Scenario.MIE, 3, 20_000, 2)
+    for draws, again in ((bob, mc.unit_bob_draws(ms4, 20_000, 1)),
+                         (spda, mc.unit_spda_draws(geom, 20_000, 1)),
+                         (eve, mc.unit_eve_draws(Scenario.MIE, 3, 20_000, 2))):
+        assert not draws.flags.writeable
+        assert draws.shape == (20_000,)
+        assert np.array_equal(draws, again)
+    for n_trials in (30_000, 15_000):
+        with pytest.raises(DomainError):
+            mc.mc_secrecy(lb, bob, eve, 1.0, n_trials)
     with pytest.raises(DomainError):
-        mc.mc_secrecy(LinkBudget(10.0, 1.0), bob, 1.0, 30_000, 2)
+        mc.mc_secrecy(lb, bob, eve[:10_000], 1.0, 20_000)
+    with pytest.raises(DomainError):
+        mc.spda_baseline(lb, geom, spda, eve, 1.0, 30_000)
+
+
+@pytest.mark.parametrize("scen,k", [(Scenario.SE, 1), (Scenario.MIE, 5),
+                                    (Scenario.MCE, 5)])
+def test_unit_eve_draws_scale_to_any_eve_snr(scen, k):
+    # every Eve law is a scale family: gamma_e times the unit draws are the
+    # draws at gamma_e, bit for bit
+    unit = mc.unit_eve_draws(scen, k, 1000, 8)
+    for gamma_e in (1e-3, 0.37, 100.0):
+        lb = LinkBudget(1.0, gamma_e, k, scen)
+        rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(0,)))
+        direct = snr.sample_eve(lb, rng, size=1000)
+        assert np.array_equal(gamma_e * unit, direct)
+
+
+@pytest.mark.parametrize("n", [mc._LOOP_BLOCK, 50_000])
+def test_loop_is_the_direct_estimate(n):
+    # the in-place loop computes the plain numpy expressions: in one block
+    # their means bit for bit, over several to the merge's rounding
+    rng = np.random.default_rng(3)
+    bob, eve = rng.exponential(size=(2, n))
+    lb = LinkBudget(20.0, 3.0, 2, Scenario.MCE)
+    rate, sop = mc.mc_secrecy(lb, bob, eve, 1.5, n)
+    rho_b, rho_e = 20.0 * bob, 3.0 * eve
+    rates = np.maximum(np.log2(1.0 + rho_b) - np.log2(1.0 + rho_e), 0.0)
+    outage = (rho_b < 2.0 ** 1.5 * (1.0 + rho_e) - 1.0).astype(float)
+    for est, xs in ((rate, rates), (sop, outage)):
+        want = (float(np.mean(xs)),
+                float(np.std(xs, ddof=1)) / math.sqrt(n))
+        if n <= mc._LOOP_BLOCK:
+            assert est.mean == want[0]
+        assert (est.mean, est.std_err) == pytest.approx(want, rel=1e-12)
 
 
 def test_rate_without_eavesdropper(ms4):
@@ -126,13 +174,13 @@ def test_spda_element_ratio_constant():
 
 
 def test_spda_requires_two_elements():
+    # 0.6 wavelengths: one element; built without __post_init__'s warning
+    bad = spc.ApertureGeometry.__new__(spc.ApertureGeometry)
+    object.__setattr__(bad, "wavelength_m", 1.0)
+    object.__setattr__(bad, "aperture_len_m", 0.6)
     with pytest.raises(DomainError):
-        geom = spc.ApertureGeometry(1.0, 2.0)  # fine geometrically
-        lb = LinkBudget(1.0, 1.0)
-        bad = spc.ApertureGeometry.__new__(spc.ApertureGeometry)
-        object.__setattr__(bad, "wavelength_m", 1.0)
-        object.__setattr__(bad, "aperture_len_m", 0.6)
-        mc.spda_baseline(lb, bad, 1.0, 20_000, 0)
+        mc.unit_spda_draws(bad, 20_000, 0)
+    assert mc.spda_elements(spc.ApertureGeometry(1.0, 2.0)) == 4
 
 
 def test_spda_element_count_matches_dof():
@@ -142,8 +190,9 @@ def test_spda_element_count_matches_dof():
     geom = spc.ApertureGeometry(0.1, 0.7)
     assert geom.dof == 14
     longer = spc.ApertureGeometry(0.1, 0.7 + 1e-10)
-    assert (mc.spda_baseline(lb, geom, 1.0, 10_000, 3)
-            == mc.spda_baseline(lb, longer, 1.0, 10_000, 3))
+    assert mc.spda_elements(geom) == mc.spda_elements(longer) == 14
+    assert (spda_point(lb, geom, 1.0, 10_000, 3)
+            == spda_point(lb, longer, 1.0, 10_000, 3))
 
 
 @pytest.mark.parametrize("n_el,gb_db,ge_db,r0", [(4, 20.0, 10.0, 1.0),
@@ -159,7 +208,7 @@ def test_spda_matches_its_analytic_law(n_el, gb_db, ge_db, r0):
     for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
         lb = LinkBudget(10 ** (gb_db / 10), 10 ** (ge_db / 10), k, scen)
         eve_lb = LinkBudget(lb.gamma_bar_b, lb.gamma_bar_e * a_el, k, scen)
-        rate, sop = mc.spda_baseline(lb, geom, r0, n, 11)
+        rate, sop = spda_point(lb, geom, r0, n, 11)
         assert 0.0 < sop.mean < 1.0
         assert (abs(rate.mean - sec.secrecy_rate_quadrature(eve_lb, ms))
                 <= 6 * rate.std_err + 10 / n)
@@ -174,7 +223,7 @@ def test_spda_dominated_by_continuous_aperture():
     for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 4), (Scenario.MCE, 4)):
         lb = LinkBudget(100.0, 10.0, k, scen)
         cr, cs = mc_point(lb, ms8, 1.0, 100_000, 17)
-        sr, ss = mc.spda_baseline(lb, geom, 1.0, 100_000, 17)
+        sr, ss = spda_point(lb, geom, 1.0, 100_000, 17)
         assert cr.mean >= sr.mean
         assert cs.mean <= ss.mean
 
@@ -202,3 +251,23 @@ def test_bob_draws_peak_memory(ms80):
         tracemalloc.stop()
     assert bob.shape == (200_000,)
     assert peak <= 8 << 20, peak
+
+
+def test_k_axis_sweep_holds_one_value_of_eve_draws():
+    # on the k_eves axis each K belongs to one value: the sweep holds Bob's
+    # draws and one value's two Eve sets (8 bytes a trial each) with the
+    # loop's block buffers, never the eight sets of all four values
+    n_trials = 400_000
+    cfg = sw.config_from_dict({
+        "aperture_lambdas": 2.0, "quadrature_order": 120, "gamma_e_db": 0.0,
+        "n_trials": n_trials, "axis": "k_eves", "values": [2, 3, 4, 5],
+        "scenarios": ["MIE", "MCE"], "evaluators": ["monte-carlo"]})
+    tracemalloc.start()
+    try:
+        code = sw.run_sweep(cfg, io.StringIO(), summary_stream=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    one_set = 8 * n_trials
+    assert peak <= (1 + 2) * one_set + (6 << 20), peak

@@ -1,6 +1,6 @@
 import io
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -394,12 +394,16 @@ def test_offset_shifts_with_eigenvalue_scale(ms_synth):
 
 
 def test_weighted_harmonic_matches_per_shape_fsum():
-    # one shape at a time: the cumulative pass against H_(dof+q-1) by fsum
+    # one shape at a time: the cumulative pass against H_(dof+q-1) by fsum.
+    # The one-hot weights are those of a series whose only psi is psi_q;
+    # the pass reads dof, q_max and weights, so no series is rebuilt
     for sig in ([0.7], [4.0, 3.0, 2.0, 1.0], 0.0624 * np.linspace(1.0, 0.7, 6)):
         ms = snr.build_psi(np.array(sig), q_max=2000)
         qs = np.arange(ms.q_max + 1)
+        w_q = np.exp(ms.log_weight_prefix)
         for q in qs:
-            one = replace(ms, log_psis=np.where(qs == q, 0.0, -np.inf))
+            one = SimpleNamespace(dof=ms.dof, q_max=ms.q_max,
+                                  weights=np.where(qs == q, w_q, 0.0))
             want = harmonic_number(ms.dof + q - 1)
             assert sec._weighted_harmonic(one) == pytest.approx(want, rel=2e-15, abs=0)
 
