@@ -20,8 +20,8 @@ from .spectral import ApertureGeometry
 from .specfun import DomainError
 
 _BLOCK = 1 << 17  # draws per seeded block; fixes every stream
-# trials per pass of the loop: fixed, so its merges are deterministic, and
-# small enough that its three buffers stay in cache and in the process heap;
+# trials per pass of the loop: fixed, so its sums are deterministic, and
+# small enough that its four buffers stay in cache and in the process heap;
 # at 2^17 every call faulted them in afresh (359 page faults, twice the time
 # at 5e4 trials)
 _LOOP_BLOCK = 1 << 14
@@ -33,33 +33,6 @@ class McEstimate:
     mean: float
     std_err: float
     n_trials: int
-
-
-class _Welford:
-    """Streaming mean/variance with exact block merging."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, xs: np.ndarray):
-        n_b = xs.size
-        if n_b == 0:
-            return
-        mean_b = float(np.mean(xs))
-        m2_b = float(np.sum((xs - mean_b) ** 2))
-        n = self.n + n_b
-        delta = mean_b - self.mean
-        self.m2 += m2_b + delta * delta * self.n * n_b / n
-        self.mean += delta * n_b / n
-        self.n = n
-
-    def estimate(self) -> McEstimate:
-        if self.n < 2:  # no sample variance: the error is unknown, not 0
-            return McEstimate(self.mean, math.inf, self.n)
-        var = self.m2 / (self.n - 1)
-        return McEstimate(self.mean, math.sqrt(max(var, 0.0) / self.n), self.n)
 
 
 def _blocks(seed: int, n_trials: int):
@@ -95,37 +68,58 @@ def unit_eve_draws(scenario: Scenario, k_eves: int, n_trials: int,
                        n_trials, seed)
 
 
+def _estimate(mean: float, m2: float, n: int) -> McEstimate:
+    if n < 2:  # no sample variance: the error is unknown, not 0
+        return McEstimate(mean, math.inf, n)
+    return McEstimate(mean, math.sqrt(max(m2, 0.0) / (n - 1) / n), n)
+
+
 def _secrecy_loop(bob: np.ndarray, bob_scale: float, eve: np.ndarray,
                   eve_scale: float, r0: float,
                   n_trials: int) -> tuple[McEstimate, McEstimate]:
     """Blocked rate/outage estimates of the SNRs bob_scale * bob and
-    eve_scale * eve; draws nothing, and reuses one set of block buffers."""
+    eve_scale * eve; draws nothing, and reuses one set of block buffers.
+
+    The outage is a count c of trials: mean c/n, m2 = c (n - c)/n.  The
+    rate's mean is its plain sum over n, and its m2 comes from the sum of
+    squares about the first pass's mean, which stays exact when the mean
+    is far larger than the spread."""
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
     if not len(bob) == len(eve) == n_trials:
         raise DomainError("need one Bob and one Eve draw per trial")
     g = 2.0 ** r0
-    rate_acc, sop_acc = _Welford(), _Welford()
     size = min(_LOOP_BLOCK, n_trials)
-    rate_buf, eve_buf, out_buf = np.empty(size), np.empty(size), np.empty(size)
+    rate_buf, eve_buf, thr_buf = np.empty(size), np.empty(size), np.empty(size)
+    out_buf = np.empty(size, dtype=bool)
+    count, total, shift, squares = 0, 0.0, 0.0, 0.0
     for lo in range(0, n_trials, _LOOP_BLOCK):
         n = min(_LOOP_BLOCK, n_trials - lo)
-        rate, one_e, outage = rate_buf[:n], eve_buf[:n], out_buf[:n]
+        rate, one_e, thr = rate_buf[:n], eve_buf[:n], thr_buf[:n]
         np.multiply(bob[lo:lo + n], bob_scale, out=rate)  # rho_b
         np.multiply(eve[lo:lo + n], eve_scale, out=one_e)
         one_e += 1.0
         # outage: rho_b < g (1 + rho_e) - 1
-        np.multiply(one_e, g, out=outage)
-        outage -= 1.0
-        np.less(rate, outage, out=outage)
+        np.multiply(one_e, g, out=thr)
+        thr -= 1.0
+        count += int(np.count_nonzero(np.less(rate, thr, out=out_buf[:n])))
         # rate: max(log2(1 + rho_b) - log2(1 + rho_e), 0)
         rate += 1.0
         np.log2(rate, out=rate)
         rate -= np.log2(one_e, out=one_e)
         np.maximum(rate, 0.0, out=rate)
-        rate_acc.add(rate)
-        sop_acc.add(outage)
-    return rate_acc.estimate(), sop_acc.estimate()
+        total += float(np.sum(rate))
+        if lo == 0:
+            shift = total / n
+        rate -= shift
+        # numpy's own loop: OpenBLAS's dot sums in an order that depends on
+        # its thread count
+        squares += float(np.einsum("i,i->", rate, rate))
+    mean = total / n_trials
+    rate_m2 = squares - n_trials * (mean - shift) ** 2
+    return (_estimate(mean, rate_m2, n_trials),
+            _estimate(count / n_trials, count * (n_trials - count) / n_trials,
+                      n_trials))
 
 
 def mc_secrecy(lb: LinkBudget, bob: np.ndarray, eve: np.ndarray, r0: float,

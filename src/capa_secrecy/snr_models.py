@@ -237,6 +237,14 @@ def eve_cdf(x, lb: LinkBudget):
 # ---------------------------------------------------------------------------
 
 _DRAW_BLOCK = 1 << 16  # exponentials per row block of `sample_bob`
+# sigmas within this relative distance of sigma_max form Landau's plateau
+_PLATEAU_RTOL = 1e-12
+
+
+def bob_plateau(sigmas: np.ndarray) -> int:
+    """How many of the descending `sigmas` lie within _PLATEAU_RTOL of the
+    largest: the plateau at lambda/2 (Landau & Widom 1980)."""
+    return int(np.count_nonzero(sigmas >= sigmas[0] * (1.0 - _PLATEAU_RTOL)))
 
 
 def sample_bob(ms: MoschopoulosSeries, lb: LinkBudget,
@@ -244,16 +252,25 @@ def sample_bob(ms: MoschopoulosSeries, lb: LinkBudget,
     """Draw gamma_b * sum_l sigma_l |Phi_l|^2 with |Phi_l|^2 ~ Exp(1) over
     the series' first-dof eigenvalues.
 
-    The (size, dof) exponentials are drawn in row blocks of at most
-    _DRAW_BLOCK values, in the generator's row-major order: the same draws
-    and sums as one (size, dof) matrix, in bounded memory.
+    The m >= 2 plateau eigenvalues (`bob_plateau`) are drawn together as
+    their mean times one Gamma(m) variate, which moves each draw by at most
+    _PLATEAU_RTOL relative; the rest as (size, dof - m) exponentials, after
+    the gamma draws.  Those are drawn in row blocks of at most _DRAW_BLOCK
+    values, in the generator's row-major order: the same draws and sums as
+    one matrix, in bounded memory.  With m = 1 every eigenvalue is drawn as
+    an exponential.
     """
-    dof = len(ms.sigmas)
-    rows = max(1, _DRAW_BLOCK // dof)
-    out = np.empty(size)
+    sigmas = ms.sigmas
+    m = bob_plateau(sigmas)
+    out = np.zeros(size)
+    if m >= 2:  # a sum of m unit exponentials is one Gamma(m) draw
+        rng.standard_gamma(m, out=out)
+        out *= np.mean(sigmas[:m])
+        sigmas = sigmas[m:]
+    rows = max(1, _DRAW_BLOCK // max(sigmas.size, 1))
     for lo in range(0, size, rows):
-        e = rng.standard_exponential((min(rows, size - lo), dof))
-        np.matmul(e, ms.sigmas, out=out[lo:lo + rows])
+        e = rng.standard_exponential((min(rows, size - lo), sigmas.size))
+        out[lo:lo + rows] += e @ sigmas
     out *= lb.gamma_bar_b
     return out
 

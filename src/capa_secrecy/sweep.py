@@ -222,9 +222,9 @@ def _db_to_lin(db: float) -> float:
 
 
 def _seed(root: int, *key: int) -> int:
-    # the streams under the root seed: a grid point's key is (vi, si, ei);
-    # the shared draws' are (ai,) for Bob's and (ai, 0) for the array's at
-    # aperture index ai, and (SCENARIOS.index(scenario), K) for Eve's, K >= 1
+    # the streams under the root seed: (ai,) for Bob's and (ai, 0) for the
+    # array's draws at aperture index ai, and (SCENARIOS.index(scenario), K)
+    # for Eve's, K >= 1
     return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1)[0])
 
 
@@ -325,17 +325,18 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     them.  The points of a value then run on a worker pool (cfg.workers > 1)
     or in turn.  Every stream's seed is derived from the root seed and a
     grid index, and rows are emitted in grid order, so output is identical
-    for any worker count.
+    for any worker count.  Each row's seed cell is the root seed, the one
+    value that reproduces the row.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
     stage = _resolve_apertures(cfg, cache_dir)
 
-    def run_one(eves, task):  # task: (value, scenario, evaluator, point seed)
+    def run_one(eves, task):  # task: (value, scenario, evaluator)
         t0 = time.perf_counter()
         try:
             cells = {m: (_fmt(r), "" if se is None else _fmt(se))
                      for m, (r, se) in _eval_point(stage, eves, cfg,
-                                                   *task[:3]).items()}
+                                                   *task).items()}
         except Exception as exc:  # keep sweeping, tag the row
             cells = {"error": (f"error:{type(exc).__name__}", "")}
         return cells, (time.perf_counter() - t0) * 1e3
@@ -349,20 +350,19 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
             from concurrent.futures import ThreadPoolExecutor
             run = stack.enter_context(
                 ThreadPoolExecutor(max_workers=cfg.workers)).map
-        for vi, value in enumerate(map(float, cfg.values)):
-            group = [(value, scen, ev, _seed(cfg.seed, vi, si, ei))
-                     for si, scen in enumerate(cfg.scenarios)
-                     for ei, ev in enumerate(cfg.evaluators)]
+        for value in map(float, cfg.values):
+            group = [(value, scen, ev) for scen in cfg.scenarios
+                     for ev in cfg.evaluators]
             eves = _resolve_eves(cfg, value, eves)
             results += run(functools.partial(run_one, eves), group)
             tasks += group
 
     out_stream.write(CSV_HEADER + "\n")
-    for (value, scen, ev, point_seed), (cells, wall) in zip(tasks, results):
+    for (value, scen, ev), (cells, wall) in zip(tasks, results):
         wall_s = _fmt(wall) if cfg.timing else ""
         for metric, (r, se) in cells.items():
             out_stream.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
-                             f"{r},{se},{point_seed},{wall_s}\n")
+                             f"{r},{se},{cfg.seed},{wall_s}\n")
 
     # the first length of the grid: values[0] on the aperture axis
     summary_len, resolved = next(iter(stage.items()))

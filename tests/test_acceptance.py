@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from capa_secrecy import montecarlo as mc
 from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
@@ -16,7 +17,7 @@ from capa_secrecy.snr_models import LinkBudget, Scenario
 from capa_secrecy.specfun import EXTENDED, scaled_e1
 
 import theorems as thm
-from conftest import LAMBDA, make_spectrum, mc_point, spda_point
+from conftest import LAMBDA, eve_draws, make_spectrum, mc_point, spda_point
 
 R0 = 1.0
 SEED = 20260810
@@ -124,6 +125,31 @@ def test_criterion_3_triangulation():
           f"max|closed-quad| = {worst_rate_gap:.2e} bits; "
           f"max rate z = {worst_rate_z:.2f}; max SOP z = {worst_sop_z:.2f}; "
           f"runtime {elapsed:.0f}s")
+
+
+def test_three_way_at_paper_aperture(ms80):
+    # criterion 3's closed-vs-Monte-Carlo half at the paper's Table-1
+    # aperture, 40 wavelengths (dof 80), where Bob's sampler draws the 64
+    # plateau eigenvalues as one gamma variate: 10^6 trials shared by every
+    # point, the benchmark's tolerance 6 std_err + 10/n_trials
+    t0 = time.time()
+    n_trials, r0 = 1_000_000, 3.0
+    bob = mc.unit_bob_draws(ms80, n_trials, sw._seed(SEED, 0))
+    worst_z = 0.0
+    for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
+        eve = eve_draws(LinkBudget(1.0, 1.0, k, scen), n_trials, SEED)
+        for gb_db, ge_db in ((20.0, 0.0), (10.0, 10.0), (30.0, 20.0)):
+            lb = LinkBudget(db(gb_db), db(ge_db), k, scen)
+            rate, sop = mc.mc_secrecy(lb, bob, eve, r0, n_trials)
+            for est, want in ((rate, sec.secrecy_rate_closed(lb, ms80)),
+                              (sop, sec.sop_closed(lb, ms80, r0))):
+                gap = abs(est.mean - want)
+                assert gap <= 6 * est.std_err + 10 / n_trials, (
+                    scen, k, gb_db, ge_db, want, est)
+                if est.std_err > 0:
+                    worst_z = max(worst_z, gap / est.std_err)
+    print(f"\nTHREE-WAY AT 40 WAVELENGTHS PASS: 9 points, worst |z| = "
+          f"{worst_z:.2f}; runtime {time.time() - t0:.1f}s")
 
 
 def test_criterion_4_high_snr(ms4):

@@ -214,6 +214,7 @@ def test_sweep_cli_overrides(tmp_path, capsys):
     text = open(out).read()
     rows = parse_rows(text)
     assert all(r["evaluator"] == "monte-carlo" for r in rows)
+    assert all(r["seed"] == "9" for r in rows)  # the root seed that ran
     # an override is validated like the config field it replaces
     capsys.readouterr()
     assert cli.main(["sweep", "--config", path, "--seed", "-5"]) == 2
@@ -400,8 +401,9 @@ def test_sampled_loop_runs_once_per_point(monkeypatch):
 
 
 def test_bob_stream_apart_from_point_streams(monkeypatch):
-    # Bob's, the array's, Eve's and every point's seeds and keys are
-    # pairwise distinct
+    # Bob's, the array's and Eve's seeds and keys are pairwise distinct; a
+    # grid point has no stream of its own, and every row's seed cell is the
+    # root seed
     keys, seeds = {}, {"bob": [], "spda": [], "eve": []}
     seed = sw._seed
 
@@ -420,18 +422,20 @@ def test_bob_stream_apart_from_point_streams(monkeypatch):
     recorded("bob", "unit_bob_draws")
     recorded("spda", "unit_spda_draws")
     recorded("eve", "unit_eve_draws")
-    code, text = run_sweep_to_string(small_config(
-        axis="aperture_len", values=[0.2498, 0.4996],
-        scenarios=["SE", "MIE", "MCE"],
-        evaluators=["quadrature", "monte-carlo", "spda-mc"]))
+    raw = small_config(axis="aperture_len", values=[0.2498, 0.4996],
+                       scenarios=["SE", "MIE", "MCE"],
+                       evaluators=["quadrature", "monte-carlo", "spda-mc"])
+    code, text = run_sweep_to_string(raw)
     assert code == 0
-    seeds["point"] = [int(r["seed"]) for r in parse_rows(text)]
-    assert [len(set(s)) for s in seeds.values()] == [2, 2, 3, 2 * 3 * 3]
-    assert len(set().union(*map(set, seeds.values()))) == 2 + 2 + 3 + 18
+    rows = parse_rows(text)
+    assert len(rows) == 2 * 3 * 3 * 2
+    assert {r["seed"] for r in rows} == {str(raw["seed"])}
+    assert [len(set(s)) for s in seeds.values()] == [2, 2, 3]
+    assert len(set().union(*map(set, seeds.values()))) == 2 + 2 + 3
     stream_keys = [{k for k, s in keys.items() if s in set(ss)}
                    for ss in seeds.values()]
-    assert [len(k) for k in stream_keys] == [2, 2, 3, 18]
-    assert len(set().union(*stream_keys)) == len(keys) == 2 + 2 + 3 + 18
+    assert [len(k) for k in stream_keys] == [2, 2, 3]
+    assert len(set().union(*stream_keys)) == len(keys) == 2 + 2 + 3
 
 
 def test_array_failure_stays_on_its_rows():

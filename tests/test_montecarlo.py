@@ -84,7 +84,7 @@ def test_unit_eve_draws_scale_to_any_eve_snr(scen, k):
 @pytest.mark.parametrize("n", [mc._LOOP_BLOCK, 50_000])
 def test_loop_is_the_direct_estimate(n):
     # the in-place loop computes the plain numpy expressions: in one block
-    # their means bit for bit, over several to the merge's rounding
+    # their means bit for bit, over several to the sums' rounding
     rng = np.random.default_rng(3)
     bob, eve = rng.exponential(size=(2, n))
     lb = LinkBudget(20.0, 3.0, 2, Scenario.MCE)
@@ -228,16 +228,60 @@ def test_spda_dominated_by_continuous_aperture():
         assert cs.mean <= ss.mean
 
 
-def test_welford_merge_matches_direct():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(3.0, 2.0, size=300_001)
-    acc = mc._Welford()
-    for i in range(0, xs.size, 77_777):
-        acc.add(xs[i:i + 77_777])
-    est = acc.estimate()
-    assert est.mean == pytest.approx(float(np.mean(xs)), rel=1e-12)
-    want_se = float(np.std(xs, ddof=1)) / math.sqrt(xs.size)
-    assert est.std_err == pytest.approx(want_se, rel=1e-12)
+def loop_against_whole_arrays(bob, bob_scale, eve, eve_scale, r0):
+    """`_secrecy_loop`'s estimates and np.mean and np.std(ddof=1) of the
+    whole rate and outage arrays."""
+    n = bob.size
+    got = mc._secrecy_loop(bob, bob_scale, eve, eve_scale, r0, n)
+    rho_b, rho_e = bob_scale * bob, eve_scale * eve
+    rates = np.maximum(np.log2(1.0 + rho_b) - np.log2(1.0 + rho_e), 0.0)
+    outage = (rho_b < 2.0 ** r0 * (1.0 + rho_e) - 1.0).astype(float)
+    want = [(float(np.mean(xs)),
+             float(np.std(xs, ddof=1)) / math.sqrt(n) if n > 1 else math.inf)
+            for xs in (rates, outage)]
+    return [(est.mean, est.std_err) for est in got], want
+
+
+@pytest.mark.parametrize("n", [1, mc._LOOP_BLOCK - 1, mc._LOOP_BLOCK + 1,
+                               50_000])
+def test_loop_counts_and_sums_match_whole_arrays(n):
+    # the outage count and the rate's sums over passes give the moments of
+    # the whole arrays; one trial has no error estimate
+    bob, eve = np.random.default_rng(n).exponential(size=(2, n))
+    got, want = loop_against_whole_arrays(bob, 20.0, eve, 3.0, 1.5)
+    for (mean, se), (want_mean, want_se) in zip(got, want):
+        assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-300)
+        if n == 1:
+            assert se == math.inf
+        else:
+            assert se == pytest.approx(want_se, rel=1e-12)
+
+
+def test_loop_rate_far_from_zero():
+    # a rate of about 50 bits that spreads by 1e-6: its sum of squares is
+    # taken about the first pass's mean, or 50^2 would swamp 1e-12
+    n = 50_000
+    rng = np.random.default_rng(4)
+    bob = 1.0 + 1e-6 * rng.random(n)
+    got, want = loop_against_whole_arrays(bob, 1e15, rng.exponential(size=n),
+                                          1e-12, 1.0)
+    (mean, se), (want_mean, want_se) = got[0], want[0]
+    assert want_se * math.sqrt(n) / want_mean < 1e-8
+    assert mean == pytest.approx(want_mean, rel=1e-15)
+    assert se == pytest.approx(want_se, rel=1e-9)
+    assert got[1] == want[1] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("bob_scale, eve_scale, outage", [(1e6, 1e-6, 0.0),
+                                                          (1e-6, 1e6, 1.0)])
+def test_loop_outage_never_or_always(bob_scale, eve_scale, outage):
+    # an outage that is all 0 or all 1 has no spread: std_err 0
+    n = 50_000
+    bob, eve = np.random.default_rng(5).exponential(size=(2, n))
+    got, want = loop_against_whole_arrays(bob, bob_scale, eve, eve_scale, 1.0)
+    assert got[1] == want[1] == (outage, 0.0)
+    if outage:  # and the rate is all 0 too
+        assert got[0] == (0.0, 0.0)
 
 
 def test_bob_draws_peak_memory(ms80):

@@ -326,13 +326,44 @@ def test_sampler_means(ms4):
 
 @pytest.mark.parametrize("dof", [4, 80])
 def test_sample_bob_blocks_match_one_matrix(dof):
-    # the row blocks draw and sum exactly what one (n, dof) matrix would
+    # the row blocks draw and sum exactly what one matrix would.  At dof 4
+    # the plateau is one eigenvalue, so that matrix is (n, dof); at dof 80
+    # the 64 plateau eigenvalues are their mean times one Gamma(64) draw,
+    # drawn first, and the other 16 an (n, 16) matrix
     ms = bob_series(dof)
+    m = snr.bob_plateau(ms.sigmas)
+    assert m == {4: 1, 80: 64}[dof]
+    rest = ms.sigmas[m:] if m >= 2 else ms.sigmas
     lb = LinkBudget(3.7, 1.0)
-    block = snr._DRAW_BLOCK // dof
+    block = snr._DRAW_BLOCK // rest.size
     for n in (1, block - 1, block, block + 1, 131072):
         got = snr.sample_bob(ms, lb, np.random.default_rng(n), size=n)
         rng = np.random.default_rng(n)
-        want = lb.gamma_bar_b * (rng.standard_exponential((n, dof)) @ ms.sigmas)
+        if m >= 2:
+            want = np.mean(ms.sigmas[:m]) * rng.standard_gamma(m, n)
+            want += rng.standard_exponential((n, rest.size)) @ rest
+        else:
+            want = rng.standard_exponential((n, dof)) @ rest
+        want *= lb.gamma_bar_b
         assert got.shape == (n,)
         assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("dof", [20, 80, 100])
+def test_plateau_as_one_gamma_moves_a_draw_by_its_spread(dof):
+    # for one exponential matrix E, the plateau's sum_l sigma_l E_l and
+    # sigma_bar sum_l E_l differ by at most spread * sigma_bar * sum_l E_l,
+    # where spread = (max - min) / sigma_bar over the plateau is at most
+    # the plateau's relative threshold
+    ms = bob_series(dof)
+    m = snr.bob_plateau(ms.sigmas)
+    plateau = ms.sigmas[:m]
+    sigma_bar = np.mean(plateau)
+    spread = (plateau[0] - plateau[-1]) / sigma_bar
+    assert m >= 2
+    assert spread <= snr._PLATEAU_RTOL * plateau[0] / sigma_bar
+    assert ms.sigmas[m] < plateau[0] * (1.0 - snr._PLATEAU_RTOL)
+    e = np.random.default_rng(dof).standard_exponential((20_000, m))
+    sums = e.sum(axis=1)
+    gap = np.abs(e @ plateau - sigma_bar * sums)
+    assert np.all(gap <= spread * sigma_bar * sums)
