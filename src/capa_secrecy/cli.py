@@ -27,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None, help="Override root seed")
     s.add_argument("--evaluator", action="append", default=None,
                    help="Override evaluator list (repeatable)")
-    s.add_argument("--workers", type=int, default=None,
-                   help="Worker threads for grid points (output unchanged)")
     s.add_argument("--timing", action="store_true",
                    help="Record wall_ms per row (breaks byte determinism)")
 
@@ -56,8 +54,6 @@ def _cmd_sweep(args) -> int:
             cfg.seed = args.seed
         if args.evaluator:
             cfg.evaluators = args.evaluator
-        if args.workers is not None:
-            cfg.workers = args.workers
         if args.timing:
             cfg.timing = True
         cfg.validate()

@@ -260,7 +260,7 @@ def _rate_by_secure_probability(lb: LinkBudget, ms: MoschopoulosSeries) -> float
     """
     theta = lb.gamma_bar_b * ms.sigma_min
 
-    def f(rs):
+    def f(rs, _):
         out = np.zeros(rs.size)
         for i, r in enumerate(rs):
             g = 2.0 ** r if r < 1024.0 else math.inf
@@ -274,8 +274,8 @@ def _rate_by_secure_probability(lb: LinkBudget, ms: MoschopoulosSeries) -> float
     r_star = math.log2((1.0 + mean) / (1.0 + float(np.sum(_eve_scales(lb)))))
     edges = [0.0, r_star, r_hi, math.inf] if 0.0 < r_star < r_hi \
         else [0.0, r_hi, math.inf]
-    return _piecewise_quad(f, edges, 0.0, math.inf, "closed rate",
-                           max_rel=1e-10, epsrel=1e-13)
+    return _raised(_piecewise_quad(f, [edges], 0.0, math.inf, "closed rate",
+                                   max_rel=1e-10, epsrel=1e-13)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +317,18 @@ _TINY = float(np.finfo(float).tiny)
 QUAD_LIMIT = 400  # panels per piece
 
 
-def _qk21(f, lo, hi):
-    """qk21 on every panel [lo_i, hi_i], all nodes in one call of f:
-    (integrals, QUADPACK's error estimates, resasc)."""
-    h = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES
-    fx = f(x.ravel()).reshape(x.shape)
-    resk = fx @ _GK_KRONROD
-    err = np.abs(resk - fx @ _GK_GAUSS) * h
-    resabs = np.abs(fx) @ _GK_KRONROD * h
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK_KRONROD * h
+def _qk21(fx, h):
+    """qk21 on panels of half-width h from the integrand at their nodes, one
+    row of fx per panel: (integrals, QUADPACK's error estimates, resasc).
+    Each row's sums are numpy's own loops over that row alone, so a panel's
+    results are the same whatever other panels share the call."""
+    def kronrod(y):
+        return np.einsum("ij,j->i", y, _GK_KRONROD)
+
+    resk = kronrod(fx)
+    err = np.abs(resk - np.einsum("ij,j->i", fx, _GK_GAUSS)) * h
+    resabs = kronrod(np.abs(fx)) * h
+    resasc = kronrod(np.abs(fx - 0.5 * resk[:, None])) * h
     pos = resasc > 0.0
     err = np.where(pos, resasc * np.minimum(
         1.0, 200.0 * err / np.where(pos, resasc, 1.0)) ** 1.5, err)
@@ -336,64 +338,177 @@ def _qk21(f, lo, hi):
     return resk * h, err, resasc
 
 
-def _gk21(f, a, b, epsabs, epsrel, limit=QUAD_LIMIT):
-    """int_a^b f (b may be inf) by adaptive qk21: (value, error estimate,
-    panels).  f takes an array; each pass evaluates every new panel at once.
+def _to_bisect(err, tol, room):
+    """(the panels to bisect next, the panels kept, in their order) by their
+    error estimates: bisected are those with the largest, until the others
+    hold at most half of `tol`, and at most `room` of them."""
+    order = (-err).argsort(kind="stable")
+    # rest[i]: the estimates left once the i + 1 largest are bisected
+    rest = np.zeros(err.size)
+    err[order][:0:-1].cumsum(out=rest[1:])
+    n = min(int((rest[::-1] <= 0.5 * tol).argmax()) + 1, room)
+    kept = order[n:].copy()
+    kept.sort()
+    return order[:n], kept
 
-    A one-panel result stands, as in QUADPACK's qagse, only if its estimate
-    is within max(epsabs, epsrel |I|) and is not resasc itself (the sign of
-    an unresolved panel).  Otherwise each pass bisects the panels with the
-    largest estimates until the others hold at most half the tolerance, and
-    stops once the summed estimate is within it or at `limit` panels.
+
+def _gk21(f, a, b, owner, epsabs, epsrel, limit=QUAD_LIMIT):
+    """int_(a_i)^(b_i) f for every piece i (b_i may be inf) by adaptive
+    qk21, all pieces in lockstep: (values, error estimates, panels), one
+    entry per piece.
+
+    f(x, j) takes a flat array of nodes and, for each node, the owner[i] of
+    its piece.  Each pass makes one call of f on every new panel of every
+    unfinished piece, the nodes grouped by piece in piece order.  Each
+    piece runs as it would alone.  A one-panel result stands, as in
+    QUADPACK's qagse, only if its estimate is within max(epsabs, epsrel |I|)
+    and is not resasc itself (the sign of an unresolved panel).  Otherwise
+    each pass bisects the piece's panels with the largest estimates
+    (`_to_bisect`), and the piece stops once its summed estimate is within
+    the tolerance or at `limit` panels.  A piece [a, inf) is integrated
+    over t in (0, 1] with x = a + (1 - t)/t.
     """
-    if a == b:
-        return 0.0, 0.0, 0
-    g = f
-    if b == math.inf:  # x = a + (1 - t)/t maps t in (0, 1] onto [a, inf)
-        def g(t, a=a):
-            return f(a + (1.0 - t) / t) / t / t
-        a, b = 0.0, 1.0
-    lo, hi = np.array([float(a)]), np.array([float(b)])
-    val, err, asc = _qk21(g, lo, hi)
-    if err[0] == 0.0 or (err[0] <= max(epsabs, epsrel * abs(val[0]))
-                         and err[0] != asc[0]):
-        return float(val[0]), float(err[0]), 1
-    panels = np.array([lo, hi, val, err])  # one column per panel
-    while panels.shape[1] < limit:
-        lo, hi, val, err = panels
-        tol = max(epsabs, epsrel * abs(val.sum()))
-        order = np.argsort(-err, kind="stable")
-        # rest[i]: the estimates left once the i + 1 largest are bisected
-        rest = np.append(np.cumsum(err[order][::-1])[::-1][1:], 0.0)
-        s = order[:min(int(np.argmax(rest <= 0.5 * tol)) + 1,
-                       limit - panels.shape[1])]
-        mid = 0.5 * (lo[s] + hi[s])
-        new_lo, new_hi = np.append(lo[s], mid), np.append(mid, hi[s])
-        v, e, _ = _qk21(g, new_lo, new_hi)
-        panels = np.append(np.delete(panels, s, axis=1),
-                           [new_lo, new_hi, v, e], axis=1)
-        if panels[3].sum() <= max(epsabs, epsrel * abs(panels[2].sum())):
-            break
-    return float(panels[2].sum()), float(panels[3].sum()), panels.shape[1]
+    n = len(a)
+    vals, errs, counts = [0.0] * n, [0.0] * n, [0] * n
+    owner = np.asarray(owner, dtype=int)
+    base = np.array(a, dtype=float)
+    mapped = np.array([hi == math.inf for hi in b], dtype=bool)
+    # piece -> the (lo, hi) of its panels still to evaluate
+    new = {i: (np.array([0.0 if mapped[i] else float(a[i])]),
+               np.array([1.0 if mapped[i] else float(b[i])]))
+           for i in range(n) if a[i] != b[i]}
+    panels = {}  # one column (lo, hi, value, error) per panel
+    while new:
+        sizes = [lo.size for lo, _ in new.values()]
+        lo = np.concatenate([lo for lo, _ in new.values()])
+        hi = np.concatenate([hi for _, hi in new.values()])
+        piece = np.repeat(list(new), sizes)
+        h = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES
+        on_t = mapped[piece]
+        t = x[on_t]
+        x[on_t] = base[piece[on_t], None] + (1.0 - t) / t
+        fx = f(x.ravel(), np.repeat(owner[piece], x.shape[1])).reshape(x.shape)
+        fx[on_t] = fx[on_t] / t / t
+        results = _qk21(fx, h)
+        pending, end = {}, 0
+        for (i, (new_lo, new_hi)), size in zip(new.items(), sizes):
+            v, e, asc = (r[end:end + size] for r in results)
+            end += size
+            old = panels.pop(i, None)  # the panels not bisected last pass
+            if old is None and (e[0] == 0.0 or (
+                    e[0] <= max(epsabs, epsrel * abs(v[0])) and e[0] != asc[0])):
+                vals[i], errs[i], counts[i] = float(v[0]), float(e[0]), 1
+                continue
+            p = np.array([new_lo, new_hi, v, e])
+            if old is not None:
+                p = np.concatenate((old, p), axis=1)
+            val, err = p[2].sum(), p[3].sum()
+            tol = max(epsabs, epsrel * abs(val))
+            if (old is not None and err <= tol) or p.shape[1] >= limit:
+                vals[i], errs[i], counts[i] = float(val), float(err), p.shape[1]
+                continue
+            s, kept = _to_bisect(p[3], tol, limit - p.shape[1])
+            panels[i] = p[:, kept]
+            lo_s, hi_s = p[0, s], p[1, s]
+            mid = 0.5 * (lo_s + hi_s)
+            pending[i] = np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s))
+        new = pending
+    return vals, errs, counts
 
 
-def _piecewise_quad(f, edges, epsabs: float, max_err: float, what: str,
-                    max_rel: float | None = None, epsrel: float = 1e-11) -> float:
-    """int_{edges[0]}^{edges[-1]} f (the last edge may be inf), one adaptive
-    rule per piece between consecutive edges, each to max(epsabs, epsrel |I|).
+def _piecewise_quad(f, edge_lists, epsabs: float, max_err: float, what: str,
+                    max_rel: float | None = None, epsrel: float = 1e-11) -> list:
+    """int_(edges[0])^(edges[-1]) f(x, j) for each list edges = edge_lists[j]
+    (the last edge may be inf), one adaptive rule per piece between
+    consecutive edges, each to max(epsabs, epsrel |I|); every piece of every
+    integral runs in lockstep (`_gk21`), f getting each node's j.
 
-    Raises ComputationError when the summed error estimates exceed max_err
-    (or are NaN), or max_rel times the result clamped at 0 when max_rel is
-    given.
+    Each integral's value, or the ComputationError it raises: when its
+    summed error estimates exceed max_err (or are NaN), or max_rel times the
+    result clamped at 0 when max_rel is given.
     """
-    parts = [_gk21(f, a, b, epsabs, epsrel) for a, b in zip(edges, edges[1:])]
-    err = sum(e for _, e, _ in parts)
-    val = sum(v for v, _, _ in parts)
-    if not (err <= max_err and (max_rel is None
-                                or err <= max_rel * max(val, 0.0))):
-        raise ComputationError(f"{what} quadrature achieved only +-{err:.2e} "
-                               f"on {val:.3e}")
-    return val
+    a, b, owner = [], [], []
+    for j, edges in enumerate(edge_lists):
+        a += edges[:-1]
+        b += edges[1:]
+        owner += [j] * (len(edges) - 1)
+    vals, errs, _ = _gk21(f, a, b, owner, epsabs, epsrel)
+    out, end = [], 0
+    for edges in edge_lists:
+        start, end = end, end + len(edges) - 1
+        val, err = sum(vals[start:end]), sum(errs[start:end])
+        if not (err <= max_err and (max_rel is None
+                                    or err <= max_rel * max(val, 0.0))):
+            val = ComputationError(f"{what} quadrature achieved only "
+                                   f"+-{err:.2e} on {val:.3e}")
+        out.append(val)
+    return out
+
+
+def _raised(result):
+    """A result of `_piecewise_quad`: its value, or raise its error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _lockstep(lbs, edges, bob, finish, clamp, *quad, **quad_kw) -> list:
+    """For every link budget of `lbs`, the integral over edges(lb) of
+    finish(x, lb, bob(x, gamma_b)) (`_piecewise_quad(f, edge lists, *quad,
+    **quad_kw)`), all in lockstep: each clamp(value), or the
+    ComputationError that integral raises.
+
+    The integrals of one Eve law (scenario, gamma_e, K) run next to each
+    other, so each pass makes one call of `bob` on all nodes, each node
+    with its own gamma_b, and one of `finish` per Eve law, on its
+    contiguous slice of nodes.  Every node's value is the double that its
+    integral alone gives.
+    """
+    laws = {}
+    for i, lb in enumerate(lbs):
+        laws.setdefault((lb.scenario, lb.gamma_bar_e, lb.k_eves), []).append(i)
+    order = [i for group in laws.values() for i in group]
+    starts = np.cumsum([0] + [len(group) for group in laws.values()])
+    gamma_b = np.array([lbs[i].gamma_bar_b for i in order])
+
+    def f(x, j):
+        out = bob(x, gamma_b[j])
+        cuts = np.searchsorted(j, starts)  # the first node of each law
+        for first, lo, hi in zip(starts, cuts, cuts[1:]):
+            if lo < hi:
+                out[lo:hi] = finish(x[lo:hi], lbs[order[first]], out[lo:hi])
+        return out
+
+    results = [None] * len(lbs)
+    for i, r in zip(order, _piecewise_quad(f, [edges(lbs[i]) for i in order],
+                                           *quad, **quad_kw)):
+        results[i] = r if isinstance(r, Exception) else clamp(r)
+    return results
+
+
+def _rate_edges(lb, ms):
+    """The rate integral's edges: 0, 50 gamma_e K if below the split past
+    Bob's bulk, the split, and inf."""
+    mean, std = _bob_spread(lb, ms)
+    split = mean + 12.0 * std + 1.0
+    # F_e rises from 0 to 1 over a few Eve SNR scales; a faint Eve's layer
+    # is too thin for the adaptive rule to find on its own
+    edges = [0.0, split, math.inf]
+    if 50.0 * lb.gamma_bar_e * lb.k_eves < split:
+        edges.insert(1, 50.0 * lb.gamma_bar_e * lb.k_eves)
+    return edges
+
+
+def rate_quadratures(lbs, ms: MoschopoulosSeries) -> list:
+    """`secrecy_rate_quadrature` at every link budget of `lbs` on one
+    series, the integrals in lockstep (`_lockstep`): each rate, or the
+    ComputationError its integral raises."""
+    return _lockstep(
+        lbs, lambda lb: _rate_edges(lb, ms),
+        lambda x, gamma_b: snr.bob_survival(x, gamma_b, ms),
+        lambda x, lb, s_b: s_b * snr.eve_cdf(x, lb) / (1.0 + x) / LN2,
+        lambda rate: max(rate, 0.0), 1e-9, 1e-6, "rate")
 
 
 def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
@@ -402,31 +517,26 @@ def secrecy_rate_quadrature(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
     Integration by parts of the double integral gives
     (1/ln 2) int_0^inf  P(rho_b > x) F_e(x) / (1+x) dx.
     """
-    def f(x):
-        return snr.bob_survival(x, lb, ms) * snr.eve_cdf(x, lb) / (1.0 + x) / LN2
+    return _raised(rate_quadratures([lb], ms)[0])
 
-    mean, std = _bob_spread(lb, ms)
-    split = mean + 12.0 * std + 1.0
-    # F_e rises from 0 to 1 over a few Eve SNR scales; a faint Eve's layer
-    # is too thin for the adaptive rule to find on its own
-    edges = [0.0, split, np.inf]
-    if 50.0 * lb.gamma_bar_e * lb.k_eves < split:
-        edges.insert(1, 50.0 * lb.gamma_bar_e * lb.k_eves)
-    return max(_piecewise_quad(f, edges, 1e-9, 1e-6, "rate"), 0.0)
+
+def sop_quadratures(lbs, ms: MoschopoulosSeries, r0: float) -> list:
+    """`sop_quadrature` at every link budget of `lbs` on one series, the
+    integrals in lockstep (`_lockstep`): each SOP, or the ComputationError
+    its integral raises."""
+    if r0 <= 0.0:
+        raise DomainError("target secrecy rate must be positive")
+    g = 2.0 ** r0
+    return _lockstep(
+        lbs, lambda lb: [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves), math.inf],
+        lambda y, gamma_b: snr.bob_cdf(g * (1.0 + y) - 1.0, gamma_b, ms),
+        lambda y, lb, f_b: snr.eve_pdf(y, lb) * f_b,
+        lambda sop: min(max(sop, 0.0), 1.0), 1e-10, 1e-7, "SOP", max_rel=1e-6)
 
 
 def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     """P(rho_b < 2^r0 (1 + rho_e) - 1) by integrating over Eve's density."""
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
-    g = 2.0 ** r0
-
-    def f(y):
-        return snr.eve_pdf(y, lb) * snr.bob_cdf(g * (1.0 + y) - 1.0, lb, ms)
-
-    edges = [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves), np.inf]
-    sop = _piecewise_quad(f, edges, 1e-10, 1e-7, "SOP", max_rel=1e-6)
-    return min(max(sop, 0.0), 1.0)
+    return _raised(sop_quadratures([lb], ms, r0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +669,9 @@ def independent_eve_offset_term(k: int, gamma_e: float) -> float:
     1/(1+x): nothing cancels.  The survival falls past ge ln K and is below
     e^-40 beyond ge (ln K + 40), where the integral stops (the rest is
     under 1e-17 of y)."""
-    def f(x):
+    def f(x, _):
         return -np.expm1(k * np.log1p(-np.exp(-x / gamma_e))) / (1.0 + x)
 
     edge = gamma_e * math.log(k)
-    return _piecewise_quad(f, [0.0, edge, edge + 40.0 * gamma_e], 0.0, 1e-9,
-                           "offset")
+    return _raised(_piecewise_quad(f, [[0.0, edge, edge + 40.0 * gamma_e]],
+                                   0.0, 1e-9, "offset")[0])

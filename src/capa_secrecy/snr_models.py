@@ -166,23 +166,33 @@ def _shaped(out, x):
     return out.item() if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _poisson_mix(x, lb: LinkBudget, ms: MoschopoulosSeries, k0: int, table,
+def _theta(lb, ms: MoschopoulosSeries):
+    """gamma_b sigma_min.  Bob's laws read only gamma_b of `lb`: a
+    LinkBudget, or an array of Bob's average SNRs, one per point of x, for
+    a batch of link budgets; either way each point's theta is the same
+    double."""
+    if isinstance(lb, LinkBudget):
+        return lb.gamma_bar_b * ms.sigma_min
+    return np.asarray(lb, dtype=float).ravel() * ms.sigma_min
+
+
+def _poisson_mix(x, lb, ms: MoschopoulosSeries, k0: int, table,
                  top: float = 0.0):
     """`poisson_mix` at z = max(x, 0) / (gamma_b sigma_min), flat."""
-    z = np.clip(x.ravel(), 0.0, None) / (lb.gamma_bar_b * ms.sigma_min)
+    z = np.clip(x.ravel(), 0.0, None) / _theta(lb, ms)
     return poisson_mix(z, table, k0, top, ms.log_factorials)
 
 
-def bob_pdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
+def bob_pdf(x, lb, ms: MoschopoulosSeries):
     """Mixture density sum_q w_q Gamma(dof+q, theta) at x, 0 below 0:
     sum_k p_k(x/theta) w_(k-dof+1) / theta."""
-    theta = lb.gamma_bar_b * ms.sigma_min
+    theta = _theta(lb, ms)
     x = np.asarray(x, dtype=float)
     return _shaped((x.ravel() >= 0.0)
                    * _poisson_mix(x, lb, ms, ms.dof - 1, ms.weights) / theta, x)
 
 
-def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
+def bob_cdf(x, lb, ms: MoschopoulosSeries):
     """Mixture CDF sum_q w_q P(dof+q, x/theta) = sum_k p_k(x/theta) C_k,
     since P(n, z) = sum_(k >= n) p_k(z) (DLMF 8.4); at most 1, and 1 at
     x = inf."""
@@ -194,7 +204,7 @@ def bob_cdf(x, lb: LinkBudget, ms: MoschopoulosSeries):
     return _shaped(out, x)
 
 
-def bob_survival(x, lb: LinkBudget, ms: MoschopoulosSeries):
+def bob_survival(x, lb, ms: MoschopoulosSeries):
     """P(rho_b > x) = sum_q w_q Q(dof+q, x/theta) = sum_k p_k(x/theta) W_k;
     accurate in the far tail, at most 1, and 1 at x <= 0."""
     x = np.asarray(x, dtype=float)

@@ -163,7 +163,7 @@ def poisson_series_terms(n: int) -> int:
     return lo + 1
 
 
-_BLOCK = 2_000_000  # pmf terms per block of `poisson_mix`
+_BLOCK = 1 << 14  # pmf terms per block of `poisson_mix`: 128 KiB
 _LOG_NORMAL = -708.39  # ln of a little more than the smallest normal double
 
 
@@ -184,7 +184,10 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
     asks; from n on, where P(n, z) is at least about 1/2, it is
     1 - sum_(k<n) p_k.  The part of that sum below k0 is at most
     p_k0 k0 / (z - k0), and is added through `poisson_tail` where that bound
-    is not below 1e-17.  The sum runs in blocks of at most _BLOCK terms.
+    is not below 1e-17.  The sum runs in blocks of at most _BLOCK terms
+    (of one row where a row is longer), and each row's sums are numpy's own
+    loops over that row alone, so a row's value is the same double whatever
+    else is in the array and however it is blocked.
     """
     n = k0 + len(table)
     at_inf = z == math.inf  # p_k(inf) = 0: keep inf - inf out of the sum
@@ -194,11 +197,6 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
     up = z < n
     m = n + poisson_series_terms(n) if top and up.any() else n
     ks = np.arange(k0, m, dtype=float)
-    # the table, sum_(k0 <= k < n) p_k and sum_(k >= n) p_k as far as it goes
-    weights = np.zeros((m - k0, 3))
-    weights[:n - k0, 0] = table
-    weights[:n - k0, 1] = 1.0
-    weights[n - k0:, 2] = 1.0
     # a point whose largest term (at k = z, kept within the range) is below
     # the smallest normal double adds nothing: leaving it out spares exp its
     # slow path on underflow
@@ -216,7 +214,11 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
         a -= log_fact
         np.exp(a, out=a)
         p_k0[rows] = a[:, 0]
-        sums[rows] = a @ weights
+        # the table, sum_(k0 <= k < n) p_k and sum_(k >= n) p_k as far as
+        # it goes
+        sums[rows, 0] = np.einsum("ij,j->i", a[:, :n - k0], table)
+        sums[rows, 1] = a[:, :n - k0].sum(axis=1)
+        sums[rows, 2] = a[:, n - k0:].sum(axis=1)
     out = sums[:, 0]
     out[at_inf] = 0.0
     if top:

@@ -8,7 +8,6 @@ is only recorded when explicitly requested since it breaks determinism.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
@@ -35,16 +34,18 @@ SCENARIOS = ("SE", "MIE", "MCE")
 # one grid point: cfg with the axis value applied, its link budget, the
 # aperture's series, the shared unit draws (Bob's and the array's at the
 # aperture, Eve's at the point's scenario and K; None where no row reads
-# them, the exception where drawing them failed) and r0
-_Point = namedtuple("_Point", "cfg lb ms bob spda eve r0")
+# them, the exception where drawing them failed), r0 and its quadratures
+# ({metric: value or the exception its integral raised})
+_Point = namedtuple("_Point", "cfg lb ms bob spda eve r0 quad")
 
 
-def _shared(draws):
-    """A point's shared draws, or the exception that drawing them raised."""
-    if isinstance(draws, Exception):
+def _shared(result):
+    """A point's shared draws or quadrature, or the exception that making
+    them raised."""
+    if isinstance(result, Exception):
         # each point starts a new traceback; re-raising would extend the old
-        raise draws.with_traceback(None)
-    return draws
+        raise result.with_traceback(None)
+    return result
 
 
 def _monte_carlo(p):
@@ -58,6 +59,13 @@ def _spda(p):
                             p.r0, p.cfg.n_trials)
 
 
+# metric -> the call that makes the quadrature rows of one aperture: every
+# point's integral in one lockstep batch (see `_resolve_quadratures`)
+QUADRATURES = {
+    "rate": lambda lbs, ms, r0: sec.rate_quadratures(lbs, ms),
+    "sop": lambda lbs, ms, r0: sec.sop_quadratures(lbs, ms, r0),
+}
+
 # (evaluator, metric) -> (call, i): the row is call(point), or the mean and
 # std_err of call(point)[i].  A point makes each call once, so one sampled
 # loop feeds both its rate and sop rows.  The calls look the library up when
@@ -69,9 +77,8 @@ ROWS = {
     ("closed-form", "offset"): (lambda p: sec.high_snr_offset(p.lb, p.ms), None),
     ("closed-form", "gain"):
         (lambda p: sec.diversity_and_gain(p.lb, p.ms, p.r0)[1], None),
-    ("quadrature", "rate"):
-        (lambda p: sec.secrecy_rate_quadrature(p.lb, p.ms), None),
-    ("quadrature", "sop"): (lambda p: sec.sop_quadrature(p.lb, p.ms, p.r0), None),
+    ("quadrature", "rate"): (lambda p: _shared(p.quad["rate"]), None),
+    ("quadrature", "sop"): (lambda p: _shared(p.quad["sop"]), None),
     ("asymptotic", "rate"): (lambda p: sec.asymptotic_rate(p.lb, p.ms), None),
     ("asymptotic", "sop"):
         (lambda p: min(sec.sop_asymptotic(p.lb, p.ms, p.r0), 1.0), None),
@@ -109,7 +116,6 @@ class SweepConfig:
     quadrature_order: int | None = None
     n_trials: int = 200_000
     seed: int = 20260810
-    workers: int = 1
     # sweep
     axis: str = "gamma_b_db"
     values: list = field(default_factory=lambda: [-10.0, 0.0, 10.0, 20.0, 30.0])
@@ -128,7 +134,7 @@ class SweepConfig:
         for name in ("gamma_b_db", "gamma_e_db"):
             if not _number(getattr(self, name)):
                 bad(name, "must be a finite number")
-        for name in ("k_eves", "quadrature_order", "n_trials", "workers"):
+        for name in ("k_eves", "quadrature_order", "n_trials"):
             v = getattr(self, name)
             if name == "quadrature_order" and v is None:
                 continue
@@ -294,16 +300,55 @@ def _resolve_eves(cfg: SweepConfig, value: float, kept: dict) -> dict:
     return eves
 
 
-def _eval_point(stage: dict, eves: dict, cfg: SweepConfig, value: float,
-                scen_name: str, evaluator: str):
-    """{metric: (result, std_err_or_None)} for one grid point, in the order
-    of cfg.outputs."""
+def _budget(cfg: SweepConfig, value: float, scen_name: str):
+    """(cfg at grid value `value`, the point's (scenario, K), its link
+    budget)."""
     at = replace(cfg, **{AXES[cfg.axis]: value})
     eve_key = _eve_key(scen_name, at.k_eves)
     lb = LinkBudget(_db_to_lin(at.gamma_b_db), _db_to_lin(at.gamma_e_db),
                     eve_key[1], Scenario(scen_name))
+    return at, eve_key, lb
+
+
+def _resolve_quadratures(cfg: SweepConfig, stage: dict) -> dict:
+    """(value, scenario) -> {metric: the quadrature's value, or the
+    exception raised} for the quadrature rows of the sweep.  At each
+    aperture length every point's integral of one metric runs in one
+    lockstep batch (`QUADRATURES`), each value the one it gives alone.  A
+    point whose link budget or aperture failed is left out: its rows raise
+    that again."""
+    metrics = ([m for m in cfg.outputs if m in QUADRATURES]
+               if "quadrature" in cfg.evaluators else [])
+    batches = {}  # aperture length -> {(value, scenario): link budget}
+    for value in map(float, cfg.values if metrics else []):
+        for scen in cfg.scenarios:
+            try:
+                at, _, lb = _budget(cfg, value, scen)
+            except Exception:
+                continue
+            batches.setdefault(at.aperture_len_m, {})[value, scen] = lb
+    quads = {}
+    for length, points in batches.items():
+        if isinstance(stage[length], Exception):
+            continue
+        ms = stage[length][1]
+        for m in metrics:
+            results = _draw(QUADRATURES[m], list(points.values()), ms,
+                            cfg.target_rate_r0)
+            for i, key in enumerate(points):
+                quads.setdefault(key, {})[m] = (
+                    results if isinstance(results, Exception) else results[i])
+    return quads
+
+
+def _eval_point(stage: dict, eves: dict, quads: dict, cfg: SweepConfig,
+                value: float, scen_name: str, evaluator: str):
+    """{metric: (result, std_err_or_None)} for one grid point, in the order
+    of cfg.outputs."""
+    at, eve_key, lb = _budget(cfg, value, scen_name)
     _, ms, bob, spda = _shared(stage[at.aperture_len_m])
-    point = _Point(at, lb, ms, bob, spda, eves.get(eve_key), at.target_rate_r0)
+    point = _Point(at, lb, ms, bob, spda, eves.get(eve_key),
+                   at.target_rate_r0, quads.get((value, scen_name)))
     runs, rows = {}, {}
     for m in cfg.outputs:
         if (evaluator, m) in ROWS:
@@ -320,45 +365,33 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     """Execute the sweep; returns the process exit code (0 ok, 1 point errors).
 
     Every aperture length is resolved once, with its shared Bob and array
-    draws, before any grid point runs; each value's shared Eve draws are
-    made before its points run, and kept for the next value while it reads
-    them.  The points of a value then run on a worker pool (cfg.workers > 1)
-    or in turn.  Every stream's seed is derived from the root seed and a
-    grid index, and rows are emitted in grid order, so output is identical
-    for any worker count.  Each row's seed cell is the root seed, the one
-    value that reproduces the row.
+    draws, and then every quadrature row of the grid, one lockstep batch per
+    aperture and metric, before any grid point runs; each value's shared
+    Eve draws are made before its points run, and kept for the next value
+    while it reads them.  Every stream's seed is derived from the root seed
+    and a grid index, and every quadrature row is the value its integral
+    gives alone.  Rows are emitted in grid order.  Each row's seed cell is
+    the root seed, the one value that reproduces the row.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
     stage = _resolve_apertures(cfg, cache_dir)
-
-    def run_one(eves, task):  # task: (value, scenario, evaluator)
-        t0 = time.perf_counter()
-        try:
-            cells = {m: (_fmt(r), "" if se is None else _fmt(se))
-                     for m, (r, se) in _eval_point(stage, eves, cfg,
-                                                   *task).items()}
-        except Exception as exc:  # keep sweeping, tag the row
-            cells = {"error": (f"error:{type(exc).__name__}", "")}
-        return cells, (time.perf_counter() - t0) * 1e3
-
-    tasks, results, eves = [], [], {}
-    with contextlib.ExitStack() as stack:
-        # the builtin map without workers: an executor would finish every
-        # queued point before Ctrl-C could stop the sweep
-        run = map
-        if cfg.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            run = stack.enter_context(
-                ThreadPoolExecutor(max_workers=cfg.workers)).map
-        for value in map(float, cfg.values):
-            group = [(value, scen, ev) for scen in cfg.scenarios
-                     for ev in cfg.evaluators]
-            eves = _resolve_eves(cfg, value, eves)
-            results += run(functools.partial(run_one, eves), group)
-            tasks += group
+    quads = _resolve_quadratures(cfg, stage)
+    results, eves = [], {}  # results: ((value, scenario, evaluator), cells, ms)
+    for value in map(float, cfg.values):
+        eves = _resolve_eves(cfg, value, eves)
+        for task in ((value, scen, ev) for scen in cfg.scenarios
+                     for ev in cfg.evaluators):
+            t0 = time.perf_counter()
+            try:
+                cells = {m: (_fmt(r), "" if se is None else _fmt(se))
+                         for m, (r, se) in _eval_point(stage, eves, quads, cfg,
+                                                       *task).items()}
+            except Exception as exc:  # keep sweeping, tag the row
+                cells = {"error": (f"error:{type(exc).__name__}", "")}
+            results.append((task, cells, (time.perf_counter() - t0) * 1e3))
 
     out_stream.write(CSV_HEADER + "\n")
-    for (value, scen, ev), (cells, wall) in zip(tasks, results):
+    for (value, scen, ev), cells, wall in results:
         wall_s = _fmt(wall) if cfg.timing else ""
         for metric, (r, se) in cells.items():
             out_stream.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
@@ -377,7 +410,7 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
                   "landau_counts(eps=0.01/0.5/0.99)="
                   + "/".join(map(str, counts)))
     print(f"spectrum: aperture_len={summary_len:g} {detail}", file=summary)
-    return 1 if any("error" in cells for cells, _ in results) else 0
+    return 1 if any("error" in cells for _, cells, _ in results) else 0
 
 
 # ---------------------------------------------------------------------------

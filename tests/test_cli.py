@@ -11,6 +11,7 @@ import pytest
 
 from capa_secrecy import cli
 from capa_secrecy import montecarlo as mc
+from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
 from capa_secrecy import sweep as sw
@@ -134,6 +135,7 @@ def test_sweep_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
     ({"seed": -1}, "seed"),
     ({"aperture_len_m": 5.0}, "aperture_lambdas"),
     ({"quadrature_order": 0}, "quadrature_order"),
+    ({"workers": 2}, "workers"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -219,6 +221,10 @@ def test_sweep_cli_overrides(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["sweep", "--config", path, "--seed", "-5"]) == 2
     assert capsys.readouterr().err.startswith("config error: seed:")
+    # there is no worker pool to size
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", path, "--workers", "2"])
+    assert exc.value.code == 2 and "--workers" in capsys.readouterr().err
 
 
 # 74.94 m is 600 wavelengths: dof 1200 needs 2400 quadrature points, so
@@ -226,12 +232,46 @@ def test_sweep_cli_overrides(tmp_path, capsys):
 FAILING_LENGTHS = dict(axis="aperture_len", values=[0.4996, 74.94])
 
 
-def test_worker_pool_output_identical():
-    for grid, code in (({}, 0), (FAILING_LENGTHS, 1)):
-        base = small_config(evaluators=["quadrature", "monte-carlo"], **grid)
-        seq = run_sweep_to_string(base)
-        assert run_sweep_to_string({**base, "workers": 4}) == seq
-        assert seq[0] == code
+def test_failing_aperture_grid_tags_its_points():
+    # the failing length's points are tagged and the sweep exits 1; the
+    # other length's rows are those of a sweep of that length alone
+    base = small_config(evaluators=["quadrature", "monte-carlo"],
+                        **FAILING_LENGTHS)
+    code, text = run_sweep_to_string(base)
+    assert code == 1
+    rows = parse_rows(text)
+    failed = [r for r in rows if r["value"] == 74.94]
+    assert failed and all(r["result"] == "error:DomainError" for r in failed)
+    code, alone = run_sweep_to_string({**base, "values": [0.4996]})
+    assert code == 0
+    assert [r for r in rows if r["value"] == 0.4996] == parse_rows(alone)
+
+
+def test_quadrature_rows_one_bob_law_call_a_pass(monkeypatch):
+    # the table1 gamma_b grid: 27 rate and 27 SOP integrals at one aperture
+    # advance together, so each pass calls Bob's law once for all of them
+    # and each Eve law (one per scenario) once
+    calls = {"pass": 0, "bob": 0, "eve": 0}
+
+    def counting(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(sec, "_qk21", "pass")
+    for name in ("bob_cdf", "bob_survival"):
+        counting(snr, name, "bob")
+    for name in ("eve_cdf", "eve_pdf"):
+        counting(snr, name, "eve")
+    with open(TABLE1_CONFIG, encoding="utf-8") as fh:
+        table1 = json.load(fh)
+    code, text = run_sweep_to_string({**table1, "evaluators": ["quadrature"]})
+    assert code == 0 and len(parse_rows(text)) == 54
+    assert calls["bob"] == calls["pass"] < 54
+    assert calls["pass"] < calls["eve"] <= 3 * calls["pass"]
 
 
 def test_each_aperture_resolved_once(monkeypatch):

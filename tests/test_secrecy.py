@@ -115,7 +115,11 @@ def test_rate_closed_precision_loss_signals(ms4):
         sec.secrecy_rate_closed(lb, ms4, STANDARD)
     ext = sec.secrecy_rate_closed(lb, ms4, EXTENDED)
     golden = sec.secrecy_rate_closed(lb, pinned_series("ms4"), EXTENDED)
-    assert golden == 3.918043019722593e-12  # recorded from the full series
+    # recorded from the full series; the 50-digit value on the same float
+    # weights (theorems.secrecy_rate_reference at 50 digits, 256 edges) is
+    # 3.9180430197225925e-12, 1.85 ulp below it
+    assert golden == 3.918043019722594e-12
+    assert golden == pytest.approx(3.9180430197225925e-12, rel=5e-16, abs=0)
     rq = sec.secrecy_rate_quadrature(lb, ms4)
     assert abs(ext - rq) <= 1e-6 * rq + 1e-15
 
@@ -287,19 +291,31 @@ def test_sop_rejects_nonpositive_target(ms4):
 # the adaptive Gauss-Kronrod rule against scipy's QUADPACK
 # ---------------------------------------------------------------------------
 
-def quadpack_piece(f, a, b, epsabs, epsrel, limit=sec.QUAD_LIMIT):
-    """scipy.integrate.quad on one piece, in the rule's (value, error,
-    panels) form; f gets one float per call."""
-    v, e, info = quad(lambda x: float(f(x)), a, b, limit=limit, epsabs=epsabs,
-                      epsrel=epsrel, full_output=1)[:3]
-    return v, e, info["last"]
+def quadpack_pieces(f, a, b, owner, epsabs, epsrel, limit=sec.QUAD_LIMIT):
+    """scipy.integrate.quad on each piece, in the rule's (values, errors,
+    panels) form; f gets one node of the piece's integral per call."""
+    out = ([], [], [])
+    for lo, hi, j in zip(a, b, owner):
+        v, e, info = quad(
+            lambda x: float(f(np.array([x]), np.array([j]))[0]), lo, hi,
+            limit=limit, epsabs=epsabs, epsrel=epsrel, full_output=1)[:3]
+        for col, x in zip(out, (v, e, info["last"])):
+            col.append(x)
+    return out
 
 
 def rule_and_quadpack(monkeypatch, fn, *args):
     got = fn(*args)
+    pieces = []
+
+    def by_quadpack(f, a, *rest):
+        pieces.extend(a)
+        return quadpack_pieces(f, a, *rest)
+
     with monkeypatch.context() as m:
-        m.setattr(sec, "_gk21", quadpack_piece)
+        m.setattr(sec, "_gk21", by_quadpack)
         want = fn(*args)
+    assert pieces  # the patch was reached: no vacuous comparison
     return got, want
 
 
@@ -349,27 +365,112 @@ def test_offset_term_matches_quadpack(monkeypatch):
             assert abs(got - want) <= 1e-11 * want, (k, ge_db)
 
 
+def one_piece(f, a, b, epsabs, epsrel):
+    """The rule on one piece: (value, error estimate, panels)."""
+    return tuple(r[0] for r in sec._gk21(lambda x, _: f(x), [a], [b], [0],
+                                         epsabs, epsrel))
+
+
 def test_rule_on_known_integrals():
-    assert sec._gk21(np.exp, 2.0, 2.0, 0.0, 1e-11) == (0.0, 0.0, 0)
-    val, err, panels = sec._gk21(lambda x: np.exp(-x), 1.0, np.inf, 0.0, 1e-11)
+    assert one_piece(np.exp, 2.0, 2.0, 0.0, 1e-11) == (0.0, 0.0, 0)
+    val, err, panels = one_piece(lambda x: np.exp(-x), 1.0, np.inf, 0.0, 1e-11)
     assert val == pytest.approx(math.exp(-1.0), rel=1e-14) and err <= 1e-11 * val
-    val, err, panels = sec._gk21(lambda x: 1.0 / (1.0 + x), 0.0, 1e7, 0.0, 1e-11)
+    val, err, panels = one_piece(lambda x: 1.0 / (1.0 + x), 0.0, 1e7, 0.0, 1e-11)
     assert val == pytest.approx(math.log1p(1e7), rel=1e-13)
     assert panels < sec.QUAD_LIMIT
 
 
+def test_rule_runs_pieces_in_lockstep_as_alone():
+    # f(x, j) = e^(-x/c_j): pieces that stop after one panel, after many
+    # and at once (zero length), finite and infinite, in one run
+    c = np.array([0.1, 1.0, 1e4])
+    a, b, owner = [0.0, 5.0, 1.0, 3.0, 0.0], [5.0, np.inf, 1.0, 1e6, 1e-3], \
+        [0, 0, 1, 2, 2]
+    calls = []
+
+    def f(x, j):
+        calls.append(x.size)
+        return np.exp(-x / c[j])
+
+    def run(pieces):
+        calls.clear()
+        out = sec._gk21(f, *([col[i] for i in pieces] for col in (a, b, owner)),
+                        0.0, 1e-11)
+        return out, len(calls)
+
+    together, passes = run(range(len(a)))
+    alone = [run([i]) for i in range(len(a))]
+    assert together == tuple(list(col) for col in zip(*(
+        [r[0] for r in out] for out, _ in alone)))
+    # one call of f a pass: as many as the piece that needs the most
+    assert passes == max(n for _, n in alone) > 1
+
+
 def test_unresolved_integrand_raises():
     # about 1.6e6 oscillations: 400 panels cannot follow them
-    def f(x):
+    def f(x, _):
         return np.cos(1e5 * x) + 1.0
-    val, err, panels = sec._gk21(f, 0.0, 100.0, 1e-10, 1e-11)
+    val, err, panels = one_piece(lambda x: f(x, 0), 0.0, 100.0, 1e-10, 1e-11)
     assert panels == sec.QUAD_LIMIT and err > 1e-7
-    with pytest.raises(ComputationError, match="test quadrature achieved only"):
-        sec._piecewise_quad(f, [0.0, 100.0], 1e-10, 1e-7, "test")
+    # each integral keeps its own error, next to a value that holds
+    bad, good = sec._piecewise_quad(f, [[0.0, 100.0], [0.0, 1e-6]], 1e-10,
+                                    1e-7, "test")
+    assert isinstance(bad, ComputationError)
+    assert "test quadrature achieved only" in str(bad)
+    assert good == pytest.approx(1e-6 + math.sin(0.1) / 1e5, rel=1e-12)
     # a NaN error estimate is no estimate
-    with pytest.raises(ComputationError):
-        sec._piecewise_quad(lambda x: np.where(x < 1.0, np.nan, 1.0),
-                            [0.0, 2.0], 1e-10, 1e-7, "test")
+    nan, = sec._piecewise_quad(lambda x, _: np.where(x < 1.0, np.nan, 1.0),
+                               [[0.0, 2.0]], 1e-10, 1e-7, "test")
+    assert isinstance(nan, ComputationError)
+
+
+# ---------------------------------------------------------------------------
+# the quadratures in lockstep
+# ---------------------------------------------------------------------------
+
+def as_results(values):
+    """Quadrature results with each error as (type, message), for ==."""
+    return [(type(v).__name__, str(v)) if isinstance(v, Exception) else v
+            for v in values]
+
+
+def alone(fn, *args):
+    try:
+        return fn(*args)
+    except ComputationError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("n_lambdas", [10, 40])
+def test_batched_quadratures_equal_each_alone(aperture_series, ms80, n_lambdas):
+    ms = ms80 if n_lambdas == 40 else aperture_series[n_lambdas]
+    lbs = [lb_db(gb_db, ge_db, k, scen)
+           for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5))
+           for gb_db, ge_db in ((-10.0, 20.0), (10.0, 0.0), (10.0, 20.0),
+                                (30.0, 20.0))]
+    rates = as_results([alone(sec.secrecy_rate_quadrature, lb, ms) for lb in lbs])
+    sops = as_results([alone(sec.sop_quadrature, lb, ms, 3.0) for lb in lbs])
+    # the whole batch, and a part of it in another order (Eve laws mixed)
+    for part in (list(range(len(lbs))), [7, 0, 11, 4, 2, 9]):
+        batch = [lbs[i] for i in part]
+        assert as_results(sec.rate_quadratures(batch, ms)) == \
+            [rates[i] for i in part]
+        assert as_results(sec.sop_quadratures(batch, ms, 3.0)) == \
+            [sops[i] for i in part]
+
+
+def test_deep_tail_point_keeps_its_error_in_a_batch(ms80):
+    # 10 independent Eves at 0 dB and Bob at 40 dB: SOP about 1e-150
+    deep = lb_db(40.0, 0.0, 10, Scenario.MIE)
+    mates = [lb_db(20.0, 20.0, 5, Scenario.MIE), lb_db(10.0, 0.0)]
+    got = sec.sop_quadratures([mates[0], deep, mates[1]], ms80, 3.0)
+    assert isinstance(got[1], ComputationError)
+    assert "SOP quadrature" in str(got[1])
+    assert [got[0], got[2]] == [sec.sop_quadrature(lb, ms80, 3.0)
+                                for lb in mates]
+    with pytest.raises(DomainError):
+        sec.sop_quadratures(mates, ms80, 0.0)
+    assert sec.rate_quadratures([], ms80) == []
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +603,12 @@ def _collaborative_gain_by_binomials(lb, ms, r0):
 
 def test_independent_eve_terms_stay_exact_for_many_eves(monkeypatch):
     # every piece of the offset integral must converge before its panel limit
-    panels = []
+    panels = []  # of every piece
     rule = sec._gk21
 
     def counted(*args):
         out = rule(*args)
-        panels.append(out[2])
+        panels.extend(out[2])
         return out
 
     monkeypatch.setattr(sec, "_gk21", counted)

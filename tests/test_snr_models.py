@@ -11,7 +11,7 @@ from scipy.special import gammainc
 import theorems as thm
 from capa_secrecy import snr_models as snr
 from capa_secrecy.snr_models import LinkBudget, Scenario
-from capa_secrecy.specfun import DomainError
+from capa_secrecy.specfun import DomainError, poisson_tail
 from capa_secrecy.spectral import ComputationError
 from conftest import make_spectrum
 
@@ -367,3 +367,18 @@ def test_plateau_as_one_gamma_moves_a_draw_by_its_spread(dof):
     sums = e.sum(axis=1)
     gap = np.abs(e @ plateau - sigma_bar * sums)
     assert np.all(gap <= spread * sigma_bar * sums)
+
+
+def test_many_point_laws_equal_point_by_point(ms80):
+    # one call over 600 points, each with its own gamma_b, runs in several
+    # blocks of poisson_mix; every value is the one its own call gives
+    rng = np.random.default_rng(5)
+    gb = 10.0 ** rng.uniform(-1.0, 3.0, 600)
+    x = gb * np.append(rng.uniform(0.0, 20.0, 597), [0.0, 1e4, np.inf])
+    for law in (snr.bob_pdf, snr.bob_cdf, snr.bob_survival):
+        many = law(x, gb, ms80)
+        assert np.array_equal(many, [law(xi, LinkBudget(g, 1.0), ms80)
+                                     for xi, g in zip(x, gb)]), law.__name__
+    z = x / gb * 10.0
+    for n in (5, 80):
+        assert np.array_equal(poisson_tail(n, z), [poisson_tail(n, zi) for zi in z])
