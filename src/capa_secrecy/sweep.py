@@ -40,8 +40,8 @@ _Point = namedtuple("_Point", "cfg lb ms bob spda eve r0 quad")
 
 
 def _shared(result):
-    """A point's shared draws or quadrature, or the exception that making
-    them raised."""
+    """A point's link budget, shared draws or quadrature, or the exception
+    that making it raised."""
     if isinstance(result, Exception):
         # each point starts a new traceback; re-raising would extend the old
         raise result.with_traceback(None)
@@ -58,13 +58,6 @@ def _spda(p):
     return mc.spda_baseline(p.lb, geom, _shared(p.spda), _shared(p.eve),
                             p.r0, p.cfg.n_trials)
 
-
-# metric -> the call that makes the quadrature rows of one aperture: every
-# point's integral in one lockstep batch (see `_resolve_quadratures`)
-QUADRATURES = {
-    "rate": lambda lbs, ms, r0: sec.rate_quadratures(lbs, ms),
-    "sop": lambda lbs, ms, r0: sec.sop_quadratures(lbs, ms, r0),
-}
 
 # (evaluator, metric) -> (call, i): the row is call(point), or the mean and
 # std_err of call(point)[i].  A point makes each call once, so one sampled
@@ -254,50 +247,22 @@ def _eve_key(scen_name: str, k_eves) -> tuple[str, int]:
     return scen_name, 1 if scen_name == "SE" else int(k_eves)
 
 
-def _resolve_apertures(cfg: SweepConfig, cache_dir) -> dict:
-    """Each distinct aperture length of the grid, in grid order, mapped to
-    (spectrum, series, unit Bob draws, unit array draws) or to the exception
-    raised; draws that no row reads are None."""
-    # one unit Gauss-Legendre rule per distinct order, made on its first
-    # cache miss
-    unit_rule = functools.cache(spc.unit_legendre_rule)
-    lengths = cfg.values if cfg.axis == "aperture_len" else [cfg.aperture_len_m]
-    calls = _sampled_calls(cfg)
-    stage = {}
-    for ai, length in enumerate(map(float, lengths)):
-        try:
-            geom = spc.ApertureGeometry(cfg.wavelength_m, length)
-            spec = spc.cached_decompose(geom, cfg.quadrature_order,
-                                        cache_dir=cache_dir, unit_rule=unit_rule)
-            ms = snr.build_psi(spec)
-        except Exception as exc:  # every point at this length reports it
-            stage[length] = exc
-            continue
-        bob = (_draw(mc.unit_bob_draws, ms, cfg.n_trials, _seed(cfg.seed, ai))
-               if _monte_carlo in calls else None)
-        spda = (_draw(mc.unit_spda_draws, geom, cfg.n_trials,
-                      _seed(cfg.seed, ai, 0)) if _spda in calls else None)
-        stage[length] = spec, ms, bob, spda
-    return stage
-
-
-def _resolve_eves(cfg: SweepConfig, value: float, kept: dict) -> dict:
-    """(scenario, K) -> unit Eve draws for every scenario at grid value
-    `value`: the draws in `kept` that it reads, and new ones for the rest
-    (made after the others are let go, so on the k_eves axis one value's
-    sets are held at a time)."""
+def _resolve_eves(cfg: SweepConfig, value: float, eves: dict) -> None:
+    """Make `eves` map (scenario, K) to the unit Eve draws of every scenario
+    at grid value `value`: it keeps the draws it holds that the value
+    reads, lets the rest go and then draws the missing ones, so on the
+    k_eves axis one value's sets are held at a time."""
     if not _sampled_calls(cfg):
-        return {}
+        return
     k_eves = value if cfg.axis == "k_eves" else cfg.k_eves
     keys = [_eve_key(scen, k_eves) for scen in cfg.scenarios]
-    eves = {key: kept[key] for key in keys if key in kept}
-    kept.clear()
+    for key in set(eves) - set(keys):
+        del eves[key]
     for scen, k in keys:
         if (scen, k) not in eves:
             eves[scen, k] = _draw(mc.unit_eve_draws, Scenario(scen), k,
                                   cfg.n_trials,
                                   _seed(cfg.seed, SCENARIOS.index(scen), k))
-    return eves
 
 
 def _budget(cfg: SweepConfig, value: float, scen_name: str):
@@ -310,45 +275,17 @@ def _budget(cfg: SweepConfig, value: float, scen_name: str):
     return at, eve_key, lb
 
 
-def _resolve_quadratures(cfg: SweepConfig, stage: dict) -> dict:
-    """(value, scenario) -> {metric: the quadrature's value, or the
-    exception raised} for the quadrature rows of the sweep.  At each
-    aperture length every point's integral of one metric runs in one
-    lockstep batch (`QUADRATURES`), each value the one it gives alone.  A
-    point whose link budget or aperture failed is left out: its rows raise
-    that again."""
-    metrics = ([m for m in cfg.outputs if m in QUADRATURES]
-               if "quadrature" in cfg.evaluators else [])
-    batches = {}  # aperture length -> {(value, scenario): link budget}
-    for value in map(float, cfg.values if metrics else []):
-        for scen in cfg.scenarios:
-            try:
-                at, _, lb = _budget(cfg, value, scen)
-            except Exception:
-                continue
-            batches.setdefault(at.aperture_len_m, {})[value, scen] = lb
-    quads = {}
-    for length, points in batches.items():
-        if isinstance(stage[length], Exception):
-            continue
-        ms = stage[length][1]
-        for m in metrics:
-            results = _draw(QUADRATURES[m], list(points.values()), ms,
-                            cfg.target_rate_r0)
-            for i, key in enumerate(points):
-                quads.setdefault(key, {})[m] = (
-                    results if isinstance(results, Exception) else results[i])
-    return quads
-
-
-def _eval_point(stage: dict, eves: dict, quads: dict, cfg: SweepConfig,
-                value: float, scen_name: str, evaluator: str):
-    """{metric: (result, std_err_or_None)} for one grid point, in the order
-    of cfg.outputs."""
-    at, eve_key, lb = _budget(cfg, value, scen_name)
-    _, ms, bob, spda = _shared(stage[at.aperture_len_m])
-    point = _Point(at, lb, ms, bob, spda, eves.get(eve_key),
-                   at.target_rate_r0, quads.get((value, scen_name)))
+def _eval_point(cfg: SweepConfig, budget, shared, eves: dict, quad,
+                evaluator: str):
+    """{metric: (result, std_err_or_None)} for one evaluator at one grid
+    point, in the order of cfg.outputs.  `budget` is the point's `_budget`
+    and `shared` its aperture's (series, Bob draws, array draws), either
+    maybe the exception that making it raised; `quad` is the point's
+    quadratures."""
+    at, eve_key, lb = _shared(budget)
+    ms, bob, spda = _shared(shared)
+    point = _Point(at, lb, ms, bob, spda, eves.get(eve_key), at.target_rate_r0,
+                   quad)
     runs, rows = {}, {}
     for m in cfg.outputs:
         if (evaluator, m) in ROWS:
@@ -360,57 +297,110 @@ def _eval_point(stage: dict, eves: dict, quads: dict, cfg: SweepConfig,
     return rows
 
 
+def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
+                    eves: dict, unit_rule, cache_dir, out) -> tuple:
+    """Run the grid points at `values`, all at aperture `length` (grid index
+    `ai`), in grid order and write their rows to `out`.  Returns (the
+    spectrum, or the exception that resolving the aperture raised; whether
+    a row failed).  The aperture's series and shared draws live only in
+    this call, so a sweep holds one length's at a time."""
+    calls, bob, spda = _sampled_calls(cfg), None, None
+    try:
+        geom = spc.ApertureGeometry(cfg.wavelength_m, length)
+        spec = spc.cached_decompose(geom, cfg.quadrature_order,
+                                    cache_dir=cache_dir, unit_rule=unit_rule)
+        ms = snr.build_psi(spec)
+    except Exception as exc:  # every point at this length reports it
+        spec = shared = exc
+    else:
+        if _monte_carlo in calls:
+            bob = _draw(mc.unit_bob_draws, ms, cfg.n_trials, _seed(cfg.seed, ai))
+        if _spda in calls:
+            spda = _draw(mc.unit_spda_draws, geom, cfg.n_trials,
+                         _seed(cfg.seed, ai, 0))
+        shared = ms, bob, spda
+    budgets = {(value, scen): _draw(_budget, cfg, value, scen)
+               for value in values for scen in cfg.scenarios}
+    # every quadrature row at this length: each metric's integrals in one
+    # lockstep batch, each value the one it gives alone; a point whose link
+    # budget failed is left out, its rows raise that again
+    made = [key for key, b in budgets.items() if not isinstance(b, Exception)]
+    batches = {}
+    if "quadrature" in cfg.evaluators and not isinstance(spec, Exception):
+        lbs = [budgets[key][2] for key in made]
+        if "rate" in cfg.outputs:
+            batches["rate"] = _draw(sec.rate_quadratures, lbs, ms)
+        if "sop" in cfg.outputs:
+            batches["sop"] = _draw(sec.sop_quadratures, lbs, ms,
+                                   cfg.target_rate_r0)
+    quads = {key: {m: q if isinstance(q, Exception) else q[i]
+                   for m, q in batches.items()} for i, key in enumerate(made)}
+    failed = False
+    for value in values:
+        _resolve_eves(cfg, value, eves)
+        for scen in cfg.scenarios:
+            for ev in cfg.evaluators:
+                t0 = time.perf_counter()
+                try:
+                    cells = {m: (_fmt(r), "" if se is None else _fmt(se))
+                             for m, (r, se) in _eval_point(
+                                 cfg, budgets[value, scen], shared, eves,
+                                 quads.get((value, scen)), ev).items()}
+                except Exception as exc:  # keep sweeping, tag the row
+                    cells = {"error": (f"error:{type(exc).__name__}", "")}
+                wall = (_fmt((time.perf_counter() - t0) * 1e3) if cfg.timing
+                        else "")
+                for metric, (r, se) in cells.items():
+                    out.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
+                              f"{r},{se},{cfg.seed},{wall}\n")
+                failed = failed or "error" in cells
+    return spec, failed
+
+
 def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
               summary_stream=None) -> int:
     """Execute the sweep; returns the process exit code (0 ok, 1 point errors).
 
-    Every aperture length is resolved once, with its shared Bob and array
-    draws, and then every quadrature row of the grid, one lockstep batch per
-    aperture and metric, before any grid point runs; each value's shared
-    Eve draws are made before its points run, and kept for the next value
-    while it reads them.  Every stream's seed is derived from the root seed
-    and a grid index, and every quadrature row is the value its integral
-    gives alone.  Rows are emitted in grid order.  Each row's seed cell is
-    the root seed, the one value that reproduces the row.
+    The grid runs one aperture length at a time, in grid order: the
+    length's spectrum, series and shared Bob and array draws, then every
+    quadrature row at it, one lockstep batch per metric, then its points,
+    each value's shared Eve draws made before its points run and kept for
+    the next value while it reads them.  Every stream's seed is derived
+    from the root seed and a grid index, and every quadrature row is the
+    value its integral gives alone.  Rows are written in grid order as
+    they are made.  Each row's seed cell is the root seed, the one value
+    that reproduces the row.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
-    stage = _resolve_apertures(cfg, cache_dir)
-    quads = _resolve_quadratures(cfg, stage)
-    results, eves = [], {}  # results: ((value, scenario, evaluator), cells, ms)
-    for value in map(float, cfg.values):
-        eves = _resolve_eves(cfg, value, eves)
-        for task in ((value, scen, ev) for scen in cfg.scenarios
-                     for ev in cfg.evaluators):
-            t0 = time.perf_counter()
-            try:
-                cells = {m: (_fmt(r), "" if se is None else _fmt(se))
-                         for m, (r, se) in _eval_point(stage, eves, quads, cfg,
-                                                       *task).items()}
-            except Exception as exc:  # keep sweeping, tag the row
-                cells = {"error": (f"error:{type(exc).__name__}", "")}
-            results.append((task, cells, (time.perf_counter() - t0) * 1e3))
-
+    # one unit Gauss-Legendre rule per distinct order, made on its first
+    # cache miss
+    unit_rule = functools.cache(spc.unit_legendre_rule)
+    values = list(map(float, cfg.values))
+    # (aperture length, the grid values at it): one per value on the
+    # aperture axis, else one for the whole grid
+    apertures = ([(v, [v]) for v in values] if cfg.axis == "aperture_len"
+                 else [(float(cfg.aperture_len_m), values)])
     out_stream.write(CSV_HEADER + "\n")
-    for (value, scen, ev), cells, wall in results:
-        wall_s = _fmt(wall) if cfg.timing else ""
-        for metric, (r, se) in cells.items():
-            out_stream.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
-                             f"{r},{se},{cfg.seed},{wall_s}\n")
+    eves, failed = {}, False
+    for ai, (length, grid) in enumerate(apertures):
+        resolved, failed_here = _sweep_aperture(
+            cfg, ai, length, grid, eves, unit_rule, cache_dir, out_stream)
+        if ai == 0:  # the summary's: values[0] on the aperture axis
+            first = length, resolved
+        failed = failed or failed_here
 
-    # the first length of the grid: values[0] on the aperture axis
-    summary_len, resolved = next(iter(stage.items()))
+    summary_len, resolved = first
     if isinstance(resolved, Exception):
         detail = f"error:{type(resolved).__name__}: {resolved}"
     else:
-        spec = resolved[0]
-        t = cfg.quadrature_order or spc.nystrom_order(spec)
-        counts = [spc.landau_count(spec, e) for e in (0.01, 0.5, 0.99)]
-        detail = (f"dof={spec.dof} t={t} "
-                  f"trace_residual={spec.trace_residual:.3e} "
+        t = cfg.quadrature_order or spc.nystrom_order(resolved)
+        counts = [spc.landau_count(resolved, e) for e in (0.01, 0.5, 0.99)]
+        detail = (f"dof={resolved.dof} t={t} "
+                  f"trace_residual={resolved.trace_residual:.3e} "
                   "landau_counts(eps=0.01/0.5/0.99)="
                   + "/".join(map(str, counts)))
     print(f"spectrum: aperture_len={summary_len:g} {detail}", file=summary)
-    return 1 if any("error" in cells for _, cells, _ in results) else 0
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -327,23 +327,33 @@ def test_summary_names_the_order_that_ran(order, shown):
 
 def test_monte_carlo_rows_replay_from_shared_bob_draws():
     # and the spda-mc rows from the array's: each sampled row is its loop
-    # over the shared unit draws, Eve's on the (scenario, K) stream
-    raw = small_config(values=[0.0, 20.0], scenarios=["SE", "MIE", "MCE"],
+    # over the unit draws on its aperture's streams, (ai,) for Bob's and
+    # (ai, 0) for the array's at grid index ai, past the first length too,
+    # and Eve's on the (scenario, K) stream
+    lengths = [0.2498, 0.3747]
+    raw = small_config(axis="aperture_len", values=lengths,
+                       scenarios=["SE", "MIE", "MCE"],
                        evaluators=["monte-carlo", "spda-mc"])
     code, text = run_sweep_to_string(raw)
     assert code == 0
     cfg = sw.config_from_dict(raw)
-    geom = spc.ApertureGeometry(cfg.wavelength_m, cfg.aperture_len_m)
-    _, _, bob, spda = sw._resolve_apertures(cfg, None)[cfg.aperture_len_m]
-    assert not bob.flags.writeable and not spda.flags.writeable
+    draws = []
+    for ai, length in enumerate(lengths):
+        geom = spc.ApertureGeometry(cfg.wavelength_m, length)
+        ms = snr.build_psi(spc.decompose(geom, cfg.quadrature_order))
+        bob = mc.unit_bob_draws(ms, cfg.n_trials, sw._seed(cfg.seed, ai))
+        spda = mc.unit_spda_draws(geom, cfg.n_trials, sw._seed(cfg.seed, ai, 0))
+        assert not bob.flags.writeable and not spda.flags.writeable
+        draws.append((geom, bob, spda))
     rows = parse_rows(text)
-    assert len(rows) == 24  # 2 SNRs x 3 scenarios x 2 evaluators x 2 metrics
+    assert len(rows) == 24  # 2 lengths x 3 scenarios x 2 evaluators x 2 metrics
     for r in rows:
+        geom, bob, spda = draws[lengths.index(r["value"])]
         k = 1 if r["scenario"] == "SE" else cfg.k_eves
         scen = snr.Scenario(r["scenario"])
         eve = mc.unit_eve_draws(scen, k, cfg.n_trials, sw._seed(
             cfg.seed, sw.SCENARIOS.index(r["scenario"]), k))
-        lb = snr.LinkBudget(10 ** (r["value"] / 10),
+        lb = snr.LinkBudget(10 ** (cfg.gamma_b_db / 10),
                             10 ** (cfg.gamma_e_db / 10), k, scen)
         if r["evaluator"] == "monte-carlo":
             rate, sop = mc.mc_secrecy(lb, bob, eve, cfg.target_rate_r0,
@@ -354,6 +364,31 @@ def test_monte_carlo_rows_replay_from_shared_bob_draws():
         est = rate if r["metric"] == "rate" else sop
         assert (r["result"], r["std_err"]) == (sw._fmt(est.mean),
                                                sw._fmt(est.std_err))
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("gamma_b_db", [0.0, 10.0, 20.0]), ("gamma_e_db", [-10.0, 0.0, 10.0]),
+    ("k_eves", [1, 2, 4]), ("aperture_len", [0.2498, 0.3747, 0.4996])])
+def test_row_does_not_depend_on_rest_of_grid(axis, values):
+    # a sweep of one value alone writes the full sweep's rows at it: every
+    # row, but past the first aperture length only the analytic ones, as a
+    # sampled row there reads its own grid index's Bob and array streams
+    base = small_config(axis=axis, values=values,
+                        scenarios=["SE", "MIE", "MCE"],
+                        evaluators=list(sw.EVALUATORS),
+                        outputs=list(sw.OUTPUTS))
+    _, text = run_sweep_to_string(base)
+    full = text.splitlines()[1:]
+    for i, v in enumerate(values):
+        _, alone = run_sweep_to_string({**base, "values": [v]})
+        alone = alone.splitlines()[1:]
+        at_v = [ln for ln in full if ln.split(",")[1] == sw._fmt(v)]
+        assert len(at_v) == 3 * len(sw.ROWS)  # scenarios x rows of each
+        if axis == "aperture_len" and i > 0:
+            sampled = ("monte-carlo", "spda-mc")
+            at_v, alone = ([ln for ln in lines if ln.split(",")[3] not in sampled]
+                           for lines in (at_v, alone))
+        assert alone == at_v, (axis, v)
 
 
 def test_sampled_evaluators_read_one_eve_array(monkeypatch):

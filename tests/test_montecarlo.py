@@ -315,3 +315,25 @@ def test_k_axis_sweep_holds_one_value_of_eve_draws():
     assert code == 0
     one_set = 8 * n_trials
     assert peak <= (1 + 2) * one_set + (6 << 20), peak
+
+
+def test_aperture_sweep_holds_one_length_of_draws():
+    # on the aperture axis each length's Bob and array draws (8 bytes a
+    # trial each) are let go before the next length's are made: the sweep
+    # holds those two sets and the SE Eve set with the loop's block
+    # buffers, never the eight aperture sets of all four lengths
+    n_trials = 400_000
+    cfg = sw.config_from_dict({
+        "quadrature_order": 120, "gamma_b_db": 10.0, "gamma_e_db": 0.0,
+        "n_trials": n_trials, "axis": "aperture_len",
+        "values": [0.2498, 0.3747, 0.4996, 0.6245], "scenarios": ["SE"],
+        "evaluators": ["monte-carlo", "spda-mc"]})
+    tracemalloc.start()
+    try:
+        code = sw.run_sweep(cfg, io.StringIO(), summary_stream=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    one_set = 8 * n_trials
+    assert peak <= (2 + 1) * one_set + (6 << 20), peak
