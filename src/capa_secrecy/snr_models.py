@@ -126,19 +126,19 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
     log_prefix = float(dof * math.log(sigma_min) - np.sum(np.log(sigmas)))
     prefix = math.exp(log_prefix)
 
-    psis = [1.0]
-    powers = np.ones_like(ratios)
-    b = []  # b[k-1] = sum_l ratios^k
+    psis = np.ones(1)
     q = q_max if ratios.any() else 0  # a flat spectrum is one gamma shape
     while True:
-        while len(psis) <= q:
-            n = len(psis)
-            powers *= ratios
-            b.append(float(np.sum(powers)))
-            acc = 0.0  # in this order: the series' bits depend on it
-            for k in range(1, n + 1):
-                acc += b[k - 1] * psis[n - k]
-            psis.append(acc / n)
+        # b[k-1] = sum_l ratios^k: row k of the product is each power by
+        # repeated multiplication, and its sum numpy's sum of that row alone
+        b = np.cumprod(np.broadcast_to(ratios, (q, dof)), axis=0).sum(axis=1)
+        n0 = len(psis)
+        psis = np.append(psis, np.empty(q + 1 - n0))
+        for n in range(n0, q + 1):
+            # sum_k b[k-1] psi[n-k] for k = 1..n as a left fold, in this
+            # order: the series' bits depend on it, and accumulate (unlike
+            # sum's pairwise reduction) adds one term at a time
+            psis[n] = np.add.accumulate(b[:n] * psis[n - 1::-1])[-1] / n
         residual = 1.0 - prefix * math.fsum(psis)
         if residual <= series_tol or q >= q_cap:
             break
@@ -147,12 +147,10 @@ def build_psi(spec, q_max: int = 160, *, series_tol: float = 1e-8,
         raise ComputationError(f"mixture tail {residual:.3g} > series_tol "
                                f"{series_tol:g} at q = {q}")
 
-    psi_arr = np.array(psis)
     # a nearly flat spectrum can underflow psi_q to 0: log weight -inf
-    log_psis = np.log(psi_arr, out=np.full_like(psi_arr, -np.inf),
-                      where=psi_arr > 0.0)
+    log_psis = np.log(psis, out=np.full_like(psis, -np.inf), where=psis > 0.0)
     return MoschopoulosSeries(
-        sigmas=sigmas, dof=dof, sigma_min=sigma_min, psis=psi_arr,
+        sigmas=sigmas, dof=dof, sigma_min=sigma_min, psis=psis,
         log_psis=log_psis, q_max=q, log_weight_prefix=log_prefix,
         residual=residual)
 

@@ -177,8 +177,11 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
     Every term is nonnegative, so nothing cancels.  The log pmf is
     k ln z - z - ln k!, with ln 0 taken as -1e300 (so k ln z is 0 at k = 0
     and p_k(0) is 0 above), and each point's terms are the same whatever
-    else is in the array.  A point whose terms are all below the smallest
-    normal double gets 0 for them.  The part past the table is top P(n, z),
+    else is in the array.  A term below the smallest normal double counts
+    as 0, without a call to exp (whose underflow path is about a hundred
+    times slower), and a point whose terms are all below it is not summed.
+    Each distinct z is summed once and its value given to every place it
+    holds in the array.  The part past the table is top P(n, z),
     P(n, z) = P(Pois(z) >= n) (DLMF 8.4), and comes from the same pmf: below
     n the terms k = n, n + 1, ... go on as far as `poisson_series_terms`
     asks; from n on, where P(n, z) is at least about 1/2, it is
@@ -189,6 +192,7 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
     loops over that row alone, so a row's value is the same double whatever
     else is in the array and however it is blocked.
     """
+    z, inverse = np.unique(z, return_inverse=True)  # one NaN for every NaN
     n = k0 + len(table)
     at_inf = z == math.inf  # p_k(inf) = 0: keep inf - inf out of the sum
     zf = np.where(at_inf, 0.0, z)
@@ -198,8 +202,7 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
     m = n + poisson_series_terms(n) if top and up.any() else n
     ks = np.arange(k0, m, dtype=float)
     # a point whose largest term (at k = z, kept within the range) is below
-    # the smallest normal double adds nothing: leaving it out spares exp its
-    # slow path on underflow
+    # the smallest normal double adds nothing: it is left out
     k_peak = np.fmin(np.fmax(np.floor(zf), k0), m - 1)  # k0 at NaN
     peak = k_peak * log_z - zf - log_fact[k_peak.astype(int)]
     live = np.flatnonzero(~(peak < _LOG_NORMAL))
@@ -212,6 +215,7 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
         a = np.multiply.outer(log_z[rows], ks)
         a -= zf[rows, None]
         a -= log_fact
+        a[a < _LOG_NORMAL] = -math.inf  # exp gives 0 there at once; NaN stays
         np.exp(a, out=a)
         p_k0[rows] = a[:, 0]
         # the table, sum_(k0 <= k < n) p_k and sum_(k >= n) p_k as far as
@@ -228,7 +232,7 @@ def poisson_mix(z, table, k0: int, top: float, log_fact) -> np.ndarray:
         if below.size:  # P(n, z) = P(k0, z) - sum_(k0 <= k < n) p_k
             tail[below] = poisson_tail(k0, z[below]) - sums[below, 1]
         out += top * tail
-    return out
+    return out[inverse]
 
 
 def poisson_tail(n: int, z):

@@ -337,7 +337,8 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
                    for m, q in batches.items()} for i, key in enumerate(made)}
     failed = False
     for value in values:
-        _resolve_eves(cfg, value, eves)
+        if not isinstance(spec, Exception):  # else every row raises spec
+            _resolve_eves(cfg, value, eves)
         for scen in cfg.scenarios:
             for ev in cfg.evaluators:
                 t0 = time.perf_counter()

@@ -247,6 +247,37 @@ def test_failing_aperture_grid_tags_its_points():
     assert [r for r in rows if r["value"] == 0.4996] == parse_rows(alone)
 
 
+@pytest.mark.filterwarnings("ignore:2L/lambda")
+def test_failed_aperture_draws_no_eves(monkeypatch):
+    # every row at an aperture under lambda/4 (no degree of freedom) raises
+    # its DomainError, so no Eve set is drawn there; a later length that
+    # resolves draws the same streams as a sweep of that length alone
+    drawn = []
+    draw = mc.unit_eve_draws
+
+    def recording(*args):
+        drawn.append(args)
+        return draw(*args)
+    monkeypatch.setattr(mc, "unit_eve_draws", recording)
+    code, text = run_sweep_to_string(small_config(
+        aperture_lambdas=0.08, axis="k_eves", values=[1, 2, 4, 8],
+        scenarios=["SE", "MIE", "MCE"], evaluators=["monte-carlo"]))
+    assert code == 1 and drawn == []
+    assert text == sw.CSV_HEADER + "\n" + "".join(
+        f"k_eves,{k},{scen},monte-carlo,error,error:DomainError,,42,\n"
+        for k in (1, 2, 4, 8) for scen in ("SE", "MIE", "MCE"))
+
+    def eve_streams(values):
+        drawn.clear()
+        code, _ = run_sweep_to_string(small_config(
+            axis="aperture_len", values=values, evaluators=["monte-carlo"]))
+        return code, drawn[:]
+
+    code, after_failed = eve_streams([0.01, 0.4996])
+    assert code == 1 and len(after_failed) == 2
+    assert after_failed == eve_streams([0.4996])[1]
+
+
 def test_quadrature_rows_one_bob_law_call_a_pass(monkeypatch):
     # the table1 gamma_b grid: 27 rate and 27 SOP integrals at one aperture
     # advance together, so each pass calls Bob's law once for all of them

@@ -85,6 +85,29 @@ def test_psi_normalization_synthetic(ms_synth):
     assert abs(1.0 - prefix * math.fsum(ms_synth.psis)) < 1e-10
 
 
+@pytest.mark.parametrize("spectrum,kwargs,q", [
+    ("spec2", {}, 160), ("spec6", {}, 160), ("spec80", {}, 160),
+    (100.0, {}, 320), (200.0, {}, 640),  # q_max doubles once and twice
+    ([4.0, 3.0, 2.0, 1.0], {"q_max": 200}, 200),
+    ([0.3] * 5, {}, 0), ([0.7], {}, 0),
+], ids=["dof2", "dof6", "dof80", "100lambda", "200lambda", "synthetic",
+        "flat", "one"])
+def test_series_is_the_scalar_recursion_bit_for_bit(spectrum, kwargs, q,
+                                                     request):
+    # the numpy recursion makes every power sum and every psi_n the double
+    # the scalar one makes
+    if isinstance(spectrum, str):
+        spectrum = request.getfixturevalue(spectrum)
+    elif isinstance(spectrum, float):  # wavelengths, at the converged order
+        spectrum = make_spectrum(spectrum, None)
+    sigmas = (spectrum.sigmas[:spectrum.dof] if hasattr(spectrum, "sigmas")
+              else np.array(spectrum))
+    ms = snr.build_psi(spectrum, **kwargs)
+    psis, residual, q_max = thm.psi_scalar(sigmas, **kwargs)
+    assert np.array_equal(ms.psis, psis)
+    assert ms.residual == residual and ms.q_max == q_max == q
+
+
 def test_psi_rejects_bad_eigenvalues():
     with pytest.raises(DomainError):
         snr.build_psi(np.array([1.0, 0.0]))

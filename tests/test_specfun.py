@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
+import theorems as thm
 from capa_secrecy import specfun as sf
 
 
@@ -183,6 +184,73 @@ def test_poisson_tail_is_the_same_point_by_point():
         together = sf.poisson_tail(n, z)
         alone = np.array([sf.poisson_tail(n, v) for v in z])
         assert np.allclose(together, alone, rtol=1e-15, atol=0.0), n
+
+
+def poisson_sums(ms):
+    """(table, k0, top, log k!) of the Poisson sums behind Bob's density,
+    CDF and survival on series `ms`, and of P(n, z) at n 5 and 80."""
+    lf = ms.log_factorials
+    sums = [(ms.weights, ms.dof - 1, 0.0, lf),
+            (ms.cum_weights, ms.dof, float(ms.cum_weights[-1]), lf),
+            (ms.tail_weights, 0, 0.0, lf)]
+    return sums + [(np.zeros(n), 0, 1.0,
+                    sf.log_factorials(n + sf.poisson_series_terms(n)))
+                   for n in (5, 80)]
+
+
+def near_normal_peaks(table, k0: int, top: float, lf) -> np.ndarray:
+    """z on either side of each point where the largest pmf term over the
+    sum's k range crosses the smallest normal double: below k0 the term at
+    k0, past the range the term at its end."""
+    n = k0 + len(table)
+    m = n + sf.poisson_series_terms(n) if top else n
+
+    def peak(z):
+        k = min(max(math.floor(z), k0), m - 1)
+        return k * math.log(z) - z - math.lgamma(k + 1.0) - sf._LOG_NORMAL
+
+    roots = []
+    for lo, hi in ((1e-300, float(k0)), (float(m), 1e7)):
+        if lo < hi and peak(lo) * peak(hi) < 0.0:
+            for _ in range(200):
+                mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if peak(mid) * peak(hi) < 0.0 else (lo, mid)
+            roots.append(lo)
+    return np.array([r * (1.0 + j * 1e-4) for r in roots for j in range(-5, 6)])
+
+
+def test_poisson_mix_gives_each_z_its_own_value(ms6, ms80):
+    # one call over shuffled repeats of z, the edges among them, gives each
+    # z the value it gets alone: each distinct z is summed once, and a term
+    # counts as 0 below the smallest normal double whichever other points
+    # set the k range
+    rng = np.random.default_rng(29)
+    for ms in (ms6, ms80):
+        for table, k0, top, lf in poisson_sums(ms):
+            z = np.concatenate([[0.0, np.inf, np.nan, 1e-300],
+                                near_normal_peaks(table, k0, top, lf),
+                                rng.uniform(0.0, 3.0 * (k0 + len(table)), 40),
+                                np.geomspace(1e-6, 1e6, 40)])
+            z = rng.permutation(np.repeat(z, rng.integers(1, 4, z.size)))
+            many = sf.poisson_mix(z, table, k0, top, lf)
+            alone = [sf.poisson_mix(np.array([v]), table, k0, top, lf)[0]
+                     for v in z]
+            assert np.array_equal(many, alone, equal_nan=True), (ms.dof, k0)
+
+
+def test_poisson_mix_is_the_full_exp_sum_above_1e_290(ms6, ms80):
+    # a term below the smallest normal double counting as 0 moves no value
+    # of 1e-290 or more, the floor of the sums' stated accuracy, and moves
+    # the ones below it by far less than that
+    for ms in (ms6, ms80):
+        for table, k0, top, lf in poisson_sums(ms):
+            z = np.concatenate([[0.0, np.inf], np.geomspace(1e-8, 1e6, 3000),
+                                near_normal_peaks(table, k0, top, lf)])
+            got = sf.poisson_mix(z, table, k0, top, lf)
+            want = thm.poisson_mix_full_exp(z, table, k0, top, lf)
+            big = want >= 1e-290
+            assert np.array_equal(got[big], want[big]), (ms.dof, k0)
+            assert np.all(np.abs(got - want)[~big] <= 1e-300), (ms.dof, k0)
 
 
 @pytest.mark.parametrize("lam", [1e-3, 0.5, 3.0, 37.0, 150.0, 240.0, 1000.0])

@@ -2,11 +2,13 @@
 the small-1/SNR outage expansion), the alternating independent-Eves sums
 as references for the library's positive forms, Bob's laws as one
 incomplete-gamma call per mixture shape (the reference for the
-Poisson-index kernel), the secrecy rate as a 30-digit integral with
-recorded higher-precision values, the Gauss-Legendre rule from LAPACK's
-sterf, the prolate eigenvalues as an oracle for the Nystrom spectrum, and
-the conditional-variance check behind treating Eve's SNR as independent of
-Bob's channel.  No sweep or CLI path runs them; the acceptance, secrecy,
+Poisson-index kernel), the Moschopoulos series by its scalar recursion and
+the Poisson sums with every term exponentiated (the references, bit for
+bit, for the library's numpy forms), the secrecy rate as a 30-digit
+integral with recorded higher-precision values, the Gauss-Legendre rule
+from LAPACK's sterf, the prolate eigenvalues as an oracle for the Nystrom
+spectrum, and the conditional-variance check behind treating Eve's SNR as
+independent of Bob's channel.  No sweep or CLI path runs them; the acceptance, secrecy,
 SNR-law, spectral and Monte Carlo tests import them.
 """
 import math
@@ -21,7 +23,8 @@ from scipy import special as sps
 from capa_secrecy import secrecy as sec
 from capa_secrecy.montecarlo import McEstimate
 from capa_secrecy.snr_models import Scenario
-from capa_secrecy.specfun import scaled_e1
+from capa_secrecy.specfun import (log_factorials, poisson_series_terms,
+                                  scaled_e1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,73 @@ def bob_mixture(law: str, x, lb, ms) -> np.ndarray:
     z = np.clip(x, 0.0, None)[:, None] / theta
     out = BOB_SHAPE_LAWS[law](ms.shapes[None, :].astype(float), z) @ ms.weights
     return (x >= 0.0) * out / theta if law == "pdf" else out
+
+
+# ---------------------------------------------------------------------------
+# Bob's series and Poisson sums in their plain forms
+# ---------------------------------------------------------------------------
+
+def psi_scalar(sigmas, q_max: int = 160, series_tol: float = 1e-8,
+               q_cap: int = 2000):
+    """(psis, residual, q) of `snr_models.build_psi` by its scalar
+    recursion: each power sum b_k from one more product per eigenvalue and
+    numpy's sum, each psi_n a Python float sum over k = 1..n in that order.
+    The reference for the library's numpy recursion, bit for bit."""
+    sigmas = np.sort(np.asarray(sigmas, dtype=float))[::-1]
+    dof = len(sigmas)
+    sigma_min = float(sigmas[-1])
+    ratios = 1.0 - sigma_min / sigmas
+    prefix = math.exp(float(dof * math.log(sigma_min)
+                            - np.sum(np.log(sigmas))))
+    psis = [1.0]
+    powers = np.ones_like(ratios)
+    b = []  # b[k-1] = sum_l ratios^k
+    q = q_max if ratios.any() else 0
+    while True:
+        while len(psis) <= q:
+            n = len(psis)
+            powers *= ratios
+            b.append(float(np.sum(powers)))
+            acc = 0.0
+            for k in range(1, n + 1):
+                acc += b[k - 1] * psis[n - k]
+            psis.append(acc / n)
+        residual = 1.0 - prefix * math.fsum(psis)
+        if residual <= series_tol or q >= q_cap:
+            return np.array(psis), residual, q
+        q = min(max(2 * q, q_max), q_cap)
+
+
+def poisson_mix_full_exp(z, table, k0: int, top: float, log_fact):
+    """`specfun.poisson_mix` with exp taken of every term of every point
+    and each point summed where it stands: the same terms and sums
+    otherwise, so the reference for its rule that a term below the
+    smallest normal double counts as 0 and for its summing each distinct
+    z once."""
+    n = k0 + len(table)
+    at_inf = z == math.inf
+    zf = np.where(at_inf, 0.0, z)
+    with np.errstate(divide="ignore"):
+        log_z = np.maximum(np.log(zf), -1e300)
+    up = z < n
+    m = n + poisson_series_terms(n) if top and up.any() else n
+    a = np.multiply.outer(log_z, np.arange(k0, m, dtype=float))
+    a -= zf[:, None]
+    a -= log_fact[k0:m]
+    np.exp(a, out=a)
+    out = np.einsum("ij,j->i", a[:, :n - k0], table)
+    out[at_inf] = 0.0
+    if top:
+        head = a[:, :n - k0].sum(axis=1)
+        tail = np.where(up, a[:, n - k0:].sum(axis=1), 1.0 - head)
+        tail[at_inf] = 1.0
+        below = ~up & (a[:, 0] * k0 > 1e-17 * (z - k0))
+        if below.any():  # P(n, z) = P(k0, z) - sum_(k0 <= k < n) p_k
+            lf = log_factorials(k0 + poisson_series_terms(k0))
+            tail[below] = poisson_mix_full_exp(
+                z[below], np.zeros(k0), 0, 1.0, lf) - head[below]
+        out += top * tail
+    return out
 
 
 def secrecy_rate_reference(lb, ms, dps: int = 30, breakpoints: int = 64) -> float:
