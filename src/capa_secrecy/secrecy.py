@@ -22,9 +22,9 @@ import numpy as np
 from . import snr_models as snr
 from .snr_models import LinkBudget, MoschopoulosSeries, Scenario
 from .specfun import (EXTENDED, STANDARD, DomainError, EvalPrecision,
-                      EULER_GAMMA, SignedLog, exp_e1_log, harmonic_number,
-                      log_binomial, poisson_tails, scaled_e1, signed_log_dot,
-                      xlogy)
+                      EULER_GAMMA, SignedLog, _filled, exp_e1_log,
+                      harmonic_number, log_binomial, poisson_tails, scaled_e1,
+                      signed_log_dot, xlogy)
 from .spectral import ComputationError
 
 LN2 = math.log(2.0)
@@ -70,22 +70,34 @@ def _ln(x):
     return SignedLog.from_float(math.log(x))
 
 
-def _alt_binomials(n, base=1.0):
-    """C(n, k) (-1)^(n-k) base^(k+1), k = 0..n, each from its log."""
-    ln_base = math.log(base)
-    return [SignedLog.from_log(1 - 2 * ((n - k) & 1),
-                               log_binomial(n, k) + (k + 1) * ln_base)
-            for k in range(n + 1)]
+def _alt_binomials(ln_c, ln_base=0.0):
+    """C(n, k) (-1)^(n-k) base^(k+1), k = 0..n, from ln C(n, .), ln(base)."""
+    n, row = len(ln_c) - 1, []
+    for k, lc in enumerate(ln_c):
+        mag = lc + (k + 1) * ln_base
+        row.append(_filled(1 - 2 * ((n - k) & 1), mag, mag))
+    return row
 
 
-def _closed_rate_kernel(theta, mu, k_gamma, dof, log_weights, memo):
+def _grown(tables, n):
+    """The theta-free tables, grown to order n: the rows ln C(m, .), their
+    alternating rows C(m, k) (-1)^(m-k) and m!, m <= n."""
+    ln_c, alt, fact = (tables.setdefault(k, []) for k in ("lnc", "alt", "fact"))
+    for m in range(len(ln_c), n + 1):
+        ln_c.append([log_binomial(m, k) for k in range(m + 1)])
+        alt.append(_alt_binomials(ln_c[m]))
+        fact.append(_factorial(m))
+    return ln_c, alt, fact
+
+
+def _closed_rate_kernel(theta, mu, k_gamma, dof, log_weights, tables):
     """Mixture secrecy rate for Eve ~ Gamma(k_gamma, mu), Bob the gamma
     mixture with scale theta and shapes dof + q.
 
     k_gamma = 1 covers the single-Eve expression; the collaborative form is
-    the same structure with the gamma-order sums carried along.  `memo`
-    holds the mu-free binomial coefficient rows, shared by the calls of one
-    dispatch.  Returns a SignedLog (bits).
+    the same structure with the gamma-order sums carried along.  `tables`
+    is `_rate_closed_dispatch`'s, which outlive this call; the kernel adds
+    what it lacks of them.  Returns a SignedLog (bits).
     """
     K = k_gamma
     theta, mu = float(theta), float(mu)
@@ -94,6 +106,7 @@ def _closed_rate_kernel(theta, mu, k_gamma, dof, log_weights, memo):
     rmu = mu / (theta + mu)
     n_hi = dof + len(log_weights) - 1
     n_arr = n_hi + K                  # F/G orders up to n_hi + K - 1
+    ln_c, alt, fact = _grown(tables, n_arr)
 
     e_mu = _exp(1 / mu)
     e_th = _exp(1 / theta)
@@ -115,63 +128,61 @@ def _closed_rate_kernel(theta, mu, k_gamma, dof, log_weights, memo):
         F[j] = j * F[j - 1] + ln_beta * pw + G[j - 1]
 
     # alternating gamma-order coefficients C(K-1,c)(-1)^(K-1-c) c1^(c+1)
-    KA = _alt_binomials(K - 1, c1)
+    KA = _alt_binomials(ln_c[K - 1], math.log(c1))
+    c1_pow = [_pow(c1, f) for f in range(n_arr + 1)]
 
     FG = [f + ln_rmu * g for f, g in zip(F, G)]
     A = e_mu * signed_log_dot(KA, FG)
 
-    B = _factorial(K - 1) * _pow(mu, K) * _exp(exp_e1_log(1 / theta))
+    gamma_k_mu = fact[K - 1] * _pow(mu, K)
+    B = gamma_k_mu * _exp(exp_e1_log(1 / theta))
     for j in range(K):
         inner = ((-1) ** j) * e1_beta
         for t in range(1, j + 1):
-            inner = inner + (_exp(log_binomial(j, t)) * ((-1) ** (j - t))
-                             * _pow(c1, t) * G[t - 1])
-        B = B - e_mu * (_factorial(K - 1) / _factorial(j)) * _pow(mu, K - j) * inner
+            inner = inner + alt[j][t] * c1_pow[t] * G[t - 1]
+        B = B - e_mu * (fact[K - 1] / fact[j]) * _pow(mu, K - j) * inner
 
     # SV[j] = sum_{r<j} rmu^r / r! * sum_c KA[c] G[r+c]   (no e^(1/mu) folded)
     one = SignedLog.from_float(1.0)
+    rmu_pow = [one] + [_pow(rmu, r) for r in range(1, n_hi + 1)]
     SV = [_ZERO] * (n_hi + 2)
     for j in range(1, n_hi + 2):
         r = j - 1
         blk = signed_log_dot(KA, G[r:])
-        SV[j] = SV[j - 1] + (_pow(rmu, r) if r else one) / _factorial(r) * blk
+        SV[j] = SV[j - 1] + rmu_pow[r] / fact[r] * blk
 
     # PS[k] = sum_{j=1..k} (U_j + V_j)/j!
     PS = [_ZERO] * (n_hi + 1)
     for j in range(1, n_hi + 1):
         ub = signed_log_dot(KA, FG[j:])
-        u = e_mu * _pow(rmu, j) * ub
-        v = _factorial(j - 1) * e_mu * SV[j]
-        PS[j] = PS[j - 1] + (u + v) / _factorial(j)
+        u = e_mu * rmu_pow[j] * ub
+        v = fact[j - 1] * e_mu * SV[j]
+        PS[j] = PS[j - 1] + (u + v) / fact[j]
 
-    bracket = [_factorial(k) * (A + B + PS[k] + ln_theta * e_mu * SV[k + 1])
+    a_b, ln_theta_e_mu = A + B, ln_theta * e_mu
+    bracket = [fact[k] * (a_b + PS[k] + ln_theta_e_mu * SV[k + 1])
                for k in range(n_hi)]
 
     # W2[f] = c1^(f+1) (F[f] + ln(c1) G[f]) feeds the log(1+rho_e) term.
-    W2 = [_pow(c1, f + 1) * (F[f] + ln_c1 * G[f]) for f in range(n_arr)]
-    gamma_k_mu = _factorial(K - 1) * _pow(mu, K)
+    W2 = [c1_pow[f + 1] * (F[f] + ln_c1 * G[f]) for f in range(n_arr)]
+    theta_pow = tables["theta_pow"]   # [1, theta, theta^2, ...]
+    theta_pow += [_pow(theta, m) for m in range(len(theta_pow), n_hi + 1)]
     tau_prefix = [_ZERO] * (n_hi + 1)
-    e_beta = _exp(beta)
-    tau_rows = memo.setdefault("tau", {})
+    tau_scale = _exp(beta) / gamma_k_mu
     for m in range(n_hi):
-        n = K + m - 1
-        row = tau_rows.get(n)
-        if row is None:
-            row = tau_rows[n] = _alt_binomials(n)
-        s = signed_log_dot(row, W2)
-        tau = e_beta / gamma_k_mu / (_pow(theta, m) if m else one) \
-            / _factorial(m) * s
+        s = signed_log_dot(alt[K + m - 1], W2)
+        tau = tau_scale / theta_pow[m] / fact[m] * s
         tau_prefix[m + 1] = tau_prefix[m] + tau
 
-    ksum_rows = memo.setdefault("ksum", {})
+    ksum_rows = tables["ksum"]
     total = _ZERO
     for q, lw in enumerate(log_weights):
         n = dof + q
         row = ksum_rows.get(n)
         if row is None:
-            row = ksum_rows[n] = _alt_binomials(n - 1, theta)
+            row = ksum_rows[n] = _alt_binomials(ln_c[n - 1], math.log(theta))
         ksum = signed_log_dot(row, bracket)
-        term1 = ksum * e_th / (_factorial(n - 1) * _pow(theta, n) * gamma_k_mu)
+        term1 = ksum * e_th / (fact[n - 1] * theta_pow[n] * gamma_k_mu)
         total = total + _exp(float(lw)) * (term1 - tau_prefix[n])
     return total / SignedLog.from_float(LN2)
 
@@ -191,26 +202,43 @@ def _mixture_cut(lb: LinkBudget, ms: MoschopoulosSeries):
     return q_stop + 1, math.exp(tails[q_stop])
 
 
-def _rate_closed_dispatch(lb: LinkBudget, ms: MoschopoulosSeries, n_terms):
+def _rate_closed_dispatch(lb: LinkBudget, ms: MoschopoulosSeries, n_terms,
+                          tables: dict):
+    """The rate on the first n_terms terms of `ms`, a SignedLog: one kernel
+    for SE and MCE, K at scales gamma_e/(a + 1) for MIE.  `tables` keeps,
+    as long as its owner keeps it, the theta-free tables (`_grown`), and for
+    one theta at a time its powers, binomial rows and each kernel's result,
+    keyed (theta, mu, K, n_terms): a kernel already run is not run again.
+    """
     theta = lb.gamma_bar_b * ms.sigma_min
-    logw = ms.log_weights[:n_terms]
-    memo = {}
+    if tables.get("theta") != theta:
+        tables.update(theta=theta, theta_pow=[SignedLog.from_float(1.0)],
+                      ksum={}, kernels={})
+    kernels = tables["kernels"]
+
+    def kernel(mu, k):
+        key = (theta, mu, k, n_terms)
+        if key not in kernels:
+            kernels[key] = _closed_rate_kernel(
+                theta, mu, k, ms.dof, ms.log_weights[:n_terms], tables)
+        return kernels[key]
+
     if lb.scenario != Scenario.MIE:  # SE is the K = 1 collaborative case
-        return _closed_rate_kernel(theta, lb.gamma_bar_e, lb.k_eves, ms.dof,
-                                   logw, memo)
+        return kernel(lb.gamma_bar_e, lb.k_eves)
     K = lb.k_eves
+    ln_c = _grown(tables, K - 1)[0]
     total = _ZERO
     for a in range(K):
-        coeff = (SignedLog.from_float(float(K)) * _exp(log_binomial(K - 1, a))
+        coeff = (SignedLog.from_float(float(K)) * _exp(ln_c[K - 1][a])
                  * ((-1) ** a) / SignedLog.from_float(float(a + 1)))
-        total = total + coeff * _closed_rate_kernel(
-            theta, lb.gamma_bar_e / (a + 1), 1, ms.dof, logw, memo)
+        total = total + coeff * kernel(lb.gamma_bar_e / (a + 1), 1)
     return total
 
 
 def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
                         prec: EvalPrecision | None = None, *,
-                        dof_cap: int = DEFAULT_CLOSED_FORM_DOF_CAP) -> float:
+                        dof_cap: int = DEFAULT_CLOSED_FORM_DOF_CAP,
+                        tables: dict | None = None) -> float:
     """Term-by-term closed-form secrecy rate in bits/channel use.
 
     With prec=None the standard float path is used up to `dof_cap` spatial
@@ -222,18 +250,23 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
 
     The mixture is cut where its tail provably adds under 2^-60 of the
     result; should the result be too small for that, the full series runs.
+    Calls on one series may share a `tables` dict (a sweep passes one per
+    aperture length and drops it with the length; by default each call has
+    its own): the standard path keeps its work there, and its result is
+    the double a call without it gives (`_rate_closed_dispatch`).
     """
     if prec is None:
         prec = STANDARD if ms.dof <= dof_cap else EXTENDED
     if prec.mode != "standard-float":
         return _rate_by_secure_probability(lb, ms)
     jensen = math.log2(1.0 + _bob_spread(lb, ms)[0])
+    tables = {} if tables is None else tables
     n_cut, tail = _mixture_cut(lb, ms)
     # MIE weighs its K kernels by +-K C(K-1,a)/(a+1), of total magnitude 2^K - 1
     if lb.scenario == Scenario.MIE:
         tail *= 2.0 ** lb.k_eves - 1.0
     for n_terms, dropped in ((n_cut, tail), (ms.q_max + 1, 0.0)):
-        val = _rate_closed_dispatch(lb, ms, n_terms)
+        val = _rate_closed_dispatch(lb, ms, n_terms, tables)
         est_rel = 2.3e-16 * math.exp(min(val.log_condition(), 700.0))
         if est_rel > _PRECISION_LOSS_THRESHOLD:
             raise PrecisionLossError(est_rel)

@@ -32,11 +32,12 @@ AXES = {"gamma_b_db": "gamma_b_db", "gamma_e_db": "gamma_e_db",
 SCENARIOS = ("SE", "MIE", "MCE")
 
 # one grid point: cfg with the axis value applied, its link budget, the
-# aperture's series, the shared unit draws (Bob's and the array's at the
-# aperture, Eve's at the point's scenario and K; None where no row reads
-# them, the exception where drawing them failed), r0 and its quadratures
-# ({metric: value or the exception its integral raised})
-_Point = namedtuple("_Point", "cfg lb ms bob spda eve r0 quad")
+# aperture's series and closed-rate tables, the shared unit draws (Bob's
+# and the array's at the aperture, Eve's at the point's scenario and K;
+# None where no row reads them, the exception where drawing them failed),
+# r0 and its quadratures ({metric: value or the exception its integral
+# raised})
+_Point = namedtuple("_Point", "cfg lb ms tables bob spda eve r0 quad")
 
 
 def _shared(result):
@@ -64,7 +65,8 @@ def _spda(p):
 # loop feeds both its rate and sop rows.  The calls look the library up when
 # they run: a module attribute replaced after import (a tracer) is what runs.
 ROWS = {
-    ("closed-form", "rate"): (lambda p: sec.secrecy_rate_closed(p.lb, p.ms), None),
+    ("closed-form", "rate"):
+        (lambda p: sec.secrecy_rate_closed(p.lb, p.ms, tables=p.tables), None),
     ("closed-form", "sop"): (lambda p: sec.sop_closed(p.lb, p.ms, p.r0), None),
     ("closed-form", "slope"): (lambda p: sec.high_snr_slope(p.ms), None),
     ("closed-form", "offset"): (lambda p: sec.high_snr_offset(p.lb, p.ms), None),
@@ -279,13 +281,12 @@ def _eval_point(cfg: SweepConfig, budget, shared, eves: dict, quad,
                 evaluator: str):
     """{metric: (result, std_err_or_None)} for one evaluator at one grid
     point, in the order of cfg.outputs.  `budget` is the point's `_budget`
-    and `shared` its aperture's (series, Bob draws, array draws), either
-    maybe the exception that making it raised; `quad` is the point's
-    quadratures."""
+    and `shared` its aperture's (series, closed-rate tables, Bob draws,
+    array draws), either maybe the exception that making it raised; `quad`
+    is the point's quadratures."""
     at, eve_key, lb = _shared(budget)
-    ms, bob, spda = _shared(shared)
-    point = _Point(at, lb, ms, bob, spda, eves.get(eve_key), at.target_rate_r0,
-                   quad)
+    point = _Point(at, lb, *_shared(shared), eves.get(eve_key),
+                   at.target_rate_r0, quad)
     runs, rows = {}, {}
     for m in cfg.outputs:
         if (evaluator, m) in ROWS:
@@ -302,8 +303,9 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
     """Run the grid points at `values`, all at aperture `length` (grid index
     `ai`), in grid order and write their rows to `out`.  Returns (the
     spectrum, or the exception that resolving the aperture raised; whether
-    a row failed).  The aperture's series and shared draws live only in
-    this call, so a sweep holds one length's at a time."""
+    a row failed).  The aperture's series, closed-rate tables and shared
+    draws live only in this call, so a sweep holds one length's at a
+    time."""
     calls, bob, spda = _sampled_calls(cfg), None, None
     try:
         geom = spc.ApertureGeometry(cfg.wavelength_m, length)
@@ -318,7 +320,7 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
         if _spda in calls:
             spda = _draw(mc.unit_spda_draws, geom, cfg.n_trials,
                          _seed(cfg.seed, ai, 0))
-        shared = ms, bob, spda
+        shared = ms, {}, bob, spda  # {}: secrecy_rate_closed's tables
     budgets = {(value, scen): _draw(_budget, cfg, value, scen)
                for value in values for scen in cfg.scenarios}
     # every quadrature row at this length: each metric's integrals in one

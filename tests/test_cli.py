@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from capa_secrecy import secrecy as sec
 from capa_secrecy import snr_models as snr
 from capa_secrecy import spectral as spc
 from capa_secrecy import sweep as sw
+from capa_secrecy.snr_models import LinkBudget, Scenario
 
 
 def small_config(**overrides):
@@ -342,6 +344,56 @@ def test_each_aperture_resolved_once(monkeypatch):
     assert calls == {"cached_decompose": [74.94, 149.88], "build_psi": []}
     assert summary == ("spectrum: aperture_len=74.94 error:DomainError: "
                        "need t >= 2*dof = 2400 quadrature points, got 120\n")
+
+
+def closed_rate_config(**overrides):
+    """closed-keves' settings: 3 wavelengths at t 160, the closed-form rate
+    of SE, MIE and MCE."""
+    return {"aperture_lambdas": 3, "quadrature_order": 160,
+            "scenarios": ["SE", "MIE", "MCE"], "evaluators": ["closed-form"],
+            "outputs": ["rate"], **overrides}
+
+
+def test_closed_rate_kernel_runs_once_per_eve_scale(monkeypatch, ms6):
+    # MIE's kernels at gamma_e/(a + 1) are those of every smaller K, its
+    # a = 0 kernel is SE's and MCE's at K = 1: a K 1..8 sweep runs one per
+    # distinct (mu, K), 8 + 7, not 52, and a second sweep starts afresh
+    runs = []
+    kernel = sec._closed_rate_kernel
+
+    def counting(theta, mu, k, *args):
+        runs.append((mu, k))
+        return kernel(theta, mu, k, *args)
+    monkeypatch.setattr(sec, "_closed_rate_kernel", counting)
+    cfg = closed_rate_config(axis="k_eves", values=list(range(1, 9)))
+    for _ in range(2):
+        runs.clear()
+        code, text = run_sweep_to_string(cfg)
+        assert code == 0
+        assert len(runs) == len(set(runs)) == 15
+    rows = parse_rows(text)
+    assert len(rows) == 24
+    for r in rows:  # each the value of a call that shares nothing
+        lb = LinkBudget(100.0, 100.0, 1 if r["scenario"] == "SE"
+                        else int(r["value"]), Scenario(r["scenario"]))
+        assert r["result"] == sw._fmt(sec.secrecy_rate_closed(lb, ms6))
+
+
+def test_closed_rate_sweep_holds_one_theta_of_tables():
+    # every gamma_b has its own theta: the sweep lets one theta's tables
+    # and kernels go before the next one's are made
+    def peak(values):
+        tracemalloc.start()
+        try:
+            code, _ = run_sweep_to_string(closed_rate_config(
+                axis="gamma_b_db", values=values, scenarios=["SE"]))
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return used
+
+    assert peak([float(v) for v in range(10, 40)]) <= peak([10.0, 11.0]) + (1 << 20)
 
 
 @pytest.mark.parametrize("order,shown", [(None, 40), (120, 120)])

@@ -124,6 +124,53 @@ def test_rate_closed_precision_loss_signals(ms4):
     assert abs(ext - rq) <= 1e-6 * rq + 1e-15
 
 
+def _closed_or_loss(lb, ms, **kw):
+    """The standard closed rate, or (PrecisionLossError, its estimate)."""
+    try:
+        return sec.secrecy_rate_closed(lb, ms, STANDARD, **kw)
+    except sec.PrecisionLossError as exc:
+        return sec.PrecisionLossError, exc.estimated_rel_error
+
+
+def test_rate_closed_shared_tables_bit_for_bit(ms2, monkeypatch):
+    # calls on one series that share a tables dict, in either order, give
+    # the doubles (or precision-loss estimates) of calls that share
+    # nothing: SE's kernel is MIE's a = 0 one, MIE's scales gamma_e/(a + 1)
+    # recur at every larger K, MCE's K shares gamma_e with SE
+    series = {"ms2": ms2, "ms4": pinned_series("ms4"),
+              "ms6": pinned_series("ms6")}
+    calls = [(LinkBudget(1.0, 1e10), "ms4", False)]  # no significand left
+    for gb_db, ge_db, ks in ((20.0, 20.0, range(1, 9)), (30.0, 10.0, (1, 2, 8))):
+        for name in series:
+            calls += [(lb_db(gb_db, ge_db), name, False)] + [
+                (lb_db(gb_db, ge_db, k, scen), name, False)
+                for k in ks for scen in (Scenario.MIE, Scenario.MCE)]
+    # with the cut at a tail of 1e-8 bits, which is too much next to these
+    # rates, the full series runs again: its kernels have another n_terms
+    calls += [(lb_db(20.0, 20.0), "ms4", True),
+              (lb_db(20.0, 20.0, 8, Scenario.MIE), "ms4", True)]
+
+    def run(i, **kw):
+        lb, name, coarse = calls[i]
+        with monkeypatch.context() as m:
+            if coarse:
+                m.setattr(sec, "_TAIL_CUT_LOG", math.log(1e-8))
+            return _closed_or_loss(lb, series[name], **kw)
+
+    want = [run(i) for i in range(len(calls))]
+    assert want[0][0] is sec.PrecisionLossError
+    with monkeypatch.context() as m:  # the coarse cut's value does not stand
+        m.setattr(sec, "_TAIL_CUT_LOG", math.log(1e-8))
+        for lb, name, _ in calls[-2:]:
+            n_cut = sec._mixture_cut(lb, series[name])[0]
+            first = sec._rate_closed_dispatch(lb, series[name], n_cut, {})
+            assert first.to_float() not in want
+    for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+        tables = {name: {} for name in series}
+        got = {i: run(i, tables=tables[calls[i][1]]) for i in order}
+        assert [got[i] for i in range(len(calls))] == want
+
+
 @pytest.mark.parametrize("gb_db", [0.0, 20.0], ids=["0dB", "20dB"])
 @pytest.mark.parametrize("scen", [Scenario.MIE, Scenario.MCE], ids=["MIE", "MCE"])
 @pytest.mark.parametrize("series", ["ms4", "ms6"])
