@@ -16,6 +16,7 @@ Eves' offset term integrates a survival.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -371,18 +372,40 @@ def _qk21(fx, h):
     return resk * h, err, resasc
 
 
-def _to_bisect(err, tol, room):
-    """(the panels to bisect next, the panels kept, in their order) by their
-    error estimates: bisected are those with the largest, until the others
-    hold at most half of `tol`, and at most `room` of them."""
-    order = (-err).argsort(kind="stable")
-    # rest[i]: the estimates left once the i + 1 largest are bisected
-    rest = np.zeros(err.size)
-    err[order][:0:-1].cumsum(out=rest[1:])
-    n = min(int((rest[::-1] <= 0.5 * tol).argmax()) + 1, room)
-    kept = order[n:].copy()
-    kept.sort()
-    return order[:n], kept
+def _pairwise_sum(xs) -> float:
+    """np.sum of the list of floats xs, bit for bit: numpy's pairwise order,
+    0.0 plus eight running sums over blocks of up to 128 terms (the last
+    n % 8 terms added one by one), halves above, cut at a multiple of 8."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    res, end = 0.0, n - n % 8
+    if end:
+        r = xs[:8]
+        for i in range(8, end, 8):
+            r = [x + y for x, y in zip(r, xs[i:i + 8])]
+        res += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        res += x
+    return res
+
+
+def _to_bisect(err, tol, room) -> list:
+    """The panels to bisect next by their error estimates, a list of floats:
+    those with the largest, in numpy's stable order of -err (NaN last),
+    until the others hold at most half of `tol`, and at most `room` of
+    them."""
+    n = len(err)
+    if any(map(math.isnan, err)):
+        order = sorted(range(n), key=lambda i: (err[i] != err[i], -err[i]))
+    else:  # a stable sort keeps equal estimates in index order
+        order = sorted(range(n), key=err.__getitem__, reverse=True)
+    # rest[m]: the m smallest estimates, summed from the smallest up
+    rest = list(accumulate(map(err.__getitem__, order[:0:-1]), initial=0.0))
+    half = 0.5 * tol
+    count = next((c for c in range(1, n + 1) if rest[n - c] <= half), 1)
+    return order[:min(count, room)]
 
 
 def _gk21(f, a, b, owner, epsabs, epsrel, limit=QUAD_LIMIT):
@@ -391,15 +414,21 @@ def _gk21(f, a, b, owner, epsabs, epsrel, limit=QUAD_LIMIT):
     entry per piece.
 
     f(x, j) takes a flat array of nodes and, for each node, the owner[i] of
-    its piece.  Each pass makes one call of f on every new panel of every
-    unfinished piece, the nodes grouped by piece in piece order.  Each
-    piece runs as it would alone.  A one-panel result stands, as in
-    QUADPACK's qagse, only if its estimate is within max(epsabs, epsrel |I|)
-    and is not resasc itself (the sign of an unresolved panel).  Otherwise
-    each pass bisects the piece's panels with the largest estimates
-    (`_to_bisect`), and the piece stops once its summed estimate is within
-    the tolerance or at `limit` panels.  A piece [a, inf) is integrated
-    over t in (0, 1] with x = a + (1 - t)/t.
+    its piece.  Each pass makes one call of f, and one of `_qk21`, on every
+    new panel of every unfinished piece, the nodes grouped by piece in
+    piece order.  Each piece runs as it would alone.  A one-panel result
+    stands, as in QUADPACK's qagse, only if its estimate is within
+    max(epsabs, epsrel |I|) and is not resasc itself (the sign of an
+    unresolved panel).  Otherwise each pass bisects the piece's panels with
+    the largest estimates (`_to_bisect`), and the piece stops once its
+    summed estimate is within the tolerance or at `limit` panels.  A piece
+    [a, inf) is integrated over t in (0, 1] with x = a + (1 - t)/t.
+
+    Between the calls a piece keeps its panels as Python float lists (lo,
+    hi, value, error), the kept panels in their order and then the new
+    ones, and sums them in numpy's pairwise order (`_pairwise_sum`): the
+    doubles that numpy arrays of the same panels give, without numpy's
+    per-call cost on a handful of panels.
     """
     n = len(a)
     vals, errs, counts = [0.0] * n, [0.0] * n, [0] * n
@@ -407,45 +436,51 @@ def _gk21(f, a, b, owner, epsabs, epsrel, limit=QUAD_LIMIT):
     base = np.array(a, dtype=float)
     mapped = np.array([hi == math.inf for hi in b], dtype=bool)
     # piece -> the (lo, hi) of its panels still to evaluate
-    new = {i: (np.array([0.0 if mapped[i] else float(a[i])]),
-               np.array([1.0 if mapped[i] else float(b[i])]))
+    new = {i: ([0.0], [1.0]) if mapped[i] else ([float(a[i])], [float(b[i])])
            for i in range(n) if a[i] != b[i]}
-    panels = {}  # one column (lo, hi, value, error) per panel
+    panels = {}  # piece -> (lo, hi, value, error) of its kept panels
     while new:
-        sizes = [lo.size for lo, _ in new.values()]
-        lo = np.concatenate([lo for lo, _ in new.values()])
-        hi = np.concatenate([hi for _, hi in new.values()])
+        sizes = [len(lo) for lo, _ in new.values()]
+        lo = np.array([x for lo, _ in new.values() for x in lo])
+        hi = np.array([x for _, hi in new.values() for x in hi])
         piece = np.repeat(list(new), sizes)
         h = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES
         on_t = mapped[piece]
-        t = x[on_t]
-        x[on_t] = base[piece[on_t], None] + (1.0 - t) / t
+        any_t = on_t.any()
+        if any_t:
+            t = x[on_t]
+            x[on_t] = base[piece[on_t], None] + (1.0 - t) / t
         fx = f(x.ravel(), np.repeat(owner[piece], x.shape[1])).reshape(x.shape)
-        fx[on_t] = fx[on_t] / t / t
-        results = _qk21(fx, h)
+        if any_t:
+            fx[on_t] = fx[on_t] / t / t
+        v_all, e_all, asc_all = (r.tolist() for r in _qk21(fx, h))
         pending, end = {}, 0
         for (i, (new_lo, new_hi)), size in zip(new.items(), sizes):
-            v, e, asc = (r[end:end + size] for r in results)
-            end += size
+            start, end = end, end + size
+            v, e = v_all[start:end], e_all[start:end]
             old = panels.pop(i, None)  # the panels not bisected last pass
-            if old is None and (e[0] == 0.0 or (
-                    e[0] <= max(epsabs, epsrel * abs(v[0])) and e[0] != asc[0])):
-                vals[i], errs[i], counts[i] = float(v[0]), float(e[0]), 1
-                continue
-            p = np.array([new_lo, new_hi, v, e])
-            if old is not None:
-                p = np.concatenate((old, p), axis=1)
-            val, err = p[2].sum(), p[3].sum()
+            if old is None:
+                if e[0] == 0.0 or (e[0] <= max(epsabs, epsrel * abs(v[0]))
+                                   and e[0] != asc_all[start]):
+                    vals[i], errs[i], counts[i] = v[0], e[0], 1
+                    continue
+                p = new_lo, new_hi, v, e
+            else:
+                p = tuple(o + c for o, c in zip(old, (new_lo, new_hi, v, e)))
+            val, err = _pairwise_sum(p[2]), _pairwise_sum(p[3])
             tol = max(epsabs, epsrel * abs(val))
-            if (old is not None and err <= tol) or p.shape[1] >= limit:
-                vals[i], errs[i], counts[i] = float(val), float(err), p.shape[1]
+            if (old is not None and err <= tol) or len(p[2]) >= limit:
+                vals[i], errs[i], counts[i] = val, err, len(p[2])
                 continue
-            s, kept = _to_bisect(p[3], tol, limit - p.shape[1])
-            panels[i] = p[:, kept]
-            lo_s, hi_s = p[0, s], p[1, s]
-            mid = 0.5 * (lo_s + hi_s)
-            pending[i] = np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s))
+            s = _to_bisect(p[3], tol, limit - len(p[2]))
+            lo_s, hi_s = [p[0][k] for k in s], [p[1][k] for k in s]
+            for k in sorted(s, reverse=True):  # the rest keep their order
+                for col in p:
+                    del col[k]
+            panels[i] = p
+            mid = [0.5 * (x + y) for x, y in zip(lo_s, hi_s)]
+            pending[i] = lo_s + mid, mid + hi_s
         new = pending
     return vals, errs, counts
 
@@ -642,26 +677,34 @@ def _weighted_harmonic(ms: MoschopoulosSeries) -> float:
     return float((w @ h) / np.sum(w))
 
 
-def _offset_eve_term(lb: LinkBudget) -> float:
-    """The e^x E1(x) combination entering the power offset, per scenario."""
+def offset_eve_term(lb: LinkBudget) -> float:
+    """The e^x E1(x) combination entering the power offset, per scenario:
+    a function of (scenario, K, gamma_e) alone."""
     if lb.scenario == Scenario.MIE:
         return independent_eve_offset_term(lb.k_eves, lb.gamma_bar_e)
     return scaled_e1(1.0 / (lb.k_eves * lb.gamma_bar_e))
 
 
-def high_snr_offset(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
-    """High-SNR power offset in log2-SNR units (3.01 dB per unit)."""
+def high_snr_offset(lb: LinkBudget, ms: MoschopoulosSeries,
+                    eve_term: float | None = None) -> float:
+    """High-SNR power offset in log2-SNR units (3.01 dB per unit).
+    `eve_term`, when given, is `offset_eve_term(lb)` made by the caller."""
+    if eve_term is None:
+        eve_term = offset_eve_term(lb)
     return (-math.log2(ms.sigma_min)
-            + (EULER_GAMMA + _offset_eve_term(lb) - _weighted_harmonic(ms)) / LN2)
+            + (EULER_GAMMA + eve_term - _weighted_harmonic(ms)) / LN2)
 
 
-def asymptotic_rate(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
-    """High-SNR affine approximation slope*(log2 SNR - offset), clamped at 0.
+def asymptotic_rate(lb: LinkBudget, ms: MoschopoulosSeries,
+                    eve_term: float | None = None) -> float:
+    """High-SNR affine approximation slope*(log2 SNR - offset), clamped at 0;
+    `eve_term` as for `high_snr_offset`.
 
     Documented validity: Bob SNR of roughly 30 dB and above.
     """
     s = high_snr_slope(ms)
-    return max(s * (math.log2(lb.gamma_bar_b) - high_snr_offset(lb, ms)), 0.0)
+    off = high_snr_offset(lb, ms, eve_term=eve_term)
+    return max(s * (math.log2(lb.gamma_bar_b) - off), 0.0)
 
 
 def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,

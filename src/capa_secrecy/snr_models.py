@@ -177,7 +177,7 @@ def _theta(lb, ms: MoschopoulosSeries):
 def _poisson_mix(x, lb, ms: MoschopoulosSeries, k0: int, table,
                  top: float = 0.0):
     """`poisson_mix` at z = max(x, 0) / (gamma_b sigma_min), flat."""
-    z = np.clip(x.ravel(), 0.0, None) / _theta(lb, ms)
+    z = np.maximum(x.ravel(), 0.0) / _theta(lb, ms)
     return poisson_mix(z, table, k0, top, ms.log_factorials)
 
 

@@ -35,9 +35,9 @@ SCENARIOS = ("SE", "MIE", "MCE")
 # aperture's series and closed-rate tables, the shared unit draws (Bob's
 # and the array's at the aperture, Eve's at the point's scenario and K;
 # None where no row reads them, the exception where drawing them failed),
-# r0 and its quadratures ({metric: value or the exception its integral
-# raised})
-_Point = namedtuple("_Point", "cfg lb ms tables bob spda eve r0 quad")
+# r0, its quadratures ({metric: value or the exception its integral
+# raised}) and the sweep's power-offset Eve terms (`_eve_term`)
+_Point = namedtuple("_Point", "cfg lb ms tables bob spda eve r0 quad eve_terms")
 
 
 def _shared(result):
@@ -52,6 +52,16 @@ def _shared(result):
 def _monte_carlo(p):
     return mc.mc_secrecy(p.lb, _shared(p.bob), _shared(p.eve), p.r0,
                          p.cfg.n_trials)
+
+
+def _eve_term(p):
+    """The power offset's Eve term at the point's Eve law, made once per
+    (scenario, K, gamma_e) in a sweep: it depends on neither the aperture
+    nor gamma_b."""
+    key = p.lb.scenario, p.lb.k_eves, p.lb.gamma_bar_e
+    if key not in p.eve_terms:
+        p.eve_terms[key] = sec.offset_eve_term(p.lb)
+    return p.eve_terms[key]
 
 
 def _spda(p):
@@ -69,12 +79,14 @@ ROWS = {
         (lambda p: sec.secrecy_rate_closed(p.lb, p.ms, tables=p.tables), None),
     ("closed-form", "sop"): (lambda p: sec.sop_closed(p.lb, p.ms, p.r0), None),
     ("closed-form", "slope"): (lambda p: sec.high_snr_slope(p.ms), None),
-    ("closed-form", "offset"): (lambda p: sec.high_snr_offset(p.lb, p.ms), None),
+    ("closed-form", "offset"):
+        (lambda p: sec.high_snr_offset(p.lb, p.ms, eve_term=_eve_term(p)), None),
     ("closed-form", "gain"):
         (lambda p: sec.diversity_and_gain(p.lb, p.ms, p.r0)[1], None),
     ("quadrature", "rate"): (lambda p: _shared(p.quad["rate"]), None),
     ("quadrature", "sop"): (lambda p: _shared(p.quad["sop"]), None),
-    ("asymptotic", "rate"): (lambda p: sec.asymptotic_rate(p.lb, p.ms), None),
+    ("asymptotic", "rate"):
+        (lambda p: sec.asymptotic_rate(p.lb, p.ms, eve_term=_eve_term(p)), None),
     ("asymptotic", "sop"):
         (lambda p: min(sec.sop_asymptotic(p.lb, p.ms, p.r0), 1.0), None),
     ("monte-carlo", "rate"): (_monte_carlo, 0),
@@ -278,15 +290,16 @@ def _budget(cfg: SweepConfig, value: float, scen_name: str):
 
 
 def _eval_point(cfg: SweepConfig, budget, shared, eves: dict, quad,
-                evaluator: str):
+                eve_terms: dict, evaluator: str):
     """{metric: (result, std_err_or_None)} for one evaluator at one grid
     point, in the order of cfg.outputs.  `budget` is the point's `_budget`
     and `shared` its aperture's (series, closed-rate tables, Bob draws,
     array draws), either maybe the exception that making it raised; `quad`
-    is the point's quadratures."""
+    is the point's quadratures and `eve_terms` the sweep's offset Eve
+    terms."""
     at, eve_key, lb = _shared(budget)
     point = _Point(at, lb, *_shared(shared), eves.get(eve_key),
-                   at.target_rate_r0, quad)
+                   at.target_rate_r0, quad, eve_terms)
     runs, rows = {}, {}
     for m in cfg.outputs:
         if (evaluator, m) in ROWS:
@@ -299,7 +312,8 @@ def _eval_point(cfg: SweepConfig, budget, shared, eves: dict, quad,
 
 
 def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
-                    eves: dict, unit_rule, cache_dir, out) -> tuple:
+                    eves: dict, eve_terms: dict, unit_rule, cache_dir,
+                    out) -> tuple:
     """Run the grid points at `values`, all at aperture `length` (grid index
     `ai`), in grid order and write their rows to `out`.  Returns (the
     spectrum, or the exception that resolving the aperture raised; whether
@@ -348,7 +362,8 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
                     cells = {m: (_fmt(r), "" if se is None else _fmt(se))
                              for m, (r, se) in _eval_point(
                                  cfg, budgets[value, scen], shared, eves,
-                                 quads.get((value, scen)), ev).items()}
+                                 quads.get((value, scen)), eve_terms,
+                                 ev).items()}
                 except Exception as exc:  # keep sweeping, tag the row
                     cells = {"error": (f"error:{type(exc).__name__}", "")}
                 wall = (_fmt((time.perf_counter() - t0) * 1e3) if cfg.timing
@@ -368,11 +383,12 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     length's spectrum, series and shared Bob and array draws, then every
     quadrature row at it, one lockstep batch per metric, then its points,
     each value's shared Eve draws made before its points run and kept for
-    the next value while it reads them.  Every stream's seed is derived
-    from the root seed and a grid index, and every quadrature row is the
-    value its integral gives alone.  Rows are written in grid order as
-    they are made.  Each row's seed cell is the root seed, the one value
-    that reproduces the row.
+    the next value while it reads them.  The power offset's Eve term is
+    made once per (scenario, K, gamma_e) for the whole sweep.  Every
+    stream's seed is derived from the root seed and a grid index, and every
+    quadrature row is the value its integral gives alone.  Rows are written
+    in grid order as they are made.  Each row's seed cell is the root seed,
+    the one value that reproduces the row.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
     # one unit Gauss-Legendre rule per distinct order, made on its first
@@ -384,10 +400,12 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     apertures = ([(v, [v]) for v in values] if cfg.axis == "aperture_len"
                  else [(float(cfg.aperture_len_m), values)])
     out_stream.write(CSV_HEADER + "\n")
-    eves, failed = {}, False
+    # the power offset's Eve terms by (scenario, K, gamma_e), for this sweep
+    eves, eve_terms, failed = {}, {}, False
     for ai, (length, grid) in enumerate(apertures):
         resolved, failed_here = _sweep_aperture(
-            cfg, ai, length, grid, eves, unit_rule, cache_dir, out_stream)
+            cfg, ai, length, grid, eves, eve_terms, unit_rule, cache_dir,
+            out_stream)
         if ai == 0:  # the summary's: values[0] on the aperture axis
             first = length, resolved
         failed = failed or failed_here

@@ -396,6 +396,78 @@ def test_closed_rate_sweep_holds_one_theta_of_tables():
     assert peak([float(v) for v in range(10, 40)]) <= peak([10.0, 11.0]) + (1 << 20)
 
 
+def test_offset_eve_term_once_per_eve_law_per_sweep(monkeypatch, tmp_path):
+    # the power offset's Eve term depends on (scenario, K, gamma_e) alone:
+    # a sweep integrates the independent-Eves term once per (K, gamma_e),
+    # over every gamma_b and aperture length, and the next sweep afresh
+    calls = []
+    term = sec.independent_eve_offset_term
+
+    def counting(k, gamma_e):
+        calls.append((k, gamma_e))
+        return term(k, gamma_e)
+    monkeypatch.setattr(sec, "independent_eve_offset_term", counting)
+
+    def sweep(cfg):
+        calls.clear()
+        code, text = run_sweep_to_string(cfg)
+        assert code == 0
+        return len(calls), parse_rows(text)
+
+    def assert_direct(rows, cfg, k_of=None):
+        # each offset and asymptotic rate row is the value of a call that
+        # shares nothing
+        series = {}
+        for r in rows:
+            at = {sw.AXES[cfg.axis]: r["value"]}
+            length = at.get("aperture_len_m", cfg.aperture_len_m)
+            if length not in series:
+                series[length] = snr.build_psi(spc.decompose(
+                    spc.ApertureGeometry(cfg.wavelength_m, length),
+                    cfg.quadrature_order))
+            scen = Scenario(r["scenario"])
+            lb = LinkBudget(10 ** (at.get("gamma_b_db", cfg.gamma_b_db) / 10),
+                            10 ** (cfg.gamma_e_db / 10),
+                            1 if scen == Scenario.SE
+                            else k_of(r) if k_of else cfg.k_eves, scen)
+            fn = {"offset": sec.high_snr_offset,
+                  "rate": sec.asymptotic_rate}[r["metric"]]
+            assert r["result"] == sw._fmt(fn(lb, series[length])), r
+
+    raw = small_config(scenarios=["MIE"], evaluators=["asymptotic", "closed-form"],
+                       outputs=["rate", "offset"])
+    n, rows = sweep(raw)
+    assert n == 1  # not 3 values x 2 rows
+    assert_direct([r for r in rows if r["evaluator"] == "asymptotic"
+                   or r["metric"] == "offset"], sw.config_from_dict(raw))
+    # the benchmark's aperture sweep: one term for both lengths
+    raw = {"preset": "table1", "axis": "aperture_len",
+           "values": [1.249, 6.245], "scenarios": ["SE", "MIE", "MCE"],
+           "evaluators": ["quadrature", "closed-form"],
+           "outputs": ["sop", "slope", "offset", "gain"]}
+    n, rows = sweep(raw)
+    assert n == 1
+    assert_direct([r for r in rows if r["metric"] == "offset"],
+                  sw.config_from_dict(raw))
+    # one term per K
+    raw = small_config(axis="k_eves", values=[1, 2, 3, 4],
+                       scenarios=["SE", "MIE", "MCE"],
+                       evaluators=["closed-form"], outputs=["offset"])
+    n, rows = sweep(raw)
+    assert sorted(k for k, _ in calls) == [1, 2, 3, 4]
+    assert_direct(rows, sw.config_from_dict(raw), lambda r: int(r["value"]))
+    # the memo lives in one sweep: two CLI sweeps in one process make one
+    # call each
+    path = write_config(tmp_path, small_config(
+        scenarios=["MIE"], evaluators=["closed-form"], outputs=["offset"]))
+    for i in range(2):
+        calls.clear()
+        out = tmp_path / f"out{i}.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert len(calls) == 1
+    assert out.read_text() == (tmp_path / "out0.csv").read_text()
+
+
 @pytest.mark.parametrize("order,shown", [(None, 40), (120, 120)])
 def test_summary_names_the_order_that_ran(order, shown):
     # JSON null is the default: the aperture's converged order

@@ -521,6 +521,126 @@ def test_deep_tail_point_keeps_its_error_in_a_batch(ms80):
 
 
 # ---------------------------------------------------------------------------
+# the engine's float-list bookkeeping against its numpy form
+# ---------------------------------------------------------------------------
+
+def same_floats(got, want) -> bool:
+    """The same doubles (NaN where the other is NaN), and Python floats."""
+    return len(got) == len(want) and all(
+        type(g) is float and (g == w or (g != g and w != w))
+        for g, w in zip(got, want))
+
+
+def assert_engine_is_reference(got, want):
+    # (values, error estimates, panels) of sec._gk21 and thm.gk21_numpy
+    vals, errs, panels = got
+    assert same_floats(vals, want[0]) and same_floats(errs, want[1])
+    assert panels == want[2] and all(type(n) is int for n in panels)
+
+
+def engine_runs(monkeypatch, fn, *args) -> list:
+    """fn(*args) with every call of the engine made by its numpy reference
+    too: each call's (arguments, engine results, reference results), the
+    results compared."""
+    rule, runs = sec._gk21, []
+
+    def both(*rule_args):
+        runs.append((rule_args, rule(*rule_args), thm.gk21_numpy(*rule_args)))
+        return runs[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sec, "_gk21", both)
+        fn(*args)
+    assert runs  # the patch was reached
+    for _, got, want in runs:
+        assert_engine_is_reference(got, want)
+    return runs
+
+
+def most_panels(runs) -> int:
+    return max(n for _, got, _ in runs for n in got[2])
+
+
+@pytest.mark.parametrize("n_lambdas", [2, 10, 50])
+def test_engine_is_reference_on_lockstep_quadratures(monkeypatch, ms4,
+                                                     aperture_series, n_lambdas):
+    ms = ms4 if n_lambdas == 2 else aperture_series[n_lambdas]
+    lbs = [lb_db(gb_db, ge_db, k, scen)
+           for scen, k in ((Scenario.SE, 1),) + tuple(
+               (scen, k) for scen in (Scenario.MIE, Scenario.MCE)
+               for k in (2, 5, 40))
+           for gb_db in (-10.0, 10.0, 30.0, 50.0)
+           for ge_db in (-10.0, 0.0, 20.0)]
+    runs = engine_runs(monkeypatch, sec.rate_quadratures, lbs, ms)
+    for r0 in (0.5, 1.35, 3.0):
+        runs += engine_runs(monkeypatch, sec.sop_quadratures, lbs, ms, r0)
+    # pieces long enough for the eight running sums
+    assert most_panels(runs) >= 8
+
+
+def test_engine_is_reference_on_offset_integrals(monkeypatch):
+    runs = []
+    for ge_db in (-10.0, 0.0, 20.0):
+        for k in range(1, 201):
+            runs += engine_runs(monkeypatch, sec.independent_eve_offset_term,
+                                k, 10.0 ** (ge_db / 10.0))
+    assert most_panels(runs) >= 8
+
+
+def test_engine_is_reference_on_extended_rate(monkeypatch, ms4, ms6):
+    runs = []
+    for ms in (ms4, ms6):
+        for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 8), (Scenario.MCE, 8)):
+            for gb_db in (0.0, 20.0):
+                runs += engine_runs(monkeypatch, sec._rate_by_secure_probability,
+                                    lb_db(gb_db, 20.0, k, scen), ms)
+    # its pieces end within 8 panels, where numpy's sum is a running one,
+    # but not within 2, where every order of the sum agrees
+    assert most_panels(runs) >= 3
+
+
+def test_engine_is_reference_at_its_corners():
+    # one lockstep run: a piece that reaches the panel limit, a zero-width
+    # piece, a NaN integrand, an infinite piece and one a single panel ends
+    def f(x, j):
+        return np.select([j == 0, j == 1, j == 2],
+                         [np.cos(1e5 * x) + 1.0, np.where(x < 1.0, np.nan, 1.0),
+                          np.exp(-x)], x * x)
+
+    a, b, owner = [0.0, 2.0, 0.0, 1.0, 0.0], [100.0, 2.0, 2.0, math.inf, 1.0], \
+        [0, 1, 1, 2, 3]
+    for limit in (sec.QUAD_LIMIT, 3, 1):
+        got = sec._gk21(f, a, b, owner, 1e-10, 1e-11, limit)
+        assert_engine_is_reference(got, thm.gk21_numpy(f, a, b, owner, 1e-10,
+                                                       1e-11, limit))
+        vals, errs, panels = got
+        assert panels[:2] == [limit, 0] and panels[4] == 1
+        assert math.isnan(errs[2]) and vals[1] == errs[1] == 0.0
+
+
+def test_pairwise_sum_is_numpy_sum():
+    # numpy's pairwise order at every length up to the panel limit, and
+    # the signed zeros, subnormals, infinities and NaNs it meets
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        math.inf, -math.inf, math.nan, 1.7e308, -1.7e308])
+    for n in range(401):
+        for x in (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
+                  rng.random(n),
+                  rng.choice(special, n),
+                  rng.choice(special[:4], n),
+                  np.where(rng.random(n) < 0.1, rng.choice(special, n),
+                           rng.standard_normal(n))):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = float(np.sum(x))
+            got = sec._pairwise_sum(x.tolist())
+            assert type(got) is float
+            assert (got != got and want != want) or (
+                got == want
+                and math.copysign(1.0, got) == math.copysign(1.0, want)), (n, x)
+
+
+# ---------------------------------------------------------------------------
 # high-SNR characterization
 # ---------------------------------------------------------------------------
 

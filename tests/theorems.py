@@ -4,7 +4,9 @@ as references for the library's positive forms, Bob's laws as one
 incomplete-gamma call per mixture shape (the reference for the
 Poisson-index kernel), the Moschopoulos series by its scalar recursion and
 the Poisson sums with every term exponentiated (the references, bit for
-bit, for the library's numpy forms), the secrecy rate as a 30-digit
+bit, for the library's numpy forms), the Gauss-Kronrod engine with its
+panels in numpy arrays (the reference, bit for bit, for the library's
+float lists), the secrecy rate as a 30-digit
 integral with recorded higher-precision values, the Gauss-Legendre rule
 from LAPACK's sterf, the prolate eigenvalues as an oracle for the Nystrom
 spectrum, and the conditional-variance check behind treating Eve's SNR as
@@ -275,6 +277,81 @@ def poisson_mix_full_exp(z, table, k0: int, top: float, log_fact):
         out += top * tail
     return out
 
+
+# ---------------------------------------------------------------------------
+# the Gauss-Kronrod engine with its panels in numpy arrays
+# ---------------------------------------------------------------------------
+
+def to_bisect_numpy(err, tol, room):
+    """(the panels to bisect next, the panels kept, in their order) by their
+    error estimates: bisected are those with the largest, until the others
+    hold at most half of `tol`, and at most `room` of them."""
+    order = (-err).argsort(kind="stable")
+    # rest[i]: the estimates left once the i + 1 largest are bisected
+    rest = np.zeros(err.size)
+    err[order][:0:-1].cumsum(out=rest[1:])
+    n = min(int((rest[::-1] <= 0.5 * tol).argmax()) + 1, room)
+    kept = order[n:].copy()
+    kept.sort()
+    return order[:n], kept
+
+
+def gk21_numpy(f, a, b, owner, epsabs, epsrel, limit=sec.QUAD_LIMIT):
+    """`secrecy._gk21` with each piece's panels held and summed as numpy
+    arrays (np.sum, argsort, cumsum): the reference, bit for bit, for the
+    library's float-list bookkeeping and its pairwise sums."""
+    n = len(a)
+    vals, errs, counts = [0.0] * n, [0.0] * n, [0] * n
+    owner = np.asarray(owner, dtype=int)
+    base = np.array(a, dtype=float)
+    mapped = np.array([hi == math.inf for hi in b], dtype=bool)
+    # piece -> the (lo, hi) of its panels still to evaluate
+    new = {i: (np.array([0.0 if mapped[i] else float(a[i])]),
+               np.array([1.0 if mapped[i] else float(b[i])]))
+           for i in range(n) if a[i] != b[i]}
+    panels = {}  # one column (lo, hi, value, error) per panel
+    while new:
+        sizes = [lo.size for lo, _ in new.values()]
+        lo = np.concatenate([lo for lo, _ in new.values()])
+        hi = np.concatenate([hi for _, hi in new.values()])
+        piece = np.repeat(list(new), sizes)
+        h = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + h[:, None] * sec._GK_NODES
+        on_t = mapped[piece]
+        t = x[on_t]
+        x[on_t] = base[piece[on_t], None] + (1.0 - t) / t
+        fx = f(x.ravel(), np.repeat(owner[piece], x.shape[1])).reshape(x.shape)
+        fx[on_t] = fx[on_t] / t / t
+        results = sec._qk21(fx, h)
+        pending, end = {}, 0
+        for (i, (new_lo, new_hi)), size in zip(new.items(), sizes):
+            v, e, asc = (r[end:end + size] for r in results)
+            end += size
+            old = panels.pop(i, None)  # the panels not bisected last pass
+            if old is None and (e[0] == 0.0 or (
+                    e[0] <= max(epsabs, epsrel * abs(v[0])) and e[0] != asc[0])):
+                vals[i], errs[i], counts[i] = float(v[0]), float(e[0]), 1
+                continue
+            p = np.array([new_lo, new_hi, v, e])
+            if old is not None:
+                p = np.concatenate((old, p), axis=1)
+            val, err = p[2].sum(), p[3].sum()
+            tol = max(epsabs, epsrel * abs(val))
+            if (old is not None and err <= tol) or p.shape[1] >= limit:
+                vals[i], errs[i], counts[i] = float(val), float(err), p.shape[1]
+                continue
+            s, kept = to_bisect_numpy(p[3], tol, limit - p.shape[1])
+            panels[i] = p[:, kept]
+            lo_s, hi_s = p[0, s], p[1, s]
+            mid = 0.5 * (lo_s + hi_s)
+            pending[i] = np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s))
+        new = pending
+    return vals, errs, counts
+
+
+# ---------------------------------------------------------------------------
+# the secrecy rate at 30 digits
+# ---------------------------------------------------------------------------
 
 def secrecy_rate_reference(lb, ms, dps: int = 30, breakpoints: int = 64) -> float:
     """(1/ln 2) int_0^inf S_b(x) F_e(x) / (1 + x) dx in mpmath at `dps`
