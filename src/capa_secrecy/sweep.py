@@ -31,68 +31,104 @@ AXES = {"gamma_b_db": "gamma_b_db", "gamma_e_db": "gamma_e_db",
         "aperture_len": "aperture_len_m", "k_eves": "k_eves"}
 SCENARIOS = ("SE", "MIE", "MCE")
 
-# one grid point: cfg with the axis value applied, its link budget, the
-# aperture's series and closed-rate tables, the shared unit draws (Bob's
-# and the array's at the aperture, Eve's at the point's scenario and K;
-# None where no row reads them, the exception where drawing them failed),
-# r0, its quadratures ({metric: value or the exception its integral
-# raised}) and the sweep's power-offset Eve terms (`_eve_term`)
-_Point = namedtuple("_Point", "cfg lb ms tables bob spda eve r0 quad eve_terms")
+# one grid point of an aperture length: its grid value and link budget
+_Point = namedtuple("_Point", "value lb")
+# an aperture length as its rows' calls see it: the sweep's cfg, the
+# length's grid index ai, geometry, series and closed-rate tables, and the
+# sweep's unit Eve draws by (scenario, K) (`_resolve_eves`) and
+# power-offset Eve terms (`_eve_term`)
+_Aperture = namedtuple("_Aperture", "cfg ai geom ms tables eves eve_terms r0")
+
+
+def _try(fn, *args):
+    """fn(*args), or the exception it raised, without the traceback whose
+    frames would hold its arguments: only the rows that read it report it."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc.with_traceback(None)
 
 
 def _shared(result):
-    """A point's link budget, shared draws or quadrature, or the exception
-    that making it raised."""
+    """A result that many rows read, or raise the exception it is."""
     if isinstance(result, Exception):
-        # each point starts a new traceback; re-raising would extend the old
+        # each row starts a new traceback; re-raising would extend the old
         raise result.with_traceback(None)
     return result
 
 
-def _monte_carlo(p):
-    return mc.mc_secrecy(p.lb, _shared(p.bob), _shared(p.eve), p.r0,
-                         p.cfg.n_trials)
+def _each(fn):
+    """A call that makes fn(aperture, lb) at each point on its own."""
+    return lambda a, points: [_try(fn, a, p.lb) for p in points]
 
 
-def _eve_term(p):
-    """The power offset's Eve term at the point's Eve law, made once per
+def _eve_term(a, lb):
+    """The power offset's Eve term at lb's Eve law, made once per
     (scenario, K, gamma_e) in a sweep: it depends on neither the aperture
     nor gamma_b."""
-    key = p.lb.scenario, p.lb.k_eves, p.lb.gamma_bar_e
-    if key not in p.eve_terms:
-        p.eve_terms[key] = sec.offset_eve_term(p.lb)
-    return p.eve_terms[key]
+    key = lb.scenario, lb.k_eves, lb.gamma_bar_e
+    if key not in a.eve_terms:
+        a.eve_terms[key] = sec.offset_eve_term(lb)
+    return a.eve_terms[key]
 
 
-def _spda(p):
-    geom = spc.ApertureGeometry(p.cfg.wavelength_m, p.cfg.aperture_len_m)
-    return mc.spda_baseline(p.lb, geom, _shared(p.spda), _shared(p.eve),
-                            p.r0, p.cfg.n_trials)
+def _sampled(a, points):
+    """{evaluator: its (rate, sop) estimates} at each point, for monte-carlo
+    and spda-mc as far as the sweep asks for them.  Bob's and the array's
+    unit draws are made here, once per aperture; the points run in grid
+    order, each value's Eve sets resolved before its first point, so both
+    loops at every point of a (scenario, K) read one array."""
+    cfg, n, loops = a.cfg, a.cfg.n_trials, {}
+    asked = {ev for ev, m in ROWS if ev in cfg.evaluators and m in cfg.outputs}
+    if "monte-carlo" in asked:
+        bob = _try(mc.unit_bob_draws, a.ms, n, _seed(cfg.seed, a.ai))
+        loops["monte-carlo"] = lambda lb, eve: mc.mc_secrecy(
+            lb, _shared(bob), _shared(eve), a.r0, n)
+    if "spda-mc" in asked:
+        array = _try(mc.unit_spda_draws, a.geom, n, _seed(cfg.seed, a.ai, 0))
+        loops["spda-mc"] = lambda lb, eve: mc.spda_baseline(
+            lb, a.geom, _shared(array), _shared(eve), a.r0, n)
+    out = []
+    for i, p in enumerate(points):
+        if i == 0 or p.value != points[i - 1].value:
+            _resolve_eves(cfg, p.value, a.eves)
+        key = p.lb.scenario.value, p.lb.k_eves
+        out.append({ev: _try(loop, p.lb, a.eves[key])
+                    for ev, loop in loops.items()})
+    return out
 
 
-# (evaluator, metric) -> (call, i): the row is call(point), or the mean and
-# std_err of call(point)[i].  A point makes each call once, so one sampled
-# loop feeds both its rate and sop rows.  The calls look the library up when
-# they run: a module attribute replaced after import (a tracer) is what runs.
+# (evaluator, metric) -> (call, path): call(aperture, points) gives one
+# value or exception per point; the row is that value, or with a path the
+# mean and std_err of the estimate that its keys pick out of it.  A sweep
+# makes each call once per aperture length, so one sampled run feeds the
+# rate and sop rows of both sampled evaluators.  The calls look the library
+# up when they run: a module attribute replaced after import (a tracer) is
+# what runs.
 ROWS = {
-    ("closed-form", "rate"):
-        (lambda p: sec.secrecy_rate_closed(p.lb, p.ms, tables=p.tables), None),
-    ("closed-form", "sop"): (lambda p: sec.sop_closed(p.lb, p.ms, p.r0), None),
-    ("closed-form", "slope"): (lambda p: sec.high_snr_slope(p.ms), None),
-    ("closed-form", "offset"):
-        (lambda p: sec.high_snr_offset(p.lb, p.ms, eve_term=_eve_term(p)), None),
+    ("closed-form", "rate"): (_each(lambda a, lb: sec.secrecy_rate_closed(
+        lb, a.ms, tables=a.tables)), ()),
+    ("closed-form", "sop"):
+        (_each(lambda a, lb: sec.sop_closed(lb, a.ms, a.r0)), ()),
+    ("closed-form", "slope"):
+        (_each(lambda a, lb: sec.high_snr_slope(a.ms)), ()),
+    ("closed-form", "offset"): (_each(lambda a, lb: sec.high_snr_offset(
+        lb, a.ms, eve_term=_eve_term(a, lb))), ()),
     ("closed-form", "gain"):
-        (lambda p: sec.diversity_and_gain(p.lb, p.ms, p.r0)[1], None),
-    ("quadrature", "rate"): (lambda p: _shared(p.quad["rate"]), None),
-    ("quadrature", "sop"): (lambda p: _shared(p.quad["sop"]), None),
-    ("asymptotic", "rate"):
-        (lambda p: sec.asymptotic_rate(p.lb, p.ms, eve_term=_eve_term(p)), None),
+        (_each(lambda a, lb: sec.diversity_and_gain(lb, a.ms, a.r0)[1]), ()),
+    ("quadrature", "rate"): (lambda a, points: sec.rate_quadratures(
+        [p.lb for p in points], a.ms), ()),
+    ("quadrature", "sop"): (lambda a, points: sec.sop_quadratures(
+        [p.lb for p in points], a.ms, a.r0), ()),
+    ("asymptotic", "rate"): (_each(lambda a, lb: sec.asymptotic_rate(
+        lb, a.ms, eve_term=_eve_term(a, lb))), ()),
     ("asymptotic", "sop"):
-        (lambda p: min(sec.sop_asymptotic(p.lb, p.ms, p.r0), 1.0), None),
-    ("monte-carlo", "rate"): (_monte_carlo, 0),
-    ("monte-carlo", "sop"): (_monte_carlo, 1),
-    ("spda-mc", "rate"): (_spda, 0),
-    ("spda-mc", "sop"): (_spda, 1),
+        (_each(lambda a, lb: min(sec.sop_asymptotic(lb, a.ms, a.r0), 1.0)),
+         ()),
+    ("monte-carlo", "rate"): (_sampled, ("monte-carlo", 0)),
+    ("monte-carlo", "sop"): (_sampled, ("monte-carlo", 1)),
+    ("spda-mc", "rate"): (_sampled, ("spda-mc", 0)),
+    ("spda-mc", "sop"): (_sampled, ("spda-mc", 1)),
 }
 EVALUATORS = tuple(dict.fromkeys(ev for ev, _ in ROWS))
 OUTPUTS = tuple(dict.fromkeys(m for _, m in ROWS))
@@ -174,6 +210,8 @@ class SweepConfig:
             for x in items:
                 if x not in known:
                     bad(name, f"unknown {name[:-1]} {x!r}")
+            if len(set(items)) < len(items):
+                bad(name, f"lists a {name[:-1]} more than once")
         if "monte-carlo" in self.evaluators and self.n_trials < mc.MIN_TRIALS:
             bad("n_trials", f"monte-carlo needs at least {mc.MIN_TRIALS}")
         return self
@@ -241,21 +279,6 @@ def _seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1)[0])
 
 
-def _draw(fn, *args):
-    """fn(*args), or the exception it raised: then only the rows that read
-    these draws report it."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _sampled_calls(cfg: SweepConfig) -> set:
-    """The sampled evaluators' calls that some row of the sweep makes."""
-    return {ROWS[ev, m][0] for ev in cfg.evaluators for m in cfg.outputs
-            if (ev, m) in ROWS} & {_monte_carlo, _spda}
-
-
 def _eve_key(scen_name: str, k_eves) -> tuple[str, int]:
     """(scenario, K) of a point: SE has one eavesdropper at any k_eves."""
     return scen_name, 1 if scen_name == "SE" else int(k_eves)
@@ -266,112 +289,87 @@ def _resolve_eves(cfg: SweepConfig, value: float, eves: dict) -> None:
     at grid value `value`: it keeps the draws it holds that the value
     reads, lets the rest go and then draws the missing ones, so on the
     k_eves axis one value's sets are held at a time."""
-    if not _sampled_calls(cfg):
-        return
     k_eves = value if cfg.axis == "k_eves" else cfg.k_eves
     keys = [_eve_key(scen, k_eves) for scen in cfg.scenarios]
     for key in set(eves) - set(keys):
         del eves[key]
     for scen, k in keys:
         if (scen, k) not in eves:
-            eves[scen, k] = _draw(mc.unit_eve_draws, Scenario(scen), k,
-                                  cfg.n_trials,
-                                  _seed(cfg.seed, SCENARIOS.index(scen), k))
+            eves[scen, k] = _try(mc.unit_eve_draws, Scenario(scen), k,
+                                 cfg.n_trials,
+                                 _seed(cfg.seed, SCENARIOS.index(scen), k))
 
 
-def _budget(cfg: SweepConfig, value: float, scen_name: str):
-    """(cfg at grid value `value`, the point's (scenario, K), its link
-    budget)."""
+def _budget(cfg: SweepConfig, value: float, scen_name: str) -> LinkBudget:
+    """The link budget of the point at grid value `value` and scenario."""
     at = replace(cfg, **{AXES[cfg.axis]: value})
-    eve_key = _eve_key(scen_name, at.k_eves)
-    lb = LinkBudget(_db_to_lin(at.gamma_b_db), _db_to_lin(at.gamma_e_db),
-                    eve_key[1], Scenario(scen_name))
-    return at, eve_key, lb
+    return LinkBudget(_db_to_lin(at.gamma_b_db), _db_to_lin(at.gamma_e_db),
+                      _eve_key(scen_name, at.k_eves)[1], Scenario(scen_name))
 
 
-def _eval_point(cfg: SweepConfig, budget, shared, eves: dict, quad,
-                eve_terms: dict, evaluator: str):
-    """{metric: (result, std_err_or_None)} for one evaluator at one grid
-    point, in the order of cfg.outputs.  `budget` is the point's `_budget`
-    and `shared` its aperture's (series, closed-rate tables, Bob draws,
-    array draws), either maybe the exception that making it raised; `quad`
-    is the point's quadratures and `eve_terms` the sweep's offset Eve
-    terms."""
-    at, eve_key, lb = _shared(budget)
-    point = _Point(at, lb, *_shared(shared), eves.get(eve_key),
-                   at.target_rate_r0, quad, eve_terms)
-    runs, rows = {}, {}
-    for m in cfg.outputs:
-        if (evaluator, m) in ROWS:
-            call, i = ROWS[evaluator, m]
-            if call not in runs:
-                runs[call] = call(point)
-            r = runs[call]
-            rows[m] = (r, None) if i is None else (r[i].mean, r[i].std_err)
-    return rows
+def _cells(result, path) -> tuple[str, str]:
+    """A row's result and std_err cells from its call's result at the
+    point (`ROWS`)."""
+    for key in path:
+        result = _shared(result)[key]
+    result = _shared(result)
+    return (_fmt(result.mean), _fmt(result.std_err)) if path else (
+        _fmt(result), "")
 
 
 def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
                     eves: dict, eve_terms: dict, unit_rule, cache_dir,
                     out) -> tuple:
     """Run the grid points at `values`, all at aperture `length` (grid index
-    `ai`), in grid order and write their rows to `out`.  Returns (the
-    spectrum, or the exception that resolving the aperture raised; whether
-    a row failed).  The aperture's series, closed-rate tables and shared
-    draws live only in this call, so a sweep holds one length's at a
-    time."""
-    calls, bob, spda = _sampled_calls(cfg), None, None
+    `ai`): each distinct call that a requested row reads, once over all the
+    points, then the rows, written to `out` in grid order.  Returns (the
+    spectrum, or the exception resolving it raised; whether a row failed).
+    The length's series, tables and draws live only in this call."""
     try:
         geom = spc.ApertureGeometry(cfg.wavelength_m, length)
         spec = spc.cached_decompose(geom, cfg.quadrature_order,
                                     cache_dir=cache_dir, unit_rule=unit_rule)
-        ms = snr.build_psi(spec)
+        a = _Aperture(cfg, ai, geom, snr.build_psi(spec), {}, eves,
+                      eve_terms, cfg.target_rate_r0)
     except Exception as exc:  # every point at this length reports it
-        spec = shared = exc
-    else:
-        if _monte_carlo in calls:
-            bob = _draw(mc.unit_bob_draws, ms, cfg.n_trials, _seed(cfg.seed, ai))
-        if _spda in calls:
-            spda = _draw(mc.unit_spda_draws, geom, cfg.n_trials,
-                         _seed(cfg.seed, ai, 0))
-        shared = ms, {}, bob, spda  # {}: secrecy_rate_closed's tables
-    budgets = {(value, scen): _draw(_budget, cfg, value, scen)
-               for value in values for scen in cfg.scenarios}
-    # every quadrature row at this length: each metric's integrals in one
-    # lockstep batch, each value the one it gives alone; a point whose link
-    # budget failed is left out, its rows raise that again
-    made = [key for key, b in budgets.items() if not isinstance(b, Exception)]
-    batches = {}
-    if "quadrature" in cfg.evaluators and not isinstance(spec, Exception):
-        lbs = [budgets[key][2] for key in made]
-        if "rate" in cfg.outputs:
-            batches["rate"] = _draw(sec.rate_quadratures, lbs, ms)
-        if "sop" in cfg.outputs:
-            batches["sop"] = _draw(sec.sop_quadratures, lbs, ms,
-                                   cfg.target_rate_r0)
-    quads = {key: {m: q if isinstance(q, Exception) else q[i]
-                   for m, q in batches.items()} for i, key in enumerate(made)}
-    failed = False
-    for value in values:
-        if not isinstance(spec, Exception):  # else every row raises spec
-            _resolve_eves(cfg, value, eves)
-        for scen in cfg.scenarios:
-            for ev in cfg.evaluators:
-                t0 = time.perf_counter()
-                try:
-                    cells = {m: (_fmt(r), "" if se is None else _fmt(se))
-                             for m, (r, se) in _eval_point(
-                                 cfg, budgets[value, scen], shared, eves,
-                                 quads.get((value, scen)), eve_terms,
-                                 ev).items()}
-                except Exception as exc:  # keep sweeping, tag the row
-                    cells = {"error": (f"error:{type(exc).__name__}", "")}
-                wall = (_fmt((time.perf_counter() - t0) * 1e3) if cfg.timing
-                        else "")
-                for metric, (r, se) in cells.items():
-                    out.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
-                              f"{r},{se},{cfg.seed},{wall}\n")
-                failed = failed or "error" in cells
+        spec = a = exc
+    # every point in grid order with its link budget, or the exception of
+    # its budget, else of its length; the calls run at the points with one
+    budgets = [(value, scen, _try(_budget, cfg, value, scen))
+               for value in values for scen in cfg.scenarios]
+    if isinstance(a, Exception):
+        budgets = [(v, s, lb if isinstance(lb, Exception) else a)
+                   for v, s, lb in budgets]
+    points = [_Point(value, lb) for value, _, lb in budgets
+              if not isinstance(lb, Exception)]
+    reads = {ev: {m: ROWS[ev, m] for m in cfg.outputs if (ev, m) in ROWS}
+             for ev in cfg.evaluators}
+    # each call's value or exception at each point, and its time per point
+    results, ms_each = {}, {}
+    for call in dict.fromkeys(c for r in reads.values() for c, _ in r.values()):
+        if points:
+            t0 = time.perf_counter()
+            r = _try(call, a, points)
+            results[call] = [r] * len(points) if isinstance(r, Exception) else r
+            ms_each[call] = (time.perf_counter() - t0) * 1e3 / len(points)
+    failed, j = False, -1  # j: the point's index in `points`
+    for value, scen, lb in budgets:
+        ran = not isinstance(lb, Exception)
+        j += ran
+        for ev, rows in reads.items():
+            try:
+                _shared(lb)
+                cells = {m: _cells(results[call][j], path)
+                         for m, (call, path) in rows.items()}
+            except Exception as exc:  # keep sweeping, tag the row
+                cells = {"error": (f"error:{type(exc).__name__}", "")}
+            # the time per point of each distinct call that its rows read
+            calls = {c for c, _ in rows.values()} if ran else ()
+            wall = _fmt(sum(ms_each[c] for c in calls)) if cfg.timing else ""
+            for metric, (r, se) in cells.items():
+                out.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
+                          f"{r},{se},{cfg.seed},{wall}\n")
+            failed = failed or "error" in cells
     return spec, failed
 
 
@@ -380,15 +378,13 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     """Execute the sweep; returns the process exit code (0 ok, 1 point errors).
 
     The grid runs one aperture length at a time, in grid order: the
-    length's spectrum, series and shared Bob and array draws, then every
-    quadrature row at it, one lockstep batch per metric, then its points,
-    each value's shared Eve draws made before its points run and kept for
-    the next value while it reads them.  The power offset's Eve term is
-    made once per (scenario, K, gamma_e) for the whole sweep.  Every
-    stream's seed is derived from the root seed and a grid index, and every
-    quadrature row is the value its integral gives alone.  Rows are written
-    in grid order as they are made.  Each row's seed cell is the root seed,
-    the one value that reproduces the row.
+    length's spectrum and series, then each distinct call that a requested
+    row reads (`ROWS`), once over all the length's points, then the rows
+    in grid order.  Bob's and the array's draws are made once per length,
+    each (scenario, K)'s Eve draws and the power offset's Eve term once per
+    sweep, and on the k_eves axis one value's Eve draws are held at a time.
+    Every stream's seed is derived from the root seed and a grid index, and
+    each row's seed cell is the root seed, the one value that reproduces it.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
     # one unit Gauss-Legendre rule per distinct order, made on its first

@@ -1,11 +1,14 @@
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +141,10 @@ def test_sweep_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
     ({"aperture_len_m": 5.0}, "aperture_lambdas"),
     ({"quadrature_order": 0}, "quadrature_order"),
     ({"workers": 2}, "workers"),
+    ({"scenarios": ["SE", "SE"]}, "scenarios"),
+    ({"evaluators": ["closed-form", "quadrature", "closed-form"]},
+     "evaluators"),
+    ({"outputs": ["rate", "sop", "rate"]}, "outputs"),
 ])
 def test_validation_names_field(bad, field):
     with pytest.raises(sw.ConfigError, match=field):
@@ -566,7 +573,8 @@ def test_sampled_evaluators_read_one_eve_array(monkeypatch):
     recording("spda_baseline")
     for axis, values, keys in (
             ("gamma_b_db", [0.0, 10.0, 20.0], {("SE", 1), ("MIE", 3)}),
-            ("k_eves", [2, 4], {("SE", 1), ("MIE", 2), ("MIE", 4)})):
+            ("k_eves", [2, 4], {("SE", 1), ("MIE", 2), ("MIE", 4)}),
+            ("aperture_len", [0.2498, 0.4996], {("SE", 1), ("MIE", 3)})):
         read.clear()
         arrays.clear()
         code, _ = run_sweep_to_string(small_config(
@@ -576,6 +584,35 @@ def test_sampled_evaluators_read_one_eve_array(monkeypatch):
         assert all(len(ids) == 1 for ids in read.values()), read
         assert len(arrays) == len(keys)
         assert not any(a.flags.writeable for a in arrays.values())
+
+
+def test_k_eves_sweep_holds_one_value_of_eve_sets(monkeypatch):
+    # each K's Eve sets replace the last K's before both sampled loops run
+    # at it: no more sets are alive at once than there are scenarios, and
+    # each (scenario, K) is drawn once
+    live, peak, drawn = set(), [0], []
+    draw = mc.unit_eve_draws
+
+    def tracked(*args):
+        eve = draw(*args)
+        token = object()
+        live.add(token)
+        weakref.finalize(eve, live.discard, token)
+        peak[0] = max(peak[0], len(live))
+        drawn.append(args[:2])
+        return eve
+    monkeypatch.setattr(mc, "unit_eve_draws", tracked)
+    gc.disable()  # only what the sweep lets go may count as freed
+    try:
+        code, _ = run_sweep_to_string(small_config(
+            axis="k_eves", values=[1, 2, 3, 4],
+            scenarios=["SE", "MIE", "MCE"],
+            evaluators=["monte-carlo", "spda-mc"]))
+    finally:
+        gc.enable()
+    assert code == 0
+    assert len(drawn) == len(set(drawn)) == 1 + 4 + 4
+    assert peak[0] <= 3
 
 
 def test_bob_drawn_once_per_aperture(monkeypatch):
@@ -722,6 +759,24 @@ def test_wall_ms_only_with_timing_flag():
     assert all(float(r["wall"]) >= 0.0 for r in parse_rows(text))
 
 
+def test_wall_ms_covers_batched_calls(monkeypatch):
+    # a quadrature row's wall_ms is its point's share of the batch call
+    # that made it: a batch that sleeps 50 ms shows over the rows
+    sops = sec.sop_quadratures
+
+    def slow(*args):
+        time.sleep(0.05)
+        return sops(*args)
+    monkeypatch.setattr(sec, "sop_quadratures", slow)
+    code, text = run_sweep_to_string(small_config(evaluators=["quadrature"],
+                                                  timing=True))
+    assert code == 0
+    # one sop row per (point, evaluator); its rate row has the same wall_ms
+    walls = [float(r["wall"]) for r in parse_rows(text) if r["metric"] == "sop"]
+    assert len(walls) == 3 * 2
+    assert sum(walls) >= 50.0
+
+
 def test_spectrum_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CAPA_CACHE_DIR", str(tmp_path / "cache"))
     path = write_config(tmp_path, small_config(evaluators=["quadrature"],
@@ -736,7 +791,7 @@ def test_cache_env_not_a_directory_exit_2(tmp_path, monkeypatch, capsys, where):
     # refused before any grid point runs, instead of an error row per point
     (tmp_path / "file").write_text("not a cache")
     monkeypatch.setenv("CAPA_CACHE_DIR", str(tmp_path / where))
-    monkeypatch.setattr(sw, "_eval_point", None)  # any point run would fail
+    monkeypatch.setattr(sw, "_sweep_aperture", None)  # any point run would fail
     path = write_config(tmp_path, small_config(evaluators=["closed-form"],
                                                outputs=["sop"], values=[10.0]))
     out = tmp_path / "o.csv"
