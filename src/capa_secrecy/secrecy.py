@@ -244,13 +244,13 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
 
     With prec=None the standard float path is used up to `dof_cap` spatial
     DoF and the extended path (`_rate_by_secure_probability`) beyond.  The
-    standard path raises PrecisionLossError when its conditioning estimate
-    says the alternating sums left fewer than ~3 significant digits, or
-    when the value falls outside [0, log2(1 + gamma_b sum(sigma))], the
-    range of the true rate.
+    standard path runs the mixture up to where its tail provably adds under
+    2^-60 of the result, and raises PrecisionLossError when its conditioning
+    estimate says the alternating sums left fewer than ~3 significant
+    digits, when the value falls outside [0, log2(1 + gamma_b sum(sigma))],
+    the range of the true rate, or when it is too small for the cut (below
+    about 1e-12 bits, 2^K - 1 times that for MIE).
 
-    The mixture is cut where its tail provably adds under 2^-60 of the
-    result; should the result be too small for that, the full series runs.
     Calls on one series may share a `tables` dict (a sweep passes one per
     aperture length and drops it with the length; by default each call has
     its own): the standard path keeps its work there, and its result is
@@ -266,17 +266,15 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
     # MIE weighs its K kernels by +-K C(K-1,a)/(a+1), of total magnitude 2^K - 1
     if lb.scenario == Scenario.MIE:
         tail *= 2.0 ** lb.k_eves - 1.0
-    for n_terms, dropped in ((n_cut, tail), (ms.q_max + 1, 0.0)):
-        val = _rate_closed_dispatch(lb, ms, n_terms, tables)
-        est_rel = 2.3e-16 * math.exp(min(val.log_condition(), 700.0))
-        if est_rel > _PRECISION_LOSS_THRESHOLD:
-            raise PrecisionLossError(est_rel)
-        out = val.to_float()
-        if (out > jensen * (1.0 + 1e-6)
-                or out < -2.3e-16 * math.exp(min(val.mass, 700.0))):
-            raise PrecisionLossError(math.inf)
-        if dropped <= _TAIL_REL * abs(out):
-            break
+    val = _rate_closed_dispatch(lb, ms, n_cut, tables)
+    est_rel = 2.3e-16 * math.exp(min(val.log_condition(), 700.0))
+    if est_rel > _PRECISION_LOSS_THRESHOLD:
+        raise PrecisionLossError(est_rel)
+    out = val.to_float()
+    if (out > jensen * (1.0 + 1e-6)
+            or out < -2.3e-16 * math.exp(min(val.mass, 700.0))
+            or tail > _TAIL_REL * abs(out)):
+        raise PrecisionLossError(math.inf)
     return max(out, 0.0)
 
 

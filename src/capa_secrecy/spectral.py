@@ -129,29 +129,15 @@ def kernel_value(z, z_prime, geom: ApertureGeometry):
     return float(out) if out.ndim == 0 else out
 
 
-def unit_legendre_rule(t: int):
-    """The t-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss(t).
-
-    numpy takes the nodes' first estimate as Golub and Welsch do (Math.
-    Comp. 23, 1969), as the eigenvalues of the symmetric companion matrix,
-    here by a dense eigensolve; then one Newton step, the weights from
-    legval and a symmetrisation.  At the default orders (2 dof + 32, 232
-    at 50 wavelengths) the dense t x t solve takes 0.2-2.8 ms; at t = 1000
-    the rule takes about 0.1 s.
-    """
-    return leg.leggauss(t)
-
-
-def gauss_legendre_rule(t: int, geom: ApertureGeometry, unit_rule=None):
-    """t-point Gauss-Legendre nodes/weights on [-L/2, L/2].
-
-    `unit_rule(t)` returns the rule on [-1, 1] (default:
-    `unit_legendre_rule`), so a caller that decomposes several apertures can
-    compute it once.
+def gauss_legendre_rule(t: int, geom: ApertureGeometry):
+    """t-point Gauss-Legendre nodes/weights on [-L/2, L/2]: numpy's
+    leggauss(t), the Golub-Welsch rule (Math. Comp. 23, 1969), scaled by
+    L/2.  Each decompose() computes its own: 0.2-2.8 ms at the default
+    orders (2 dof + 32, 232 at 50 wavelengths), about 0.1 s at t = 1000.
     """
     if t < 2:
         raise DomainError("need at least 2 quadrature points")
-    x, w = (unit_rule or unit_legendre_rule)(t)
+    x, w = leg.leggauss(t)
     half = 0.5 * geom.aperture_len_m
     return half * x, half * w
 
@@ -163,10 +149,9 @@ def nystrom_order(geom: ApertureGeometry | SpectralDecomposition) -> int:
     return 2 * geom.dof + 32
 
 
-def decompose(geom: ApertureGeometry, t: int | None = None,
-              unit_rule=None) -> SpectralDecomposition:
-    """Nystrom eigenvalues of the sinc kernel with a t-point rule
-    (default `nystrom_order(geom)`).
+def decompose(geom: ApertureGeometry, t: int | None = None) -> SpectralDecomposition:
+    """Nystrom eigenvalues of the sinc kernel with the t-point
+    `gauss_legendre_rule` (default t: `nystrom_order(geom)`).
 
     The quadrature-weighted kernel matrix is symmetrized as
     W^(1/2) R W^(1/2) (same spectrum as the plain Nystrom matrix, but a
@@ -185,7 +170,7 @@ def decompose(geom: ApertureGeometry, t: int | None = None,
         t = nystrom_order(geom)
     if t < 2 * dof:
         raise DomainError(f"need t >= 2*dof = {2 * dof} quadrature points, got {t}")
-    nodes, weights = gauss_legendre_rule(t, geom, unit_rule)
+    nodes, weights = gauss_legendre_rule(t, geom)
     half, centre = divmod(t, 2)
     p = nodes[half:]
     direct = kernel_value(p[:, None], p[None, :], geom)
@@ -283,16 +268,14 @@ def load_decomposition(path: str, geom: ApertureGeometry) -> SpectralDecompositi
 
 
 def cached_decompose(geom: ApertureGeometry, t: int | None = None,
-                     cache_dir: str | None = None,
-                     unit_rule=None) -> SpectralDecomposition:
+                     cache_dir: str | None = None) -> SpectralDecomposition:
     """decompose() with an optional .npz cache in `cache_dir`.
 
     The entry is keyed by the order that runs (t, or `nystrom_order(geom)`
-    when t is None).  `unit_rule` is passed to decompose() and only called
-    on a cache miss.
+    when t is None).  Only a cache miss computes a Gauss-Legendre rule.
     """
     if not cache_dir:
-        return decompose(geom, t, unit_rule)
+        return decompose(geom, t)
     if t is None:
         t = nystrom_order(geom)
     os.makedirs(cache_dir, exist_ok=True)
@@ -304,6 +287,6 @@ def cached_decompose(geom: ApertureGeometry, t: int | None = None,
         except Exception as exc:
             log.warning("unusable spectrum cache entry %s (%s: %s); "
                         "recomputing", path, type(exc).__name__, exc)
-    spec = decompose(geom, t, unit_rule)
+    spec = decompose(geom, t)
     save_decomposition(spec, path)
     return spec

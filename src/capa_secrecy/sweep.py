@@ -8,7 +8,6 @@ is only recorded when explicitly requested since it breaks determinism.
 """
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -318,8 +317,7 @@ def _cells(result, path) -> tuple[str, str]:
 
 
 def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
-                    eves: dict, eve_terms: dict, unit_rule, cache_dir,
-                    out) -> tuple:
+                    eves: dict, eve_terms: dict, cache_dir, out) -> tuple:
     """Run the grid points at `values`, all at aperture `length` (grid index
     `ai`): each distinct call that a requested row reads, once over all the
     points, then the rows, written to `out` in grid order.  Returns (the
@@ -327,8 +325,7 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
     The length's series, tables and draws live only in this call."""
     try:
         geom = spc.ApertureGeometry(cfg.wavelength_m, length)
-        spec = spc.cached_decompose(geom, cfg.quadrature_order,
-                                    cache_dir=cache_dir, unit_rule=unit_rule)
+        spec = spc.cached_decompose(geom, cfg.quadrature_order, cache_dir)
         a = _Aperture(cfg, ai, geom, snr.build_psi(spec), {}, eves,
                       eve_terms, cfg.target_rate_r0)
     except Exception as exc:  # every point at this length reports it
@@ -378,18 +375,16 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     """Execute the sweep; returns the process exit code (0 ok, 1 point errors).
 
     The grid runs one aperture length at a time, in grid order: the
-    length's spectrum and series, then each distinct call that a requested
-    row reads (`ROWS`), once over all the length's points, then the rows
-    in grid order.  Bob's and the array's draws are made once per length,
+    length's spectrum (from `cache_dir`, else on its own Gauss-Legendre
+    rule) and series, then each distinct call that a requested row reads
+    (`ROWS`), once over all the length's points, then the rows in grid
+    order.  Bob's and the array's draws are made once per length,
     each (scenario, K)'s Eve draws and the power offset's Eve term once per
     sweep, and on the k_eves axis one value's Eve draws are held at a time.
     Every stream's seed is derived from the root seed and a grid index, and
     each row's seed cell is the root seed, the one value that reproduces it.
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
-    # one unit Gauss-Legendre rule per distinct order, made on its first
-    # cache miss
-    unit_rule = functools.cache(spc.unit_legendre_rule)
     values = list(map(float, cfg.values))
     # (aperture length, the grid values at it): one per value on the
     # aperture axis, else one for the whole grid
@@ -400,8 +395,7 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     eves, eve_terms, failed = {}, {}, False
     for ai, (length, grid) in enumerate(apertures):
         resolved, failed_here = _sweep_aperture(
-            cfg, ai, length, grid, eves, eve_terms, unit_rule, cache_dir,
-            out_stream)
+            cfg, ai, length, grid, eves, eve_terms, cache_dir, out_stream)
         if ai == 0:  # the summary's: values[0] on the aperture axis
             first = length, resolved
         failed = failed or failed_here

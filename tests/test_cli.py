@@ -813,15 +813,15 @@ def test_library_ignores_cache_env(tmp_path, monkeypatch):
     assert not cache.exists()
 
 
-def test_one_unit_rule_per_sweep(tmp_path, monkeypatch):
+def test_one_rule_per_cache_miss(tmp_path, monkeypatch):
     calls = []
-    unit_rule = spc.unit_legendre_rule
+    rule = spc.gauss_legendre_rule
 
-    def counting(t):
+    def counting(t, geom):
         calls.append(t)
-        return unit_rule(t)
+        return rule(t, geom)
 
-    monkeypatch.setattr(spc, "unit_legendre_rule", counting)
+    monkeypatch.setattr(spc, "gauss_legendre_rule", counting)
     path = write_config(tmp_path, small_config(
         axis="aperture_len", values=[0.1249 * 2, 0.1249 * 3],
         evaluators=["asymptotic"], outputs=["rate"], quadrature_order=160))
@@ -833,12 +833,11 @@ def test_one_unit_rule_per_sweep(tmp_path, monkeypatch):
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
         return len(calls), out.read_bytes()
 
-    # cold: one rule for both lengths; a second cold sweep pays for it again
-    assert sweep("a", "a.csv")[0] == 1
-    n_cold, cold = sweep("b", "b.csv")
-    assert n_cold == 1
+    # cold: each length solves its spectrum on a rule of its own
+    n_cold, cold = sweep("a", "a.csv")
+    assert n_cold == 2
     # warm: every spectrum is read from the cache
-    n_warm, warm = sweep("b", "c.csv")
+    n_warm, warm = sweep("a", "b.csv")
     assert n_warm == 0
     assert warm == cold
 

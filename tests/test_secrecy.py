@@ -146,7 +146,7 @@ def test_rate_closed_shared_tables_bit_for_bit(ms2, monkeypatch):
                 (lb_db(gb_db, ge_db, k, scen), name, False)
                 for k in ks for scen in (Scenario.MIE, Scenario.MCE)]
     # with the cut at a tail of 1e-8 bits, which is too much next to these
-    # rates, the full series runs again: its kernels have another n_terms
+    # rates, the call raises PrecisionLossError after the cut's kernels
     calls += [(lb_db(20.0, 20.0), "ms4", True),
               (lb_db(20.0, 20.0, 8, Scenario.MIE), "ms4", True)]
 
@@ -169,6 +169,29 @@ def test_rate_closed_shared_tables_bit_for_bit(ms2, monkeypatch):
         tables = {name: {} for name in series}
         got = {i: run(i, tables=tables[calls[i][1]]) for i in order}
         assert [got[i] for i in range(len(calls))] == want
+
+
+@pytest.mark.parametrize("k, scen", [(1, Scenario.SE), (8, Scenario.MIE)],
+                         ids=["SE", "MIE-K8"])
+def test_rate_closed_raises_when_the_cut_tail_is_too_large(k, scen, monkeypatch):
+    # with the cut at a tail of 1e-8 bits, which is too much next to the
+    # rate at 20/20 dB, the one pass on the cut mixture cannot vouch for
+    # its value: the call raises, and runs no second, full-series pass
+    ms, calls = pinned_series("ms4"), []
+    dispatch = sec._rate_closed_dispatch
+
+    def counting(*args):
+        calls.append(args[2])
+        return dispatch(*args)
+
+    monkeypatch.setattr(sec, "_TAIL_CUT_LOG", math.log(1e-8))
+    monkeypatch.setattr(sec, "_rate_closed_dispatch", counting)
+    lb = lb_db(20.0, 20.0, k, scen)
+    with pytest.raises(sec.PrecisionLossError) as err:
+        sec.secrecy_rate_closed(lb, ms, STANDARD)
+    assert err.value.estimated_rel_error == math.inf
+    assert calls == [sec._mixture_cut(lb, ms)[0]]
+    assert calls[0] < ms.q_max + 1
 
 
 @pytest.mark.parametrize("gb_db", [0.0, 20.0], ids=["0dB", "20dB"])

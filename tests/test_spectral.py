@@ -224,27 +224,15 @@ def test_parity_split_matches_dense_eigensolve(n_lambdas, t):
 
 
 @pytest.mark.parametrize("t", [2, 3, 72, 120, 160, 192, 232, 1000, 1001])
-def test_unit_rule_is_numpys_leggauss_bit_for_bit(t):
-    # the rule is numpy's leggauss; the sterf construction it replaced is
-    # the oracle, so no spectrum moved (t = 72, 192 and 232 are the
-    # default orders at 10, 40 and 50 wavelengths)
-    x, w = spc.unit_legendre_rule(t)
+def test_unit_rule_is_numpys_leggauss_bit_for_bit(t, geom):
+    # the rule is numpy's leggauss scaled by L/2; the sterf construction it
+    # replaced is the oracle, so no spectrum moved (t = 72, 192 and 232 are
+    # the default orders at 10, 40 and 50 wavelengths)
+    x, w = spc.gauss_legendre_rule(t, geom)
     x_np, w_np = sterf_legendre_rule(t)
-    assert np.array_equal(x, x_np)
-    assert np.array_equal(w, w_np)
-
-
-def test_unit_rule_is_scaled_to_the_aperture(geom):
-    calls = []
-
-    def unit_rule(t):
-        calls.append(t)
-        return np.polynomial.legendre.leggauss(t)
-
-    a = spc.decompose(geom, 100, unit_rule=unit_rule)
-    b = spc.decompose(geom, 100)
-    assert calls == [100]
-    _assert_same_spectrum(a, b)
+    half = 0.5 * geom.aperture_len_m
+    assert np.array_equal(x, half * x_np)
+    assert np.array_equal(w, half * w_np)
 
 
 @pytest.mark.parametrize("old_format", [2, 3, 4])
