@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -35,8 +36,10 @@ _Point = namedtuple("_Point", "value lb")
 # an aperture length as its rows' calls see it: the sweep's cfg, the
 # length's grid index ai, geometry, series and closed-rate tables, and the
 # sweep's unit Eve draws by (scenario, K) (`_resolve_eves`) and
-# power-offset Eve terms (`_eve_term`)
-_Aperture = namedtuple("_Aperture", "cfg ai geom ms tables eves eve_terms r0")
+# power-offset Eve terms (`_eve_term`), and its draw job, a dict that
+# `_draws` and `_sampled` fill, when a requested row reads `_sampled`
+_Aperture = namedtuple("_Aperture",
+                       "cfg ai geom ms tables eves eve_terms r0 draws")
 
 
 def _try(fn, *args):
@@ -71,29 +74,54 @@ def _eve_term(a, lb):
     return a.eve_terms[key]
 
 
+def _draws(a, value, evaluators) -> None:
+    """The draws `_sampled` reads before its first loop, made where a.draws
+    is the job: job["draws"] maps monte-carlo and spda-mc, as far as they
+    are in `evaluators`, to Bob's or the array's unit draws, each as `_try`
+    gives it; grid value `value`'s Eve sets are resolved into a.eves, and
+    job["ms"] is the elapsed time."""
+    t0 = time.perf_counter()
+    cfg, n, out = a.cfg, a.cfg.n_trials, {}
+    if "monte-carlo" in evaluators:
+        out["monte-carlo"] = _try(mc.unit_bob_draws, a.ms, n,
+                                  _seed(cfg.seed, a.ai))
+    if "spda-mc" in evaluators:
+        out["spda-mc"] = _try(mc.unit_spda_draws, a.geom, n,
+                              _seed(cfg.seed, a.ai, 0))
+    _resolve_eves(cfg, value, a.eves)
+    a.draws["draws"] = out
+    a.draws["ms"] = (time.perf_counter() - t0) * 1e3
+
+
 def _sampled(a, points):
     """{evaluator: its (rate, sop) estimates} at each point, for monte-carlo
     and spda-mc as far as the sweep asks for them.  Bob's and the array's
-    unit draws are made here, once per aperture; the points run in grid
-    order, each value's Eve sets resolved before its first point, so both
-    loops at every point of a (scenario, K) read one array."""
-    cfg, n, loops = a.cfg, a.cfg.n_trials, {}
-    asked = {ev for ev, m in ROWS if ev in cfg.evaluators and m in cfg.outputs}
-    if "monte-carlo" in asked:
-        bob = _try(mc.unit_bob_draws, a.ms, n, _seed(cfg.seed, a.ai))
+    unit draws, once per aperture, and the first value's Eve sets come from
+    the aperture's draw job (`_draws`), whose thread it joins first; then
+    the points run in grid order on this thread, each later value's Eve
+    sets resolved before its first point, so both loops at every point of a
+    (scenario, K) read one array.  The loops' time is added to the job's
+    "ms"."""
+    n, loops, job = a.cfg.n_trials, {}, a.draws
+    job["thread"].join()
+    t0 = time.perf_counter()
+    draws = job["draws"]
+    if "monte-carlo" in draws:
+        bob = draws["monte-carlo"]
         loops["monte-carlo"] = lambda lb, eve: mc.mc_secrecy(
             lb, _shared(bob), _shared(eve), a.r0, n)
-    if "spda-mc" in asked:
-        array = _try(mc.unit_spda_draws, a.geom, n, _seed(cfg.seed, a.ai, 0))
+    if "spda-mc" in draws:
+        array = draws["spda-mc"]
         loops["spda-mc"] = lambda lb, eve: mc.spda_baseline(
             lb, a.geom, _shared(array), _shared(eve), a.r0, n)
     out = []
     for i, p in enumerate(points):
-        if i == 0 or p.value != points[i - 1].value:
-            _resolve_eves(cfg, p.value, a.eves)
+        if i > 0 and p.value != points[i - 1].value:
+            _resolve_eves(a.cfg, p.value, a.eves)
         key = p.lb.scenario.value, p.lb.k_eves
         out.append({ev: _try(loop, p.lb, a.eves[key])
                     for ev, loop in loops.items()})
+    job["ms"] += (time.perf_counter() - t0) * 1e3
     return out
 
 
@@ -322,12 +350,21 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
     `ai`): each distinct call that a requested row reads, once over all the
     points, then the rows, written to `out` in grid order.  Returns (the
     spectrum, or the exception resolving it raised; whether a row failed).
-    The length's series, tables and draws live only in this call."""
+    The length's series, tables and draws live only in this call.
+
+    When a requested row reads `_sampled`, its `_draws` start on a second
+    thread once the series and points exist, while this one makes the
+    other calls.  Every other call, the spectral stage and every loop run
+    on this thread, and the draw thread is joined before this call
+    returns, whatever it raises.  A sampled row's wall_ms counts the draw
+    job's elapsed time, which includes its waits for the GIL while the
+    analytic calls run, and the loops' time, not the time `_sampled`
+    waited for the job."""
     try:
         geom = spc.ApertureGeometry(cfg.wavelength_m, length)
         spec = spc.cached_decompose(geom, cfg.quadrature_order, cache_dir)
         a = _Aperture(cfg, ai, geom, snr.build_psi(spec), {}, eves,
-                      eve_terms, cfg.target_rate_r0)
+                      eve_terms, cfg.target_rate_r0, None)
     except Exception as exc:  # every point at this length reports it
         spec = a = exc
     # every point in grid order with its link budget, or the exception of
@@ -341,14 +378,31 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
               if not isinstance(lb, Exception)]
     reads = {ev: {m: ROWS[ev, m] for m in cfg.outputs if (ev, m) in ROWS}
              for ev in cfg.evaluators}
+    # each distinct call once, `_sampled` last: it joins the draws' job
+    distinct = sorted(dict.fromkeys(c for r in reads.values()
+                                    for c, _ in r.values()),
+                      key=lambda c: c is _sampled)
+    job = {}  # the draw job's thread, draws and time (`_draws`)
+    if points and _sampled in distinct:
+        a = a._replace(draws=job)
+        job["thread"] = threading.Thread(target=_draws, args=(
+            a, points[0].value, [ev for ev, r in reads.items() if r]))
+        job["thread"].start()
     # each call's value or exception at each point, and its time per point
     results, ms_each = {}, {}
-    for call in dict.fromkeys(c for r in reads.values() for c, _ in r.values()):
-        if points:
-            t0 = time.perf_counter()
-            r = _try(call, a, points)
-            results[call] = [r] * len(points) if isinstance(r, Exception) else r
-            ms_each[call] = (time.perf_counter() - t0) * 1e3 / len(points)
+    try:
+        for call in distinct:
+            if points:
+                t0 = time.perf_counter()
+                r = _try(call, a, points)
+                results[call] = ([r] * len(points) if isinstance(r, Exception)
+                                 else r)
+                ms_each[call] = (time.perf_counter() - t0) * 1e3 / len(points)
+    finally:
+        if job:  # no draw outlives its aperture, even on Ctrl-C
+            job["thread"].join()
+    if "ms" in job:  # the job's time and the loops', not the join's wait
+        ms_each[_sampled] = job["ms"] / len(points)
     failed, j = False, -1  # j: the point's index in `points`
     for value, scen, lb in budgets:
         ran = not isinstance(lb, Exception)
@@ -378,9 +432,13 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     length's spectrum (from `cache_dir`, else on its own Gauss-Legendre
     rule) and series, then each distinct call that a requested row reads
     (`ROWS`), once over all the length's points, then the rows in grid
-    order.  Bob's and the array's draws are made once per length,
+    order.  Bob's and the array's draws are made once per length, in a job
+    that runs on a second thread while the length's analytic calls run
+    (`_sweep_aperture`);
     each (scenario, K)'s Eve draws and the power offset's Eve term once per
     sweep, and on the k_eves axis one value's Eve draws are held at a time.
+    No thread outlives the call, whatever it raises; at a fixed BLAS
+    thread count the bytes do not depend on how the threads are scheduled.
     Every stream's seed is derived from the root seed and a grid index, and
     each row's seed cell is the root seed, the one value that reproduces it.
     """

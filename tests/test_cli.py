@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -777,6 +778,125 @@ def test_wall_ms_covers_batched_calls(monkeypatch):
     assert sum(walls) >= 50.0
 
 
+def sampled_lines(text):
+    return [ln for ln in text.splitlines()[1:]
+            if ln.split(",")[3] in ("monte-carlo", "spda-mc")]
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("gamma_b_db", [0.0, 10.0, 20.0]), ("k_eves", [1, 2, 4]),
+    ("aperture_len", [0.2498, 0.3747])])
+def test_sampled_rows_same_beside_analytic_rows(monkeypatch, axis, values):
+    # the draws run on their own thread while the analytic rows' calls run:
+    # the sampled rows are the bytes of a sweep without those calls
+    threads = []
+    draw = mc.unit_bob_draws
+
+    def recording(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return draw(*args)
+    monkeypatch.setattr(mc, "unit_bob_draws", recording)
+    base = small_config(axis=axis, values=values,
+                        scenarios=["SE", "MIE", "MCE"],
+                        evaluators=["monte-carlo", "spda-mc"])
+    code, alone = run_sweep_to_string(base)
+    assert code == 0
+    code, beside = run_sweep_to_string({
+        **base, "evaluators": ["monte-carlo", "quadrature", "spda-mc",
+                               "closed-form"]})
+    assert code == 0
+    assert sampled_lines(alone) == sampled_lines(beside)
+    assert len(sampled_lines(alone)) == len(values) * 3 * 2 * 2
+    lengths = len(values) if axis == "aperture_len" else 1
+    assert threads == [False] * (2 * lengths)
+
+
+def test_analytic_calls_run_while_draws_are_in_flight(monkeypatch):
+    # Bob's draws wait for the SOP quadratures to start, which they do on
+    # the sweep's thread in the meantime, even with monte-carlo listed first
+    started, overlapped = threading.Event(), []
+    draw, sops = mc.unit_bob_draws, sec.sop_quadratures
+
+    def waiting(*args):
+        overlapped.append(started.wait(timeout=10.0))
+        return draw(*args)
+
+    def starting(*args):
+        started.set()
+        return sops(*args)
+    monkeypatch.setattr(mc, "unit_bob_draws", waiting)
+    monkeypatch.setattr(sec, "sop_quadratures", starting)
+    code, _ = run_sweep_to_string(small_config(
+        evaluators=["monte-carlo", "quadrature"]))
+    assert code == 0 and overlapped == [True]
+
+
+def test_failing_bob_draws_fail_only_monte_carlo_rows(monkeypatch):
+    cfg = small_config(evaluators=["quadrature", "closed-form", "monte-carlo",
+                                   "spda-mc"])
+    code, intact = run_sweep_to_string(cfg)
+    assert code == 0
+
+    def failing(*args):
+        raise ZeroDivisionError("no draws")
+    monkeypatch.setattr(mc, "unit_bob_draws", failing)
+    code, text = run_sweep_to_string(cfg)
+    assert code == 1
+    failed = [ln for ln in text.splitlines() if ",monte-carlo," in ln]
+    assert len(failed) == 3 * 2
+    assert all(ln.endswith(",monte-carlo,error,error:ZeroDivisionError,,42,")
+               for ln in failed)
+    assert ([ln for ln in text.splitlines() if ln not in failed]
+            == [ln for ln in intact.splitlines() if ",monte-carlo," not in ln])
+
+
+def test_interrupt_waits_for_the_draws(monkeypatch):
+    # Ctrl-C in an analytic call leaves the sweep once the draw in flight
+    # has ended: no thread outlives the sweep, nor does one after a sweep
+    # that completes
+    finished = []
+    draw = mc.unit_bob_draws
+
+    def slow(*args):
+        time.sleep(0.1)
+        out = draw(*args)
+        finished.append(True)
+        return out
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(mc, "unit_bob_draws", slow)
+    before = threading.active_count()
+    code, _ = run_sweep_to_string(small_config())
+    assert code == 0 and finished == [True]
+    assert threading.active_count() == before
+    monkeypatch.setattr(sec, "sop_quadratures", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep_to_string(small_config())
+    assert finished == [True, True]
+    assert threading.active_count() == before
+
+
+def test_wall_ms_covers_the_draws(monkeypatch):
+    # a sampled row's wall_ms counts its draws' elapsed time and its loops,
+    # not the time it waited for the draws: Bob's draws that sleep 300 ms
+    # show once over the monte-carlo rows, though the rows also wait for
+    # most of them after the quadratures end
+    draw = mc.unit_bob_draws
+
+    def slow(*args):
+        time.sleep(0.3)
+        return draw(*args)
+    monkeypatch.setattr(mc, "unit_bob_draws", slow)
+    code, text = run_sweep_to_string(small_config(timing=True))
+    assert code == 0
+    # one sop row per (point, evaluator); its rate row has the same wall_ms
+    walls = [float(r["wall"]) for r in parse_rows(text)
+             if r["metric"] == "sop" and r["evaluator"] == "monte-carlo"]
+    assert len(walls) == 3 * 2
+    assert 300.0 <= sum(walls) < 450.0
+
+
 def test_spectrum_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CAPA_CACHE_DIR", str(tmp_path / "cache"))
     path = write_config(tmp_path, small_config(evaluators=["quadrature"],
@@ -974,6 +1094,15 @@ def test_cli_import_loads_no_scipy_or_mpmath(tmp_path):
     assert at_import == [], at_import
     assert after_decompose == [], after_decompose
     assert "scipy.linalg" in control, control
+
+
+def test_cli_import_loads_no_concurrent_futures(tmp_path):
+    # the sweep's one draw job is a plain threading.Thread; the executors
+    # of concurrent.futures would add to every run's start-up
+    proc = run_python(["-c", "import sys, capa_secrecy.cli\n"
+                       "assert 'concurrent.futures' not in sys.modules"],
+                      tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
