@@ -8,10 +8,8 @@ standard path runs in signed log-domain arithmetic with a running
 conditioning estimate.  Past a configurable DoF cap the extended path
 integrates the secure probability P(C_s > r) over r instead.
 
-Everything else sums nonnegative terms: the closed-form SOP, the extended
-rate's secure probability and the array gain, its gamma_b -> inf limit, fold
-in one geometric count per Eve scale (`_eve_scales`), and the independent
-Eves' offset term integrates a survival.
+Everything else sums positive terms: the closed-form SOP, the extended rate
+and the array gain read one outage count in logs (`_count_laws`).
 """
 from __future__ import annotations
 
@@ -24,8 +22,8 @@ from . import snr_models as snr
 from .snr_models import LinkBudget, MoschopoulosSeries, Scenario
 from .specfun import (EXTENDED, STANDARD, DomainError, EvalPrecision,
                       EULER_GAMMA, SignedLog, _filled, exp_e1_log,
-                      harmonic_number, log_binomial, poisson_tails, scaled_e1,
-                      signed_log_dot, xlogy)
+                      harmonic_number, log_binomial, scaled_e1,
+                      signed_log_dot)
 from .spectral import ComputationError
 
 LN2 = math.log(2.0)
@@ -280,26 +278,13 @@ def secrecy_rate_closed(lb: LinkBudget, ms: MoschopoulosSeries,
 
 def _rate_by_secure_probability(lb: LinkBudget, ms: MoschopoulosSeries) -> float:
     """The closed-form rate as E[C_s^+] = int_0^inf P(C_s > r) dr, C_s =
-    log2(1 + rho_b) - log2(1 + rho_e).
-
-    P(C_s > r) = sum_q w_q P(count < dof + q) with `sop_closed`'s count at
-    r0 = r (`_outage_count`): head sums of a nonnegative pmf, so nothing
-    cancels in any scenario or for any K.  The pieces end at 0, at
-    r* = log2((1 + E rho_b)/(1 + E rho_e)) where Eve's mass moves the knee
-    (if r* lies inside), at log2(2 + mean + 12 std) past Bob's bulk, and
-    at inf.  Raises ComputationError when the error estimate exceeds 1e-10
-    of the rate.
-    """
-    theta = lb.gamma_bar_b * ms.sigma_min
-
+    log2(1 + rho_b) - log2(1 + rho_e), one `_log_outage_count` (r0 = r) for
+    all nodes of a pass.  The pieces end at 0, at r* = log2((1 + E rho_b)/
+    (1 + E rho_e)) where Eve's mass moves the knee (if r* lies inside), at
+    log2(2 + mean + 12 std) past Bob's bulk, and at inf.  Raises
+    ComputationError when the error estimate exceeds 1e-10 of the rate."""
     def f(rs, _):
-        out = np.zeros(rs.size)
-        for i, r in enumerate(rs):
-            g = 2.0 ** r if r < 1024.0 else math.inf
-            if (g - 1.0) / theta < math.inf:  # else every pmf term is 0
-                pmf = _outage_count(lb, ms, g)[0]
-                out[i] = ms.weights @ np.cumsum(pmf)[ms.dof - 1:-1]
-        return out
+        return _secure_probability(ms, _log_outage_count(lb, ms, rs * LN2))
 
     mean, std = _bob_spread(lb, ms)
     r_hi = math.log2(2.0 + mean + 12.0 * std)
@@ -611,51 +596,83 @@ def sop_quadrature(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
 
 def _eve_scales(lb: LinkBudget) -> np.ndarray:
     """Eve's SNR is sum_j mu_j E_j over K unit exponentials: mu_j = gamma_e
-    for collaborative Eves (and the single Eve, K = 1), gamma_e / j for
-    independent ones, the law of the largest of K Exp(gamma_e) (Renyi's
-    representation of exponential order statistics)."""
+    for collaborative Eves (and the single Eve), gamma_e / j for independent
+    ones, the largest of K Exp(gamma_e) (Renyi's order statistics)."""
     k = lb.k_eves
     j = np.arange(1.0, k + 1.0) if lb.scenario == Scenario.MIE else np.ones(k)
     return lb.gamma_bar_e / j
 
 
-def _outage_count(lb: LinkBudget, ms: MoschopoulosSeries, g: float):
-    """The outage count at 2^r0 = g: (its pmf, P(count >= k)) for
-    k < dof + q_max + 1.
+def _geometric_steps(log_h, log_c, k):
+    """h_n <- sum_(i<=n) h_i c_j^(n-i) for each column j of ln c (a row per
+    row of ln h, n = k along it), in logs; each step yields ln h_n - n ln c_j,
+    its head sum's frame, so that it rounds at that sum's log."""
+    slope = 0.0
+    for lc in log_c.T[:, :, None]:  # a column of ln c, as rows
+        log_h = np.logaddexp.accumulate(log_h + k * (slope - lc), axis=1)
+        slope = lc
+        yield log_h
 
-    Eve's SNR is sum_j mu_j E_j (`_eve_scales`).  Bob's per-shape CDF is a
-    Poisson tail, so the outage of shape n is
-    P(Pois(lambda) + sum_j Geom(r_j) >= n), lambda = (g - 1)/theta and
-    r_j = g mu_j / (theta + g mu_j).  One pass per Eve convolves the count's
-    pmf with Geom(r_j) and adds its tail increment, both truncated at the
-    largest shape.  Every term is nonnegative.
-    """
-    theta = lb.gamma_bar_b * ms.sigma_min
-    lam = (g - 1.0) / theta
-    n = ms.dof + ms.q_max + 1
-    idx = np.arange(len(ms.log_factorials), dtype=float)
-    pmf = np.exp(xlogy(idx, lam) - lam - ms.log_factorials)
-    tail = poisson_tails(pmf, lam)[:n]       # tail[n] = P(count >= n)
-    idx, pmf = idx[:n], pmf[:n]
-    for mu in _eve_scales(lb):
-        log_r = -math.log1p(theta / (g * mu))
-        # v[n] = sum_{i<=n} pmf[i] r^(n-i): P(count >= n+1) gains r v[n]
-        v = np.convolve(pmf, np.exp(log_r * idx))[:idx.size]
-        tail[1:] += math.exp(log_r) * v[:-1]
-        pmf = -math.expm1(log_r) * v
-    return pmf, tail
+
+@np.errstate(divide="ignore", over="ignore")
+def _count_laws(lb: LinkBudget, ms: MoschopoulosSeries, log_g):
+    """ln lambda, Bob's ln pmf, ln r_j, ln(1 - r_j) by row of ln g = r0 ln 2:
+    shape n's outage is P(Pois(lambda) + sum_j Geom(r_j) >= n) with lambda
+    = (g - 1)/theta, r_j = g mu_j/(theta + g mu_j) (`_eve_scales`)."""
+    log_g = np.asarray(log_g, dtype=float)[:, None]
+    log_theta = math.log(lb.gamma_bar_b * ms.sigma_min)
+    log_lam = log_g + np.log(-np.expm1(-log_g)) - log_theta
+    log_pmf = (np.arange(len(ms.log_factorials)) * log_lam - np.exp(log_lam)
+               - ms.log_factorials)
+    d = log_theta - log_g - np.log(_eve_scales(lb))  # ln((1 - r_j)/r_j)
+    return log_lam, log_pmf, -np.logaddexp(0.0, d), -np.logaddexp(0.0, -d)
+
+
+def _log_outage_count(lb: LinkBudget, ms: MoschopoulosSeries, log_g):
+    """ln pmf of the count below dof + q_max + 1, a row per ln g: Bob's pmf
+    after one geometric step per Eve (c = r_j), times prod_j (1 - r_j)."""
+    k = np.arange(ms.dof + ms.q_max + 1, dtype=float)
+    _, log_pmf, log_r, log_1mr = _count_laws(lb, ms, log_g)
+    *_, log_h = _geometric_steps(log_pmf[:, :k.size], log_r, k)
+    return log_h + k * log_r[:, -1:] + np.sum(log_1mr, axis=1, keepdims=True)
+
+
+def _secure_probability(ms: MoschopoulosSeries, log_pmf) -> np.ndarray:
+    """sum_q w_q P(count < dof + q) by row: float head sums, each alone."""
+    head = np.cumsum(np.exp(log_pmf), axis=1)[:, ms.dof - 1:-1]
+    return np.einsum("ij,j->i", head, ms.weights)
+
+
+def _log_sop(lb: LinkBudget, ms: MoschopoulosSeries, log_g: float) -> float:
+    """ln SOP = ln sum_q w_q P(count >= dof + q) at 2^r0 = g.  Eve j's step
+    makes the count (1 - r_j) v_j and adds E_j = r_j v_j[k - 1] to P(count >=
+    k), off by about eps n |ln r_j| (its frame).  Where the count's H =
+    `_secure_probability` < E the SOP is C_q_max - H, else E plus Bob's share:
+    C_q_max - his H at lambda >= n, else sum_(k>=dof) p_k C_(k - dof)."""
+    dof, n, total = ms.dof, ms.dof + ms.q_max + 1, ms.cum_weights[-1]
+    log_lam, log_pmf, log_r, log_1mr = _count_laws(lb, ms, [log_g])
+    k = np.arange(n, dtype=float)
+    steps = list(_geometric_steps(log_pmf[:, :n], log_r, k))
+    log_s = np.cumsum(log_1mr)  # ln prod_(i<=j) (1 - r_i)
+    eve = np.array([h[0, dof - 1:-1] for h in steps]) + log_r.T * k[dof:]
+    eve = (eve + ms.log_weights + (log_s - log_1mr[0])[:, None]).ravel()
+    head = _secure_probability(ms, steps[-1] + k * log_r[:, -1:] + log_s[-1])
+    if head[0] < np.sum(np.exp(eve)):
+        return math.log(total - head[0])
+    log_c = np.log(ms.cum_weights)
+    bob = [log_pmf[0, dof:n] + log_c, log_c[-1] + log_pmf[0, n:]]
+    if log_lam[0, 0] >= math.log(n):
+        bob = [[math.log(total - _secure_probability(ms, log_pmf[:, :n])[0])]]
+    terms = np.concatenate(bob + [eve])
+    top = float(np.max(terms))
+    return top + math.log(float(np.sum(np.exp(terms - top))))
 
 
 def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
-    """Closed-form secrecy outage probability at target rate r0 (bits):
-    sum_q w_q P(count >= dof + q) over `_outage_count`'s tails.  Nothing
-    cancels even when the outage probability is ~1e-200 or K is in the
-    hundreds.
-    """
+    """Closed-form SOP at target rate r0 (bits): e^`_log_sop`."""
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
-    tail = _outage_count(lb, ms, 2.0 ** r0)[1]
-    return min(float(ms.weights @ tail[ms.dof:]), 1.0)
+    return min(math.exp(_log_sop(lb, ms, r0 * LN2)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -710,19 +727,18 @@ def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,
     """Outage exponent (= spatial DoF in every scenario) and array gain.
 
     SOP -> (Ag gamma_b)^(-dof), Ag^(-dof) prod(sigma) = [z^dof] e^((g-1) z)
-    prod_j 1/(1 - g mu_j z): `sop_closed`'s counts as theta -> inf.  Each Eve
-    multiplies in 1/(1 - c z), c = g mu_j, as h_n <- c^n sum_{i<=n} h_i c^-i.
-    """
+    prod_j 1/(1 - g mu_j z), `sop_closed`'s count as theta -> inf: each Eve
+    is one geometric step (`_geometric_steps`) with c = g mu_j, in logs."""
     if r0 <= 0.0:
         raise DomainError("target secrecy rate must be positive")
-    g = 2.0 ** r0
+    log_g = r0 * LN2
     idx = np.arange(ms.dof + 1, dtype=float)
-    log_h = xlogy(idx, g - 1.0) - ms.log_factorials[:ms.dof + 1]
-    for mu in _eve_scales(lb):
-        lc = math.log(g * mu)
-        log_h = idx * lc + np.logaddexp.accumulate(log_h - idx * lc)
-    log_prod = float(np.sum(np.log(ms.sigmas)))
-    return ms.dof, math.exp((log_prod - log_h[-1]) / ms.dof)
+    log_gm1 = log_g + math.log(-math.expm1(-log_g))
+    log_h = idx * log_gm1 - ms.log_factorials[:ms.dof + 1]
+    log_c = log_g + np.log(_eve_scales(lb))
+    *_, log_h = _geometric_steps(log_h[None, :], log_c[None, :], idx)
+    log_h = log_h[0, -1] + ms.dof * log_c[-1] - np.sum(np.log(ms.sigmas))
+    return ms.dof, math.exp(-log_h / ms.dof)
 
 
 def sop_asymptotic(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:

@@ -246,22 +246,6 @@ def poisson_tail(n: int, z):
     return poisson_mix(z.reshape(-1), np.zeros(n), 0, 1.0, lf).reshape(z.shape)
 
 
-def poisson_tails(pmf, z: float) -> np.ndarray:
-    """P(Pois(z) >= k) for every k < len(pmf), from the pmf p_0(z), p_1(z),
-    ...  At k <= z it is 1 minus the forward sum of the pmf below k (at
-    least about 1/2 there), above z the reverse cumulative sum of the pmf
-    from k, so the tails for k < n are complete when the pmf runs on to
-    n - 1 + poisson_series_terms(n).
-    """
-    n = len(pmf)
-    m = min(n, math.floor(z) + 1)  # k <= z for k < m
-    tail = np.empty(n)
-    tail[0] = 1.0
-    tail[1:m] = 1.0 - np.cumsum(pmf[:m - 1])
-    tail[m:] = np.cumsum(pmf[m:][::-1])[::-1]
-    return tail
-
-
 # ---------------------------------------------------------------------------
 # signed log-domain values
 # ---------------------------------------------------------------------------

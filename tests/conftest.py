@@ -82,6 +82,13 @@ def ms80(spec80):
 
 
 @pytest.fixture(scope="session")
+def ms80_default():
+    """The paper's 40-wavelength aperture at its default Nystrom order, as a
+    sweep resolves it."""
+    return snr.build_psi(make_spectrum(40.0, None))
+
+
+@pytest.fixture(scope="session")
 def ms_synth():
     """Synthetic well-spread spectrum used by the exact-series checks."""
     return snr.build_psi(np.array([4.0, 3.0, 2.0, 1.0]), q_max=200,

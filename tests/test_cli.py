@@ -1253,3 +1253,76 @@ def test_plotdata_twice_on_one_sweep_csv(tmp_path):
         if name.endswith(".csv"):
             assert ((tmp_path / "plots-a" / name).read_bytes()
                     == (tmp_path / "plots-b" / name).read_bytes()), name
+
+
+# ---------------------------------------------------------------------------
+# the target rate at the edge of the double range
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r0", [1024.0, 1100.0])
+def test_target_rate_past_the_double_range_exit_2(tmp_path, capsys, r0):
+    # 2^r0 overflows a double from 1024 on: the config is refused before any
+    # point runs, not written as one OverflowError row per point
+    out = tmp_path / "refused.csv"
+    path = write_config(tmp_path, small_config(
+        target_rate_r0=r0, values=[10.0], scenarios=["SE"],
+        evaluators=["closed-form", "quadrature", "asymptotic"],
+        outputs=["sop", "gain"]))
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert "target_rate_r0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_target_rate_at_the_double_range_edge_rows_are_numbers(tmp_path):
+    # r0 1023 puts Bob's Poisson index (2^r0 - 1)/theta past the double
+    # range (theta < 1 here): every evaluator's SOP is 1, and the closed-form
+    # SOP and gain come from logs, so each row is a number
+    out = tmp_path / "edge.csv"
+    path = write_config(tmp_path, small_config(
+        target_rate_r0=1023.0, values=[10.0], scenarios=["SE", "MIE", "MCE"],
+        evaluators=list(sw.EVALUATORS), outputs=["sop", "gain"]))
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+    rows = parse_rows(out.read_text(encoding="utf-8"))
+    assert len(rows) == 3 * (len(sw.EVALUATORS) + 1)
+    for r in rows:
+        value = float(r["result"])
+        if r["metric"] == "sop":
+            assert value == pytest.approx(1.0, abs=1e-12), r
+        else:
+            assert r["evaluator"] == "closed-form" and r["metric"] == "gain", r
+            assert 0.0 < value < 1e-300, r
+
+
+# ---------------------------------------------------------------------------
+# the closed form at the paper's aperture
+# ---------------------------------------------------------------------------
+
+def test_closed_form_sweep_at_paper_aperture(tmp_path):
+    # 40 wavelengths (dof 80) at the default order, where the closed-form
+    # rate is the integral of the secure probability: no error row, each
+    # rate within the acceptance bound 1e-4 of its quadrature row, each SOP
+    # within 1e-6, and the 10 dB rows are a 10 dB sweep's bytes
+    cfg = {"aperture_lambdas": 40, "axis": "gamma_b_db",
+           "values": [-10.0, 10.0, 30.0], "scenarios": ["SE", "MIE", "MCE"],
+           "evaluators": ["closed-form", "quadrature"],
+           "outputs": ["rate", "sop"]}
+    csvs = {}
+    for name, values in (("full", cfg["values"]), ("one", [10.0])):
+        path = write_config(tmp_path, dict(cfg, values=values), f"{name}.json")
+        csvs[name] = tmp_path / f"{name}.csv"
+        assert cli.main(["sweep", "--config", path,
+                         "--out", str(csvs[name])]) == 0
+    text = csvs["full"].read_text(encoding="utf-8")
+    rows = parse_rows(text)
+    assert len(rows) == 36 and not any(r["metric"] == "error" for r in rows)
+    got = {(r["value"], r["scenario"], r["evaluator"], r["metric"]):
+           float(r["result"]) for r in rows}
+    for (value, scen, ev, metric), closed in got.items():
+        if ev == "closed-form":
+            quad = got[value, scen, "quadrature", metric]
+            bound = 1e-4 if metric == "rate" else 1e-6
+            assert abs(closed - quad) <= bound, (value, scen, metric)
+    lines = text.splitlines(keepends=True)
+    ten = lines[:1] + [ln for ln in lines[1:] if ln.startswith("gamma_b_db,10,")]
+    assert len(ten) == 13
+    assert "".join(ten) == csvs["one"].read_text(encoding="utf-8")

@@ -117,8 +117,9 @@ def test_rate_closed_precision_loss_signals(ms4):
     golden = sec.secrecy_rate_closed(lb, pinned_series("ms4"), EXTENDED)
     # recorded from the full series; the 50-digit value on the same float
     # weights (theorems.secrecy_rate_reference at 50 digits, 256 edges) is
-    # 3.9180430197225925e-12, 1.85 ulp below it
-    assert golden == 3.918043019722594e-12
+    # 3.9180430197225925e-12, 2 ulp above it (the float count's
+    # 3.918043019722594e-12 was 2 ulp above that value)
+    assert golden == 3.918043019722591e-12
     assert golden == pytest.approx(3.9180430197225925e-12, rel=5e-16, abs=0)
     rq = sec.secrecy_rate_quadrature(lb, ms4)
     assert abs(ext - rq) <= 1e-6 * rq + 1e-15
@@ -348,6 +349,90 @@ def test_sop_closed_is_a_monotone_probability(ms2, ms4, ms6, dof, scen, k,
         assert 0.0 <= v <= 1.0
     assert more_bob <= base + 1e-15
     assert more_rate >= base - 1e-15
+
+
+@pytest.mark.parametrize("series", ["ms4", "ms6", "ms80"])
+def test_log_outage_count_matches_float_count(request, series):
+    # the log-domain count against the float count it replaced, one batch of
+    # r0 per link budget: its pmf, and the SOP from its tails, within 1e-12
+    # relative wherever the float value is above 1e-290 (the float count
+    # underflows below)
+    ms = request.getfixturevalue(series)
+    r0s = np.array([0.05, 0.5, 1.0, 3.0, 6.0])
+    for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5),
+                    (Scenario.MIE, 40), (Scenario.MCE, 40)):
+        for gb_db, ge_db in ((-10.0, 0.0), (10.0, 20.0), (30.0, -10.0),
+                             (50.0, 0.0)):
+            lb = lb_db(gb_db, ge_db, k, scen)
+            log_pmf = sec._log_outage_count(lb, ms, r0s * sec.LN2)
+            for i, r0 in enumerate(r0s):
+                pmf, tail = thm.outage_count_float(lb, ms, 2.0 ** r0)
+                sop = np.array([ms.weights @ tail[ms.dof:]])
+                for got, want in ((np.exp(log_pmf[i]), pmf),
+                                  (np.array([sec.sop_closed(lb, ms, r0)]),
+                                   sop)):
+                    big = want > 1e-290
+                    assert np.all(got[~big] <= 1e-280)
+                    rel = np.abs(got[big] - want[big]) / want[big]
+                    assert rel.max(initial=0.0) <= 1e-12, (scen, k, gb_db,
+                                                            ge_db, r0)
+
+
+def log_sop_and_asymptote(lb, ms, r0):
+    """ln SOP from the log-domain outage count, and ln of its leading law
+    (Ag gamma_b)^(-dof)."""
+    dof, gain = sec.diversity_and_gain(lb, ms, r0)
+    return (sec._log_sop(lb, ms, r0 * sec.LN2),
+            -dof * (math.log(gain) + math.log(lb.gamma_bar_b)))
+
+
+@pytest.mark.parametrize("scen,k", [(Scenario.SE, 1), (Scenario.MIE, 5),
+                                    (Scenario.MIE, 40), (Scenario.MCE, 5),
+                                    (Scenario.MCE, 40)])
+def test_diversity_at_paper_aperture_without_underflow(ms80_default, scen, k):
+    # the diversity order at 40 wavelengths (dof 80), gamma_e 0 dB, r0 3:
+    # between 50 and 60 dB the log SOP falls with slope -79.960 (SE, MIE),
+    # -79.958 (MCE, K 5) and -79.940 (MCE, K 40), bound 0.07 off -80; its
+    # ratio to the leading law rises through 0.90 and 0.99 there (0.86 and
+    # 0.985 for MCE at K 40) to 0.9998-0.9999 at 80 dB.  The SOP is 1e-231
+    # at 50 dB and 1e-311 to 1e-280 at 60 dB; at 70 and 80 dB the float SOP
+    # is 0, and the log SOP keeps the law, slope within 1e-3 of -80
+    ms, r0 = ms80_default, 3.0
+    grid = (50.0, 60.0, 70.0, 80.0)
+    log_sop, log_law = np.array([log_sop_and_asymptote(lb_db(gb, 0.0, k, scen),
+                                                       ms, r0) for gb in grid]).T
+    slope = np.diff(log_sop) / math.log(10.0)
+    assert abs(slope[0] + 80.0) <= 0.07 and abs(slope[2] + 80.0) <= 1e-3, slope
+    ratio = np.exp(log_sop - log_law)
+    assert np.all(np.diff(ratio) > 0.0) and ratio[-1] < 1.0, ratio
+    assert ratio[0] >= 0.85 and ratio[1] >= 0.98 and ratio[-1] >= 0.9995, ratio
+    assert math.exp(log_sop[0]) == pytest.approx(
+        sec.sop_closed(lb_db(50.0, 0.0, k, scen), ms, r0), rel=1e-12)
+    assert sec.sop_closed(lb_db(70.0, 0.0, k, scen), ms, r0) == 0.0
+    assert np.all(np.isfinite(log_sop)) and log_sop[-1] < -1000.0
+
+
+def test_secure_probability_pass_equals_each_node_alone(monkeypatch,
+                                                        ms80_default):
+    # the extended rate makes one outage count over all nodes of a pass of
+    # its rule: each node's value is the double it gets alone
+    calls = []
+    quad = sec._piecewise_quad
+
+    def spy(f, *args, **kw):
+        def each(x, j):
+            out = f(x, j)
+            calls.append((f, x.copy(), out.copy()))
+            return out
+        return quad(each, *args, **kw)
+
+    monkeypatch.setattr(sec, "_piecewise_quad", spy)
+    for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MCE, 5)):
+        sec.secrecy_rate_closed(lb_db(10.0, 20.0, k, scen), ms80_default)
+    assert len(calls) >= 6 and max(x.size for _, x, _ in calls) >= 63
+    for f, x, out in calls:
+        alone = [f(x[i:i + 1], np.zeros(1, dtype=int))[0] for i in range(x.size)]
+        assert np.array_equal(out, alone)
 
 
 def test_sop_rejects_nonpositive_target(ms4):

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 import theorems as thm
+from capa_secrecy import secrecy as sec
+from capa_secrecy import snr_models as snr
 from capa_secrecy import specfun as sf
 
 
@@ -255,14 +257,20 @@ def test_poisson_mix_is_the_full_exp_sum_above_1e_290(ms6, ms80):
 
 @pytest.mark.parametrize("lam", [1e-3, 0.5, 3.0, 37.0, 150.0, 240.0, 1000.0])
 def test_sop_closed_tail_vector_matches_gammainc(lam):
-    # sop_closed's tails P(count >= k), k < 261 (dof 100, q_max 160), from a
-    # pmf that goes on poisson_series_terms(261) terms past them
-    n = 261
-    k = np.arange(n + sf.poisson_series_terms(n), dtype=float)
-    pmf = np.exp(sf.xlogy(k, lam) - lam - sf.log_factorials(k.size))
-    got = sf.poisson_tails(pmf, lam)[:n]
-    assert got[0] == 1.0
-    assert_tails_match(got, gammainc(k[:n], lam), lam)
+    # the closed-form SOP's Poisson tails P(Pois(lam) >= k), 0 < k < 261
+    # (dof 100, q_max 160): the SOP of a series of dof k with one weight,
+    # theta = 1 (lambda = g - 1) and an Eve at 1e-300 (r = e^-690 or less,
+    # which adds nothing) is that tail, for lam below and above k + 1
+    got = []
+    for k in range(1, 261):
+        ms = snr.MoschopoulosSeries(
+            sigmas=np.ones(k), dof=k, sigma_min=1.0, psis=np.ones(1),
+            log_psis=np.zeros(1), q_max=0, log_weight_prefix=0.0,
+            residual=0.0)
+        lb = snr.LinkBudget(1.0, 1e-300)
+        got.append(math.exp(sec._log_sop(lb, ms, math.log1p(lam))))
+    assert_tails_match(np.array(got), gammainc(np.arange(1.0, 261.0), lam),
+                       lam)
 
 
 def test_log_factorials_match_gammaln():

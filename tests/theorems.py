@@ -4,7 +4,8 @@ as references for the library's positive forms, Bob's laws as one
 incomplete-gamma call per mixture shape (the reference for the
 Poisson-index kernel), the Moschopoulos series by its scalar recursion and
 the Poisson sums with every term exponentiated (the references, bit for
-bit, for the library's numpy forms), the Gauss-Kronrod engine with its
+bit, for the library's numpy forms), the SOP's outage count in floats (the
+reference for its log-domain count), the Gauss-Kronrod engine with its
 panels in numpy arrays (the reference, bit for bit, for the library's
 float lists), the secrecy rate as a 30-digit
 integral with recorded higher-precision values, the Gauss-Legendre rule
@@ -276,6 +277,30 @@ def poisson_mix_full_exp(z, table, k0: int, top: float, log_fact):
                 z[below], np.zeros(k0), 0, 1.0, lf) - head[below]
         out += top * tail
     return out
+
+
+def outage_count_float(lb, ms, g: float):
+    """The closed-form SOP's outage count at 2^r0 = g in floats, as the
+    package made it before its log-domain count: (pmf, P(count >= k)) for
+    k < dof + q_max + 1, Bob's Poisson tails from his pmf (1 minus the head
+    sum at k <= lambda, the reverse sum above) and one np.convolve per Eve.
+    Its values underflow to 0 below about 1e-308."""
+    theta = lb.gamma_bar_b * ms.sigma_min
+    lam = (g - 1.0) / theta
+    n = ms.dof + ms.q_max + 1
+    idx = np.arange(len(ms.log_factorials), dtype=float)
+    pmf = np.exp(sps.xlogy(idx, lam) - lam - ms.log_factorials)
+    m = min(n, math.floor(lam) + 1)  # k <= lambda for k < m
+    tail = np.cumsum(pmf[::-1])[::-1][:n]
+    tail[0] = 1.0
+    tail[1:m] = 1.0 - np.cumsum(pmf[:m - 1])
+    idx, pmf = idx[:n], pmf[:n]
+    for mu in sec._eve_scales(lb):
+        log_r = -math.log1p(theta / (g * mu))
+        v = np.convolve(pmf, np.exp(log_r * idx))[:n]
+        tail[1:] += math.exp(log_r) * v[:-1]
+        pmf = -math.expm1(log_r) * v
+    return pmf, tail
 
 
 # ---------------------------------------------------------------------------
