@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .snr_models import (LinkBudget, MoschopoulosSeries, Scenario,
-                         sample_bob, sample_eve)
+                         check_target_rate, sample_bob, sample_eve)
 from .spectral import ApertureGeometry
 from .specfun import DomainError
 
@@ -84,8 +84,7 @@ def _secrecy_loop(bob: np.ndarray, bob_scale: float, eve: np.ndarray,
     rate's mean is its plain sum over n, and its m2 comes from the sum of
     squares about the first pass's mean, which stays exact when the mean
     is far larger than the spread."""
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
+    check_target_rate(r0)
     if not len(bob) == len(eve) == n_trials:
         raise DomainError("need one Bob and one Eve draw per trial")
     g = 2.0 ** r0

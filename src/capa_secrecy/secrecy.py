@@ -20,7 +20,7 @@ import numpy as np
 
 from . import snr_models as snr
 from .snr_models import LinkBudget, MoschopoulosSeries, Scenario
-from .specfun import (EXTENDED, STANDARD, DomainError, EvalPrecision,
+from .specfun import (EXTENDED, STANDARD, EvalPrecision,
                       EULER_GAMMA, SignedLog, _filled, exp_e1_log,
                       harmonic_number, log_binomial, scaled_e1,
                       signed_log_dot)
@@ -575,8 +575,7 @@ def sop_quadratures(lbs, ms: MoschopoulosSeries, r0: float) -> list:
     """`sop_quadrature` at every link budget of `lbs` on one series, the
     integrals in lockstep (`_lockstep`): each SOP, or the ComputationError
     its integral raises."""
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
+    snr.check_target_rate(r0)
     g = 2.0 ** r0
     return _lockstep(
         lbs, lambda lb: [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves), math.inf],
@@ -670,8 +669,7 @@ def _log_sop(lb: LinkBudget, ms: MoschopoulosSeries, log_g: float) -> float:
 
 def sop_closed(lb: LinkBudget, ms: MoschopoulosSeries, r0: float) -> float:
     """Closed-form SOP at target rate r0 (bits): e^`_log_sop`."""
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
+    snr.check_target_rate(r0)
     return min(math.exp(_log_sop(lb, ms, r0 * LN2)), 1.0)
 
 
@@ -729,8 +727,7 @@ def diversity_and_gain(lb: LinkBudget, ms: MoschopoulosSeries,
     SOP -> (Ag gamma_b)^(-dof), Ag^(-dof) prod(sigma) = [z^dof] e^((g-1) z)
     prod_j 1/(1 - g mu_j z), `sop_closed`'s count as theta -> inf: each Eve
     is one geometric step (`_geometric_steps`) with c = g mu_j, in logs."""
-    if r0 <= 0.0:
-        raise DomainError("target secrecy rate must be positive")
+    snr.check_target_rate(r0)
     log_g = r0 * LN2
     idx = np.arange(ms.dof + 1, dtype=float)
     log_gm1 = log_g + math.log(-math.expm1(-log_g))

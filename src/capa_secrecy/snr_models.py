@@ -26,6 +26,16 @@ class Scenario(str, enum.Enum):
     MCE = "MCE"  # multiple collaborative eavesdroppers (MRC combining)
 
 
+MAX_TARGET_RATE = 1024.0  # 2^r0 overflows a double from here on
+
+
+def check_target_rate(r0: float) -> None:
+    """Raise DomainError unless the target secrecy rate r0 (bits) lies in
+    (0, MAX_TARGET_RATE); NaN and infinities lie outside."""
+    if not 0.0 < r0 < MAX_TARGET_RATE:
+        raise DomainError(f"target rate must lie in (0, {MAX_TARGET_RATE:g})")
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Average link SNRs (linear) and the eavesdropping scenario."""
@@ -39,8 +49,9 @@ class LinkBudget:
         if not (0.0 < self.gamma_bar_b < math.inf
                 and 0.0 < self.gamma_bar_e < math.inf):
             raise DomainError("average SNRs must be positive and finite")
-        if self.k_eves < 1:
-            raise DomainError("need at least one eavesdropper")
+        k = self.k_eves
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise DomainError("need a whole number of eavesdroppers, at least one")
         if self.scenario == Scenario.SE and self.k_eves != 1:
             raise DomainError("single-eavesdropper scenario requires k_eves = 1")
 

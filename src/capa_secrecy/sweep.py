@@ -201,8 +201,8 @@ class SweepConfig:
         for name in ("wavelength_m", "aperture_len_m", "target_rate_r0"):
             if not (_number(getattr(self, name)) and getattr(self, name) > 0):
                 bad(name, "must be a positive finite number")
-        if self.target_rate_r0 >= 1024:
-            bad("target_rate_r0", "must be below 1024 (2^r0 overflows)")
+        if self.target_rate_r0 >= snr.MAX_TARGET_RATE:
+            bad("target_rate_r0", f"must be below {snr.MAX_TARGET_RATE:g}")
         for name in ("gamma_b_db", "gamma_e_db"):
             if not _number(getattr(self, name)):
                 bad(name, "must be a finite number")

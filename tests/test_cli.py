@@ -1109,7 +1109,8 @@ def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
     # no sweep loads scipy, whether its spectrum is computed or comes from
     # the cache, and none loads mpmath, not even the closed-form rate past
     # the DoF cap (10 wavelengths: dof 20); the `spectrum` subcommand loads
-    # neither.  The control: the probe does see scipy once it is imported
+    # neither.  The shipped sweep read from the cache writes the bytes it
+    # wrote filling it.  The control: the probe sees scipy once imported
     paths = [write_config(tmp_path, cfg, f"{name}.json") for name, cfg in (
         ("small", {"aperture_lambdas": 3, "quadrature_order": 160,
                    "n_trials": 10000, "axis": "gamma_b_db",
@@ -1121,9 +1122,12 @@ def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
                       "axis": "gamma_b_db", "values": [20.0],
                       "scenarios": ["SE", "MIE", "MCE"],
                       "evaluators": ["closed-form"], "outputs": ["rate"]}))]
+    runs = [(p, tmp_path / "out.csv", []) for p in paths]
+    table1 = tmp_path / "table1.csv"  # the shipped sweep (40 wavelengths)
+    runs.append((TABLE1_CONFIG, table1, ["--trials", "20000"]))
     sweeps = [f"from capa_secrecy import cli; assert cli.main(['sweep', "
-              f"'--config', {p!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0"
-              for p in paths]
+              f"'--config', {p!r}, '--out', {str(out)!r}, *{args!r}]) == 0"
+              for p, out, args in runs]
     spectrum = ("import contextlib, io; from capa_secrecy import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()): "
                 "assert cli.main(['spectrum', '--lambda', '0.1249', "
@@ -1131,16 +1135,18 @@ def test_warm_cache_sweep_loads_no_scipy_or_mpmath(tmp_path):
     cache = str(tmp_path / "spectra")
     cold = loaded_after(sweeps + [spectrum, "import scipy.linalg"], tmp_path,
                         CAPA_CACHE_DIR=cache)
-    assert cold[:3] == [[], [], []], cold
-    assert "scipy.linalg" in cold[3], cold
+    assert cold[:4] == [[], [], [], []], cold
+    assert "scipy.linalg" in cold[4], cold
+    filled = table1.read_bytes()
     warm = loaded_after(sweeps, tmp_path, CAPA_CACHE_DIR=cache)
-    assert warm == [[], []], warm
+    assert warm == [[], [], []], warm
+    assert table1.read_bytes() == filled
 
 
 def test_sweep_and_spectrum_run_with_scipy_blocked(tmp_path):
     # with scipy made unimportable before the package loads, a cold sweep
-    # over every evaluator and output, and `spectrum`, still run; the CSV
-    # and the printed spectrum are the bytes of the unblocked run
+    # over every evaluator and output, the shipped sweep and `spectrum`
+    # still run; the CSVs and the printed spectrum are the unblocked bytes
     path = write_config(tmp_path, {
         "aperture_lambdas": 3, "quadrature_order": 160, "n_trials": 10000,
         "axis": "gamma_b_db", "values": [10.0, 20.0],
@@ -1148,23 +1154,26 @@ def test_sweep_and_spectrum_run_with_scipy_blocked(tmp_path):
         "outputs": list(sw.OUTPUTS)})
     runs = {}
     for block in (True, False):
-        out = tmp_path / f"block-{block}.csv"
+        out, table1 = (tmp_path / f"block-{block}.csv",
+                       tmp_path / f"table1-{block}.csv")
         code = ("import sys\n"
                 + ("sys.modules['scipy'] = None\n" if block else "")
                 + "from capa_secrecy import cli\n"
                 f"assert cli.main(['sweep', '--config', {path!r}, "
                 f"'--out', {str(out)!r}]) == 0\n"
+                f"assert cli.main(['sweep', '--config', {TABLE1_CONFIG!r}, "
+                f"'--trials', '20000', '--out', {str(table1)!r}]) == 0\n"
                 "assert cli.main(['spectrum', '--lambda', '0.1249', "
                 "'--length', '0.4996', '--t', '40']) == 0\n"
                 "try:\n    import scipy.linalg\nexcept ImportError:\n"
                 "    print('blocked')\n")
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        runs[block] = (out.read_bytes(), proc.stdout)
-    assert runs[True][1].endswith("blocked\n")
-    assert "blocked" not in runs[False][1]
-    assert runs[True][0] == runs[False][0]
-    assert runs[True][1][:-len("blocked\n")] == runs[False][1]
+        runs[block] = (out.read_bytes(), table1.read_bytes(), proc.stdout)
+    assert runs[True][2].endswith("blocked\n")
+    assert "blocked" not in runs[False][2]
+    assert runs[True][:2] == runs[False][:2]
+    assert runs[True][2][:-len("blocked\n")] == runs[False][2]
 
 
 def test_many_eve_closed_form_sop_matches_quadrature(tmp_path):

@@ -120,6 +120,27 @@ def test_sop_limits_in_target_rate(ms4):
     assert sop_big.mean == 1.0
 
 
+SOP_ENTRIES = {  # every library route to an SOP at r0, on 2 wavelengths
+    "quadrature": sec.sop_quadrature,
+    "closed": sec.sop_closed,
+    "asymptotic": sec.sop_asymptotic,
+    "gain": lambda lb, ms, r0: sec.diversity_and_gain(lb, ms, r0)[1],
+    "monte-carlo": lambda lb, ms, r0: mc_point(lb, ms, r0, 10_000, 5)[1].mean,
+    "spda": lambda lb, ms, r0: spda_point(
+        lb, spc.ApertureGeometry(LAMBDA, 2 * LAMBDA), r0, 10_000, 5)[1].mean}
+
+
+@pytest.mark.parametrize("entry", SOP_ENTRIES)
+def test_target_rate_outside_the_double_range_raises(ms4, entry):
+    # 2^r0 overflows a double from r0 = 1024 on, and NaN or inf is no rate:
+    # each is a DomainError, not a silent 0, nan or an OverflowError
+    lb = LinkBudget(10.0, 1.0)
+    for r0 in (math.nan, math.inf, 1024.0, 1100.0):
+        with pytest.raises(DomainError):
+            SOP_ENTRIES[entry](lb, ms4, r0)
+    assert isinstance(SOP_ENTRIES[entry](lb, ms4, 1023.0), float)
+
+
 def test_mie_point_matches_analytics(ms4):
     lb = LinkBudget(100.0, 1.0, 5, Scenario.MIE)
     rate, sop = mc_point(lb, ms4, 1.0, 1_000_000, 7)

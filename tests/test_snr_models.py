@@ -51,6 +51,10 @@ def test_link_budget_validation():
         LinkBudget(1.0, 1.0, 3, Scenario.SE)
     with pytest.raises(DomainError):
         LinkBudget(1.0, 1.0, 0, Scenario.MIE)
+    for k in (2.5, 3.0, True):  # Eves come whole, and True is no count
+        with pytest.raises(DomainError):
+            LinkBudget(1.0, 1.0, k, Scenario.MIE)
+    assert LinkBudget(1.0, 1.0, np.int64(3), Scenario.MCE).k_eves == 3
 
 
 def test_psi_equal_eigenvalues_collapse():
