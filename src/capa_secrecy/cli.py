@@ -25,10 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=None,
                    help="Override Monte Carlo trial count")
     s.add_argument("--seed", type=int, default=None, help="Override root seed")
-    s.add_argument("--evaluator", action="append", default=None,
-                   help="Override evaluator list (repeatable)")
-    s.add_argument("--timing", action="store_true",
-                   help="Record wall_ms per row (breaks byte determinism)")
 
     sp = sub.add_parser("spectrum", help="Print the aperture eigenvalue profile.")
     sp.add_argument("--lambda", dest="wavelength_m", type=float, required=True,
@@ -52,10 +48,6 @@ def _cmd_sweep(args) -> int:
             cfg.n_trials = args.trials
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.evaluator:
-            cfg.evaluators = args.evaluator
-        if args.timing:
-            cfg.timing = True
         cfg.validate()
     except sw.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

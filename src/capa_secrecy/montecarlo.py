@@ -99,7 +99,8 @@ def _secrecy_loop(bob: np.ndarray, bob_scale: float, eve: np.ndarray,
         np.multiply(eve[lo:lo + n], eve_scale, out=one_e)
         one_e += 1.0
         # outage: rho_b < g (1 + rho_e) - 1
-        np.multiply(one_e, g, out=thr)
+        with np.errstate(over="ignore"):  # inf past the double range
+            np.multiply(one_e, g, out=thr)
         thr -= 1.0
         count += int(np.count_nonzero(np.less(rate, thr, out=out_buf[:n])))
         # rate: max(log2(1 + rho_b) - log2(1 + rho_e), 0)

@@ -577,9 +577,14 @@ def sop_quadratures(lbs, ms: MoschopoulosSeries, r0: float) -> list:
     its integral raises."""
     snr.check_target_rate(r0)
     g = 2.0 ** r0
+
+    def bob_cdf(y, gamma_b):
+        with np.errstate(over="ignore"):  # inf past the double range
+            x = g * (1.0 + y) - 1.0
+        return snr.bob_cdf(x, gamma_b, ms)
     return _lockstep(
         lbs, lambda lb: [0.0, 40.0 * (lb.gamma_bar_e * lb.k_eves), math.inf],
-        lambda y, gamma_b: snr.bob_cdf(g * (1.0 + y) - 1.0, gamma_b, ms),
+        bob_cdf,
         lambda y, lb, f_b: snr.eve_pdf(y, lb) * f_b,
         lambda sop: min(max(sop, 0.0), 1.0), 1e-10, 1e-7, "SOP", max_rel=1e-6)
 

@@ -3,8 +3,9 @@
 A sweep walks one axis (Bob SNR, Eve SNR, aperture length, eavesdropper
 count), evaluates the requested metrics with the requested evaluators for
 each scenario, and emits one CSV row per (value, scenario, evaluator,
-metric).  Output is byte-deterministic for a fixed seed; wall-clock timing
-is only recorded when explicitly requested since it breaks determinism.
+metric).  Output is byte-deterministic for a fixed seed; how each aperture
+length's spectrum came out and how long its calls took go to a summary
+stream, one line per length.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from . import snr_models as snr
 from . import spectral as spc
 from .snr_models import LinkBudget, Scenario
 
-CSV_HEADER = "axis,value,scenario,evaluator,metric,result,std_err,seed,wall_ms"
+CSV_HEADER = "axis,value,scenario,evaluator,metric,result,std_err,seed"
 
 # sweep axis -> the setting its values override at each grid point
 AXES = {"gamma_b_db": "gamma_b_db", "gamma_e_db": "gamma_e_db",
@@ -192,7 +193,6 @@ class SweepConfig:
     scenarios: list = field(default_factory=lambda: ["SE", "MIE", "MCE"])
     evaluators: list = field(default_factory=lambda: ["quadrature", "monte-carlo"])
     outputs: list = field(default_factory=lambda: ["rate", "sop"])
-    timing: bool = False
 
     def validate(self):
         def bad(fieldname, msg):
@@ -214,8 +214,6 @@ class SweepConfig:
                 bad(name, "must be a positive integer")
         if not (_number(self.seed, int) and self.seed >= 0):
             bad("seed", "must be a nonnegative integer")
-        if not isinstance(self.timing, bool):
-            bad("timing", "must be true or false")
         if self.axis not in AXES:
             bad("axis", f"must be one of {tuple(AXES)}")
         if not (isinstance(self.values, list) and self.values
@@ -351,14 +349,15 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
     """Run the grid points at `values`, all at aperture `length` (grid index
     `ai`): each distinct call that a requested row reads, once over all the
     points, then the rows, written to `out` in grid order.  Returns (the
-    spectrum, or the exception resolving it raised; whether a row failed).
-    The length's series, tables and draws live only in this call.
+    spectrum, or the exception resolving it raised; whether a row failed;
+    each call's wall time in ms, keyed by the rows that read it).  The
+    length's series, tables and draws live only in this call.
 
     When a requested row reads `_sampled`, its `_draws` start on a second
     thread once the series and points exist, while this one makes the
     other calls.  Every other call, the spectral stage and every loop run
     on this thread, and the draw thread is joined before this call
-    returns, whatever it raises.  A sampled row's wall_ms counts the draw
+    returns, whatever it raises.  The sampled call's time is the draw
     job's elapsed time, which includes its waits for the GIL while the
     analytic calls run, and the loops' time, not the time `_sampled`
     waited for the job."""
@@ -380,35 +379,36 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
               if not isinstance(lb, Exception)]
     reads = {ev: {m: ROWS[ev, m] for m in cfg.outputs if (ev, m) in ROWS}
              for ev in cfg.evaluators}
-    # each distinct call once, `_sampled` last: it joins the draws' job
-    distinct = sorted(dict.fromkeys(c for r in reads.values()
-                                    for c, _ in r.values()),
-                      key=lambda c: c is _sampled)
+    # each distinct call with the rows that read it; the calls run once,
+    # `_sampled` last, since it joins the draws' job, and none without points
+    names = {}
+    for ev, rows in reads.items():
+        for m, (call, _) in rows.items():
+            names.setdefault(call, []).append(f"{ev}/{m}")
+    distinct = sorted(names, key=lambda c: c is _sampled) if points else []
     job = {}  # the draw job's thread, draws and time (`_draws`)
-    if points and _sampled in distinct:
+    if _sampled in distinct:
         a = a._replace(draws=job)
         job["thread"] = threading.Thread(target=_draws, args=(
             a, points[0].value, [ev for ev, r in reads.items() if r]))
         job["thread"].start()
-    # each call's value or exception at each point, and its time per point
-    results, ms_each = {}, {}
+    # each call's value or exception at each point, and its time
+    results, ms = {}, {}
     try:
         for call in distinct:
-            if points:
-                t0 = time.perf_counter()
-                r = _try(call, a, points)
-                results[call] = ([r] * len(points) if isinstance(r, Exception)
-                                 else r)
-                ms_each[call] = (time.perf_counter() - t0) * 1e3 / len(points)
+            t0 = time.perf_counter()
+            r = _try(call, a, points)
+            results[call] = ([r] * len(points) if isinstance(r, Exception)
+                             else r)
+            ms[call] = (time.perf_counter() - t0) * 1e3
     finally:
         if job:  # no draw outlives its aperture, even on Ctrl-C
             job["thread"].join()
     if "ms" in job:  # the job's time and the loops', not the join's wait
-        ms_each[_sampled] = job["ms"] / len(points)
+        ms[_sampled] = job["ms"]
     failed, j = False, -1  # j: the point's index in `points`
     for value, scen, lb in budgets:
-        ran = not isinstance(lb, Exception)
-        j += ran
+        j += not isinstance(lb, Exception)
         for ev, rows in reads.items():
             try:
                 _shared(lb)
@@ -416,14 +416,27 @@ def _sweep_aperture(cfg: SweepConfig, ai: int, length: float, values: list,
                          for m, (call, path) in rows.items()}
             except Exception as exc:  # keep sweeping, tag the row
                 cells = {"error": (f"error:{type(exc).__name__}", "")}
-            # the time per point of each distinct call that its rows read
-            calls = {c for c, _ in rows.values()} if ran else ()
-            wall = _fmt(sum(ms_each[c] for c in calls)) if cfg.timing else ""
             for metric, (r, se) in cells.items():
                 out.write(f"{cfg.axis},{_fmt(value)},{scen},{ev},{metric},"
-                          f"{r},{se},{cfg.seed},{wall}\n")
+                          f"{r},{se},{cfg.seed}\n")
             failed = failed or "error" in cells
-    return spec, failed
+    return spec, failed, {"+".join(names[call]): t for call, t in ms.items()}
+
+
+def _summary(cfg: SweepConfig, length: float, spec, times: dict) -> str:
+    """The summary line of aperture `length`: its spectrum or the error
+    resolving it, then each call's wall time there (`_sweep_aperture`)."""
+    if isinstance(spec, Exception):
+        detail = f"error:{type(spec).__name__}: {spec}"
+    else:
+        t = cfg.quadrature_order or spc.nystrom_order(spec)
+        counts = [spc.landau_count(spec, e) for e in (0.01, 0.5, 0.99)]
+        detail = (f"dof={spec.dof} t={t} "
+                  f"trace_residual={spec.trace_residual:.3e} "
+                  "landau_counts(eps=0.01/0.5/0.99)="
+                  + "/".join(map(str, counts)))
+    calls = "".join(f" {rows}={ms:.3f}ms" for rows, ms in times.items())
+    return f"spectrum: aperture_len={length:g} {detail}{calls}"
 
 
 def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
@@ -443,6 +456,8 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     thread count the bytes do not depend on how the threads are scheduled.
     Every stream's seed is derived from the root seed and a grid index, and
     each row's seed cell is the root seed, the one value that reproduces it.
+    As each length finishes, its `_summary` line goes to `summary_stream`
+    (default stderr).
     """
     summary = summary_stream if summary_stream is not None else sys.stderr
     values = list(map(float, cfg.values))
@@ -454,23 +469,10 @@ def run_sweep(cfg: SweepConfig, out_stream, *, cache_dir=None,
     # the power offset's Eve terms by (scenario, K, gamma_e), for this sweep
     eves, eve_terms, failed = {}, {}, False
     for ai, (length, grid) in enumerate(apertures):
-        resolved, failed_here = _sweep_aperture(
+        spec, failed_here, times = _sweep_aperture(
             cfg, ai, length, grid, eves, eve_terms, cache_dir, out_stream)
-        if ai == 0:  # the summary's: values[0] on the aperture axis
-            first = length, resolved
+        print(_summary(cfg, length, spec, times), file=summary)
         failed = failed or failed_here
-
-    summary_len, resolved = first
-    if isinstance(resolved, Exception):
-        detail = f"error:{type(resolved).__name__}: {resolved}"
-    else:
-        t = cfg.quadrature_order or spc.nystrom_order(resolved)
-        counts = [spc.landau_count(resolved, e) for e in (0.01, 0.5, 0.99)]
-        detail = (f"dof={resolved.dof} t={t} "
-                  f"trace_residual={resolved.trace_residual:.3e} "
-                  "landau_counts(eps=0.01/0.5/0.99)="
-                  + "/".join(map(str, counts)))
-    print(f"spectrum: aperture_len={summary_len:g} {detail}", file=summary)
     return 1 if failed else 0
 
 

@@ -227,7 +227,7 @@ def test_one_value_rows_differ_fails(sweeps, tmp_path, doctor):
     elif doctor == "extra":
         lines.insert(3, lines[3])
     else:
-        lines[0] = lines[0].replace(b"wall_ms", b"wall")
+        lines[0] = lines[0].replace(b"std_err", b"stderr")
     bad = tmp_path / "one.csv"
     bad.write_bytes(b"".join(lines))
     n = ONE_ROWS + {"missing": -1, "extra": 1}.get(doctor, 0)

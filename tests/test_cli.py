@@ -56,16 +56,34 @@ def run_sweep_to_string(cfg_dict):
     return code, out.getvalue()
 
 
+def summary_of(cfg_dict):
+    """(exit code, the summary lines) of a sweep."""
+    summary = io.StringIO()
+    code = sw.run_sweep(sw.config_from_dict(cfg_dict), io.StringIO(),
+                        summary_stream=summary)
+    return code, summary.getvalue().splitlines()
+
+
 def parse_rows(csv_text):
     lines = csv_text.strip().split("\n")
     assert lines[0] == sw.CSV_HEADER
     rows = []
     for ln in lines[1:]:
-        ax, val, scen, ev, metric, res, se, seed, wall = ln.split(",")
+        ax, val, scen, ev, metric, res, se, seed = ln.split(",")
         rows.append(dict(axis=ax, value=float(val), scenario=scen,
                          evaluator=ev, metric=metric, result=res,
-                         std_err=se, seed=seed, wall=wall))
+                         std_err=se, seed=seed))
     return rows
+
+
+def call_times(summary_line):
+    """{the rows that read a call: its wall time in ms} of a summary line."""
+    times = {}
+    for token in summary_line.split():
+        rows, _, ms = token.rpartition("=")
+        if ms.endswith("ms"):
+            times[rows] = float(ms[:-2])
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +151,7 @@ def test_sweep_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
     ({"values": [0.0, 10 ** 400]}, "values"),
     ({"gamma_b_db": float("nan")}, "gamma_b_db"),
     ({"wavelength_m": float("inf")}, "wavelength_m"),
-    ({"timing": "no"}, "timing"),
+    ({"timing": False}, "timing"),
     ({"q_floor": 160}, "q_floor"),
     ({"series_tol": 1e-8}, "series_tol"),
     ({"epsilon_floor": 1e-8}, "epsilon_floor"),
@@ -220,21 +238,22 @@ def test_sweep_cli_overrides(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     out = str(tmp_path / "o.csv")
     code = cli.main(["sweep", "--config", path, "--out", out,
-                     "--trials", "15000", "--seed", "9",
-                     "--evaluator", "monte-carlo"])
+                     "--trials", "15000", "--seed", "9"])
     assert code == 0
     text = open(out).read()
     rows = parse_rows(text)
-    assert all(r["evaluator"] == "monte-carlo" for r in rows)
     assert all(r["seed"] == "9" for r in rows)  # the root seed that ran
     # an override is validated like the config field it replaces
     capsys.readouterr()
     assert cli.main(["sweep", "--config", path, "--seed", "-5"]) == 2
     assert capsys.readouterr().err.startswith("config error: seed:")
-    # there is no worker pool to size
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--config", path, "--workers", "2"])
-    assert exc.value.code == 2 and "--workers" in capsys.readouterr().err
+    # there is no worker pool to size, and the config's evaluators and the
+    # summary's call times have no flag
+    for flag in (["--workers", "2"], ["--evaluator", "monte-carlo"],
+                 ["--timing"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", path] + flag)
+        assert exc.value.code == 2 and flag[0] in capsys.readouterr().err
 
 
 # 74.94 m is 600 wavelengths: dof 1200 needs 2400 quadrature points, so
@@ -274,7 +293,7 @@ def test_failed_aperture_draws_no_eves(monkeypatch):
         scenarios=["SE", "MIE", "MCE"], evaluators=["monte-carlo"]))
     assert code == 1 and drawn == []
     assert text == sw.CSV_HEADER + "\n" + "".join(
-        f"k_eves,{k},{scen},monte-carlo,error,error:DomainError,,42,\n"
+        f"k_eves,{k},{scen},monte-carlo,error,error:DomainError,,42\n"
         for k in (1, 2, 4, 8) for scen in ("SE", "MIE", "MCE"))
 
     def eve_streams(values):
@@ -332,26 +351,30 @@ def test_each_aperture_resolved_once(monkeypatch):
     def sweep(values):
         for c in calls.values():
             c.clear()
-        summary = io.StringIO()
-        code = sw.run_sweep(sw.config_from_dict(small_config(
+        return summary_of(small_config(
             axis="aperture_len", values=values,
-            evaluators=["quadrature", "asymptotic"])),
-            io.StringIO(), summary_stream=summary)
-        return code, summary.getvalue()
+            evaluators=["quadrature", "asymptotic"]))
 
     # every length once, the failing ones included; a failed spectrum
-    # leaves no series to build
+    # leaves no series to build, and each length has its summary line in
+    # grid order, a failed one its error and no call
     code, summary = sweep([0.4996, 74.94, 149.88])
     assert code == 1
     assert calls == {"cached_decompose": [0.4996, 74.94, 149.88],
                      "build_psi": [0.4996]}
-    assert summary.startswith("spectrum: aperture_len=0.4996 dof=8 ")
-    # the summary reports a failed first length instead of solving again
+    first, *failed = summary
+    assert first.startswith("spectrum: aperture_len=0.4996 dof=8 ")
+    assert list(call_times(first)) == ["quadrature/rate", "quadrature/sop",
+                                       "asymptotic/rate", "asymptotic/sop"]
+    assert failed == [
+        f"spectrum: aperture_len={length} error:DomainError: need t >= "
+        f"2*dof = {2 * dof} quadrature points, got 120"
+        for length, dof in ((74.94, 1200), (149.88, 2400))]
+    # a failed first length is reported, not solved again
     code, summary = sweep([74.94, 149.88])
     assert code == 1
     assert calls == {"cached_decompose": [74.94, 149.88], "build_psi": []}
-    assert summary == ("spectrum: aperture_len=74.94 error:DomainError: "
-                       "need t >= 2*dof = 2400 quadrature points, got 120\n")
+    assert summary == failed
 
 
 def closed_rate_config(**overrides):
@@ -479,12 +502,10 @@ def test_offset_eve_term_once_per_eve_law_per_sweep(monkeypatch, tmp_path):
 @pytest.mark.parametrize("order,shown", [(None, 40), (120, 120)])
 def test_summary_names_the_order_that_ran(order, shown):
     # JSON null is the default: the aperture's converged order
-    summary = io.StringIO()
-    code = sw.run_sweep(sw.config_from_dict(small_config(
-        quadrature_order=order, evaluators=["asymptotic"])),
-        io.StringIO(), summary_stream=summary)
-    assert code == 0
-    assert summary.getvalue().startswith(
+    code, summary = summary_of(small_config(quadrature_order=order,
+                                            evaluators=["asymptotic"]))
+    assert code == 0 and len(summary) == 1
+    assert summary[0].startswith(
         f"spectrum: aperture_len=0.2498 dof=4 t={shown} trace_residual=")
 
 
@@ -752,30 +773,20 @@ def test_one_trial_reports_no_error_estimate():
                                                           ("sop", "inf")]
 
 
-def test_wall_ms_only_with_timing_flag():
-    _, text = run_sweep_to_string(small_config(evaluators=["quadrature"]))
-    assert all(r["wall"] == "" for r in parse_rows(text))
-    _, text = run_sweep_to_string(small_config(evaluators=["quadrature"],
-                                               timing=True))
-    assert all(float(r["wall"]) >= 0.0 for r in parse_rows(text))
-
-
-def test_wall_ms_covers_batched_calls(monkeypatch):
-    # a quadrature row's wall_ms is its point's share of the batch call
-    # that made it: a batch that sleeps 50 ms shows over the rows
+def test_summary_times_batched_calls(monkeypatch):
+    # the summary line has each batch call's time at the length, under the
+    # rows that read it: a SOP batch that sleeps 50 ms shows on its entry
     sops = sec.sop_quadratures
 
     def slow(*args):
         time.sleep(0.05)
         return sops(*args)
     monkeypatch.setattr(sec, "sop_quadratures", slow)
-    code, text = run_sweep_to_string(small_config(evaluators=["quadrature"],
-                                                  timing=True))
-    assert code == 0
-    # one sop row per (point, evaluator); its rate row has the same wall_ms
-    walls = [float(r["wall"]) for r in parse_rows(text) if r["metric"] == "sop"]
-    assert len(walls) == 3 * 2
-    assert sum(walls) >= 50.0
+    code, lines = summary_of(small_config(evaluators=["quadrature"]))
+    assert code == 0 and len(lines) == 1
+    times = call_times(lines[0])
+    assert list(times) == ["quadrature/rate", "quadrature/sop"]
+    assert times["quadrature/sop"] >= 50.0
 
 
 def sampled_lines(text):
@@ -844,7 +855,7 @@ def test_failing_bob_draws_fail_only_monte_carlo_rows(monkeypatch):
     assert code == 1
     failed = [ln for ln in text.splitlines() if ",monte-carlo," in ln]
     assert len(failed) == 3 * 2
-    assert all(ln.endswith(",monte-carlo,error,error:ZeroDivisionError,,42,")
+    assert all(ln.endswith(",monte-carlo,error,error:ZeroDivisionError,,42")
                for ln in failed)
     assert ([ln for ln in text.splitlines() if ln not in failed]
             == [ln for ln in intact.splitlines() if ",monte-carlo," not in ln])
@@ -877,24 +888,23 @@ def test_interrupt_waits_for_the_draws(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_wall_ms_covers_the_draws(monkeypatch):
-    # a sampled row's wall_ms counts its draws' elapsed time and its loops,
-    # not the time it waited for the draws: Bob's draws that sleep 300 ms
-    # show once over the monte-carlo rows, though the rows also wait for
-    # most of them after the quadratures end
+def test_summary_times_the_draws(monkeypatch):
+    # the sampled call's time is its draws' elapsed time and its loops, not
+    # the time it waited for the draws: Bob's draws that sleep 300 ms show
+    # once on the entry of the rows that read it, though the call also
+    # waits for most of them after the quadratures end
     draw = mc.unit_bob_draws
 
     def slow(*args):
         time.sleep(0.3)
         return draw(*args)
     monkeypatch.setattr(mc, "unit_bob_draws", slow)
-    code, text = run_sweep_to_string(small_config(timing=True))
-    assert code == 0
-    # one sop row per (point, evaluator); its rate row has the same wall_ms
-    walls = [float(r["wall"]) for r in parse_rows(text)
-             if r["metric"] == "sop" and r["evaluator"] == "monte-carlo"]
-    assert len(walls) == 3 * 2
-    assert 300.0 <= sum(walls) < 450.0
+    code, lines = summary_of(small_config())
+    assert code == 0 and len(lines) == 1
+    times = call_times(lines[0])
+    assert list(times) == ["quadrature/rate", "quadrature/sop",
+                           "monte-carlo/rate+monte-carlo/sop"]
+    assert 300.0 <= times["monte-carlo/rate+monte-carlo/sop"] < 450.0
 
 
 def test_spectrum_cache_env(tmp_path, monkeypatch):
@@ -971,7 +981,7 @@ def synth_csv(tmp_path, axes, metrics):
     for ax in axes:
         for metric in metrics:
             for v in (1.0, 2.0):
-                lines.append(f"{ax},{v},SE,quadrature,{metric},0.5,,1,")
+                lines.append(f"{ax},{v},SE,quadrature,{metric},0.5,,1")
     path = tmp_path / "sweep.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -1282,10 +1292,12 @@ def test_target_rate_past_the_double_range_exit_2(tmp_path, capsys, r0):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_target_rate_at_the_double_range_edge_rows_are_numbers(tmp_path):
     # r0 1023 puts Bob's Poisson index (2^r0 - 1)/theta past the double
     # range (theta < 1 here): every evaluator's SOP is 1, and the closed-form
-    # SOP and gain come from logs, so each row is a number
+    # SOP and gain come from logs, so each row is a number, with no numpy
+    # overflow warning
     out = tmp_path / "edge.csv"
     path = write_config(tmp_path, small_config(
         target_rate_r0=1023.0, values=[10.0], scenarios=["SE", "MIE", "MCE"],

@@ -130,10 +130,13 @@ SOP_ENTRIES = {  # every library route to an SOP at r0, on 2 wavelengths
         lb, spc.ApertureGeometry(LAMBDA, 2 * LAMBDA), r0, 10_000, 5)[1].mean}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", SOP_ENTRIES)
 def test_target_rate_outside_the_double_range_raises(ms4, entry):
     # 2^r0 overflows a double from r0 = 1024 on, and NaN or inf is no rate:
-    # each is a DomainError, not a silent 0, nan or an OverflowError
+    # each is a DomainError, not a silent 0, nan or an OverflowError; at
+    # 1023 the threshold 2^r0 (1 + rho_e) - 1, and Bob's Poisson index past
+    # it, may be inf, which is a value, not a numpy warning
     lb = LinkBudget(10.0, 1.0)
     for r0 in (math.nan, math.inf, 1024.0, 1100.0):
         with pytest.raises(DomainError):

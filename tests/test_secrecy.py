@@ -412,6 +412,26 @@ def test_diversity_at_paper_aperture_without_underflow(ms80_default, scen, k):
     assert np.all(np.isfinite(log_sop)) and log_sop[-1] < -1000.0
 
 
+def test_slope_and_orderings_at_paper_aperture(ms80_default):
+    # 40 wavelengths (dof 80) at the default order, r0 3: the high-SNR
+    # slope is 1 within the series residual plus a few ulps (it reads
+    # 1 - 2.38e-14 against a residual of 2.38e-14), and at K 5 and 40 and
+    # gamma_e -10...20 dB the array gain orders SE > MIE > MCE and the
+    # power offset SE < MIE < MCE, as PAPER.md claims for every aperture
+    ms, r0 = ms80_default, 3.0
+    assert (abs(sec.high_snr_slope(ms) - 1.0)
+            <= ms.residual + 4 * np.finfo(float).eps)
+    for k in (5, 40):
+        for ge_db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
+            lbs = [lb_db(20.0, ge_db, 1 if scen == Scenario.SE else k, scen)
+                   for scen in (Scenario.SE, Scenario.MIE, Scenario.MCE)]
+            se, mie, mce = (sec.diversity_and_gain(lb, ms, r0)[1]
+                            for lb in lbs)
+            assert se > mie > mce, (k, ge_db)
+            se, mie, mce = (sec.high_snr_offset(lb, ms) for lb in lbs)
+            assert se < mie < mce, (k, ge_db)
+
+
 def test_secure_probability_pass_equals_each_node_alone(monkeypatch,
                                                         ms80_default):
     # the extended rate makes one outage count over all nodes of a pass of
