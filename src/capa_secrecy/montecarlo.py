@@ -87,27 +87,22 @@ def _secrecy_loop(bob: np.ndarray, bob_scale: float, eve: np.ndarray,
     check_target_rate(r0)
     if not len(bob) == len(eve) == n_trials:
         raise DomainError("need one Bob and one Eve draw per trial")
-    g = 2.0 ** r0
     size = min(_LOOP_BLOCK, n_trials)
-    rate_buf, eve_buf, thr_buf = np.empty(size), np.empty(size), np.empty(size)
+    rate_buf, eve_buf = np.empty(size), np.empty(size)
     out_buf = np.empty(size, dtype=bool)
     count, total, shift, squares = 0, 0.0, 0.0, 0.0
     for lo in range(0, n_trials, _LOOP_BLOCK):
         n = min(_LOOP_BLOCK, n_trials - lo)
-        rate, one_e, thr = rate_buf[:n], eve_buf[:n], thr_buf[:n]
+        rate, one_e = rate_buf[:n], eve_buf[:n]
         np.multiply(bob[lo:lo + n], bob_scale, out=rate)  # rho_b
         np.multiply(eve[lo:lo + n], eve_scale, out=one_e)
         one_e += 1.0
-        # outage: rho_b < g (1 + rho_e) - 1
-        with np.errstate(over="ignore"):  # inf past the double range
-            np.multiply(one_e, g, out=thr)
-        thr -= 1.0
-        count += int(np.count_nonzero(np.less(rate, thr, out=out_buf[:n])))
-        # rate: max(log2(1 + rho_b) - log2(1 + rho_e), 0)
+        # C_s = log2(1 + rho_b) - log2(1 + rho_e); outage: C_s < r0
         rate += 1.0
         np.log2(rate, out=rate)
         rate -= np.log2(one_e, out=one_e)
-        np.maximum(rate, 0.0, out=rate)
+        count += int(np.count_nonzero(np.less(rate, r0, out=out_buf[:n])))
+        np.maximum(rate, 0.0, out=rate)  # the rate: max(C_s, 0)
         total += float(np.sum(rate))
         if lo == 0:
             shift = total / n

@@ -355,25 +355,6 @@ def _qk21(fx, h):
     return resk * h, err, resasc
 
 
-def _pairwise_sum(xs) -> float:
-    """np.sum of the list of floats xs, bit for bit: numpy's pairwise order,
-    0.0 plus eight running sums over blocks of up to 128 terms (the last
-    n % 8 terms added one by one), halves above, cut at a multiple of 8."""
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    res, end = 0.0, n - n % 8
-    if end:
-        r = xs[:8]
-        for i in range(8, end, 8):
-            r = [x + y for x, y in zip(r, xs[i:i + 8])]
-        res += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in xs[end:]:
-        res += x
-    return res
-
-
 def _to_bisect(err, tol, room) -> list:
     """The panels to bisect next by their error estimates, a list of floats:
     those with the largest, in numpy's stable order of -err (NaN last),
@@ -409,9 +390,7 @@ def _gk21(f, a, b, owner, epsabs, epsrel, limit=QUAD_LIMIT):
 
     Between the calls a piece keeps its panels as Python float lists (lo,
     hi, value, error), the kept panels in their order and then the new
-    ones, and sums them in numpy's pairwise order (`_pairwise_sum`): the
-    doubles that numpy arrays of the same panels give, without numpy's
-    per-call cost on a handful of panels.
+    ones; its value and error are the correctly rounded sums (`math.fsum`).
     """
     n = len(a)
     vals, errs, counts = [0.0] * n, [0.0] * n, [0] * n
@@ -451,7 +430,7 @@ def _gk21(f, a, b, owner, epsabs, epsrel, limit=QUAD_LIMIT):
                 p = new_lo, new_hi, v, e
             else:
                 p = tuple(o + c for o, c in zip(old, (new_lo, new_hi, v, e)))
-            val, err = _pairwise_sum(p[2]), _pairwise_sum(p[3])
+            val, err = math.fsum(p[2]), math.fsum(p[3])
             tol = max(epsabs, epsrel * abs(val))
             if (old is not None and err <= tol) or len(p[2]) >= limit:
                 vals[i], errs[i], counts[i] = val, err, len(p[2])
@@ -488,7 +467,7 @@ def _piecewise_quad(f, edge_lists, epsabs: float, max_err: float, what: str,
     out, end = [], 0
     for edges in edge_lists:
         start, end = end, end + len(edges) - 1
-        val, err = sum(vals[start:end]), sum(errs[start:end])
+        val, err = math.fsum(vals[start:end]), math.fsum(errs[start:end])
         if not (err <= max_err and (max_rel is None
                                     or err <= max_rel * max(val, 0.0))):
             val = ComputationError(f"{what} quadrature achieved only "

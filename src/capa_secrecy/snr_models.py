@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import (DomainError, log_factorials, poisson_mix,
-                      poisson_series_terms, poisson_tail, xlogy)
+                      poisson_series_terms, poisson_tail)
 from .spectral import ComputationError, SpectralDecomposition
 
 
@@ -235,9 +235,10 @@ def eve_pdf(x, lb: LinkBudget):
     out = np.where(np.isnan(xv), math.nan, 0.0)
     m = (xv >= 0.0) & (xv < math.inf)
     z = xv[m] / mu
-    if lb.scenario == Scenario.MCE:  # gamma with shape K, scale mu
-        out[m] = np.exp(xlogy(k - 1, z) - z - math.lgamma(k)) / mu
-    else:  # max of K exponentials; SE is K = 1
+    if lb.scenario == Scenario.MCE and k > 1:  # gamma, shape K, scale mu
+        with np.errstate(divide="ignore"):  # ln 0 = -inf: density 0 at 0
+            out[m] = np.exp((k - 1) * np.log(z) - z - math.lgamma(k)) / mu
+    else:  # max of K exponentials; SE and MCE at K = 1 are one exponential
         out[m] = k * np.power(-np.expm1(-z), k - 1) * np.exp(-z) / mu
     return _shaped(out, x)
 

@@ -125,18 +125,6 @@ def harmonic_number(n: int) -> float:
 # Poisson tails: the regularised incomplete gamma at integer shapes
 # ---------------------------------------------------------------------------
 
-def xlogy(x, y):
-    """x ln y elementwise, 0 where x = 0 and y is not NaN (0 ln 0 = 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.multiply(x, np.log(y))
-    if np.ndim(x) == 0 and x != 0:
-        return out
-    nan = np.isnan(out)  # 0 ln 0 and 0 ln inf among them
-    if nan.any():
-        out = np.where(nan & np.equal(x, 0.0) & ~np.isnan(y), 0.0, out)
-    return out
-
-
 def log_factorials(n: int) -> np.ndarray:
     """ln k! for k = 0..n-1."""
     return np.array([math.lgamma(k + 1.0) for k in range(n)])

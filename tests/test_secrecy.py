@@ -432,6 +432,24 @@ def test_slope_and_orderings_at_paper_aperture(ms80_default):
             assert se < mie < mce, (k, ge_db)
 
 
+def test_asymptotic_rate_meets_quadrature_at_paper_aperture(ms80_default):
+    # 40 wavelengths at the default order, SE and MIE at K 5 and 40: at
+    # gamma_b 30, 40 and 50 dB the affine law is within 0.5/gamma_b of the
+    # rate quadrature (|gap| gamma_b reads 0.2944), and the gap shrinks
+    # tenfold per 10 dB (ratios 9.9991-9.9999); MCE is left out, since its
+    # offset's Eve term puts the affine law 0.05-0.67 bits off
+    gb_dbs = (30.0, 40.0, 50.0)
+    for scen, k in ((Scenario.SE, 1), (Scenario.MIE, 5), (Scenario.MIE, 40)):
+        for ge_db in (-10.0, 20.0):
+            lbs = [lb_db(gb_db, ge_db, k, scen) for gb_db in gb_dbs]
+            gaps = [sec.asymptotic_rate(lb, ms80_default) - rate for lb, rate
+                    in zip(lbs, sec.rate_quadratures(lbs, ms80_default))]
+            for lb, gap in zip(lbs, gaps):
+                assert abs(gap) <= 0.5 / lb.gamma_bar_b, (scen, k, ge_db, gap)
+            for near, far in zip(gaps, gaps[1:]):
+                assert 9.9 <= near / far <= 10.1, (scen, k, ge_db, gaps)
+
+
 def test_secure_probability_pass_equals_each_node_alone(monkeypatch,
                                                         ms80_default):
     # the extended rate makes one outage count over all nodes of a pass of
@@ -702,7 +720,7 @@ def test_engine_is_reference_on_lockstep_quadratures(monkeypatch, ms4,
     runs = engine_runs(monkeypatch, sec.rate_quadratures, lbs, ms)
     for r0 in (0.5, 1.35, 3.0):
         runs += engine_runs(monkeypatch, sec.sop_quadratures, lbs, ms, r0)
-    # pieces long enough for the eight running sums
+    # pieces bisected over several passes, kept panels and new ones mixed
     assert most_panels(runs) >= 8
 
 
@@ -722,8 +740,8 @@ def test_engine_is_reference_on_extended_rate(monkeypatch, ms4, ms6):
             for gb_db in (0.0, 20.0):
                 runs += engine_runs(monkeypatch, sec._rate_by_secure_probability,
                                     lb_db(gb_db, 20.0, k, scen), ms)
-    # its pieces end within 8 panels, where numpy's sum is a running one,
-    # but not within 2, where every order of the sum agrees
+    # its pieces end within 8 panels, but not within 2, where no panel is
+    # kept from one pass to the next
     assert most_panels(runs) >= 3
 
 
@@ -744,28 +762,6 @@ def test_engine_is_reference_at_its_corners():
         vals, errs, panels = got
         assert panels[:2] == [limit, 0] and panels[4] == 1
         assert math.isnan(errs[2]) and vals[1] == errs[1] == 0.0
-
-
-def test_pairwise_sum_is_numpy_sum():
-    # numpy's pairwise order at every length up to the panel limit, and
-    # the signed zeros, subnormals, infinities and NaNs it meets
-    rng = np.random.default_rng(7)
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                        math.inf, -math.inf, math.nan, 1.7e308, -1.7e308])
-    for n in range(401):
-        for x in (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
-                  rng.random(n),
-                  rng.choice(special, n),
-                  rng.choice(special[:4], n),
-                  np.where(rng.random(n) < 0.1, rng.choice(special, n),
-                           rng.standard_normal(n))):
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = float(np.sum(x))
-            got = sec._pairwise_sum(x.tolist())
-            assert type(got) is float
-            assert (got != got and want != want) or (
-                got == want
-                and math.copysign(1.0, got) == math.copysign(1.0, want)), (n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -279,12 +279,3 @@ def test_log_factorials_match_gammaln():
     assert got[:2].tolist() == [0.0, 0.0]
     ulps = np.abs(got - want)[2:] / np.spacing(want[2:])
     assert ulps.max() <= 4.0
-
-
-def test_xlogy_edges():
-    assert sf.xlogy(0, 0.0) == 0.0 and sf.xlogy(0, np.inf) == 0.0
-    assert sf.xlogy(3, 0.0) == -np.inf
-    assert np.isnan(sf.xlogy(0, np.nan)) and np.isnan(sf.xlogy(np.nan, 2.0))
-    got = sf.xlogy(np.arange(3.0), np.array([0.0, 0.0, np.nan]))
-    assert got[0] == 0.0 and got[1] == -np.inf and np.isnan(got[2])
-    assert sf.xlogy(2, np.e) == pytest.approx(2.0, rel=1e-15)

@@ -322,9 +322,9 @@ def to_bisect_numpy(err, tol, room):
 
 
 def gk21_numpy(f, a, b, owner, epsabs, epsrel, limit=sec.QUAD_LIMIT):
-    """`secrecy._gk21` with each piece's panels held and summed as numpy
-    arrays (np.sum, argsort, cumsum): the reference, bit for bit, for the
-    library's float-list bookkeeping and its pairwise sums."""
+    """`secrecy._gk21` with each piece's panels held as numpy arrays
+    (argsort, cumsum) and summed by `math.fsum`: the reference, bit for
+    bit, for the library's float-list bookkeeping."""
     n = len(a)
     vals, errs, counts = [0.0] * n, [0.0] * n, [0] * n
     owner = np.asarray(owner, dtype=int)
@@ -360,7 +360,7 @@ def gk21_numpy(f, a, b, owner, epsabs, epsrel, limit=sec.QUAD_LIMIT):
             p = np.array([new_lo, new_hi, v, e])
             if old is not None:
                 p = np.concatenate((old, p), axis=1)
-            val, err = p[2].sum(), p[3].sum()
+            val, err = math.fsum(p[2]), math.fsum(p[3])
             tol = max(epsabs, epsrel * abs(val))
             if (old is not None and err <= tol) or p.shape[1] >= limit:
                 vals[i], errs[i], counts[i] = float(val), float(err), p.shape[1]
